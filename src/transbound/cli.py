@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .hypergeom import epsilon_star, vapnik_bound
-from .pac_bayes import BoundInputs, det_bound, gibbs_bound
+from .hypergeom import epsilon_star
+from .pac_bayes import EVAL_BOUNDS, evaluate_bound
 from .transduce import (
     ALGORITHMS,
     BOUND_NAMES,
@@ -28,32 +28,12 @@ from .transduce import (
     transduce,
 )
 from .validation import (
+    SCENARIOS,
     ClusteringInstance,
     mc_bound_validity,
     mc_concentration,
     random_hypothesis_instance,
 )
-
-CURVE_BOUNDS = (
-    "vapnik_relative",
-    "vapnik_absolute",
-    "serfling",
-    "det_reduction",
-    "det_direct",
-    "gibbs_reduction",
-    "gibbs_direct",
-)
-
-VALIDATE_SCENARIOS = (
-    "vapnik_absolute",
-    "vapnik_relative",
-    "serfling",
-    "direct",
-    "gibbs_reduction",
-    "gibbs_direct",
-    "clustering",
-)
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -68,21 +48,6 @@ def _emit(header, rows, stream=None):
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _evaluate_one(name, m, u, delta, emp_risk, prior_mass, kl, loss_bound):
-    if name == "vapnik_relative" or name == "vapnik_absolute":
-        star = epsilon_star(prior_mass, delta, m, u, name.removeprefix("vapnik_"))
-        return vapnik_bound(emp_risk, star, m, u)
-    if name in ("serfling", "det_reduction", "det_direct"):
-        inputs = BoundInputs(m=m, u=u, delta=delta, emp_risk=emp_risk,
-                             prior_mass=prior_mass, loss_bound=loss_bound)
-        return det_bound(inputs, name.removeprefix("det_"))
-    if name in ("gibbs_reduction", "gibbs_direct"):
-        inputs = BoundInputs(m=m, u=u, delta=delta, emp_risk=emp_risk,
-                             kl_value=kl, loss_bound=loss_bound)
-        return gibbs_bound(inputs, name.removeprefix("gibbs_"))
-    raise ValueError(f"unknown bound {name!r}")
 
 
 def _resolve_u(rule: str, m: int) -> int:
@@ -110,8 +75,8 @@ def _csv_floats(text: str) -> list[float]:
 def cmd_curve(args) -> int:
     names = [tok for tok in args.bounds.split(",") if tok != ""]
     for name in names:
-        if name not in CURVE_BOUNDS:
-            raise ValueError(f"unknown bound {name!r}; choose from {', '.join(CURVE_BOUNDS)}")
+        if name not in EVAL_BOUNDS:
+            raise ValueError(f"unknown bound {name!r}; choose from {', '.join(EVAL_BOUNDS)}")
     m_grid = _csv_ints(args.m_grid)
     if sorted(set(m_grid)) != m_grid:
         raise ValueError("m-grid must be strictly increasing")
@@ -119,8 +84,8 @@ def cmd_curve(args) -> int:
     for m in m_grid:
         u = _resolve_u(args.u_rule, m)
         for name in sorted(names):
-            out = _evaluate_one(name, m, u, args.delta, args.emp_risk,
-                                args.prior_mass, args.kl, 1.0)
+            out = evaluate_bound(name, m, u, args.delta, args.emp_risk, args.prior_mass,
+                                 args.kl)
             rows.append((m, u, out.name, out.raw, out.clamped, out.valid))
     _emit(("m", "u", "bound_name", "raw", "clamped", "valid"), rows)
     return 0
@@ -134,10 +99,7 @@ def cmd_prior_sweep(args) -> int:
     for p in sorted(ps):
         rel = epsilon_star(p, args.delta, args.m, args.u, "relative").value
         ab = epsilon_star(p, args.delta, args.m, args.u, "absolute").value
-        serf = det_bound(
-            BoundInputs(m=args.m, u=args.u, delta=args.delta, emp_risk=0.0, prior_mass=p),
-            "serfling",
-        ).raw
+        serf = evaluate_bound("serfling", args.m, args.u, args.delta, 0.0, p).raw
         rows.append((p, rel, ab, serf))
     _emit(
         ("p", "vapnik_relative_eps_star", "vapnik_absolute_eps_star", "serfling_complexity"),
@@ -147,8 +109,8 @@ def cmd_prior_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _evaluate_one(args.bound, args.m, args.u, args.delta, args.emp_risk,
-                        args.prior_mass, args.kl, args.loss_bound)
+    out = evaluate_bound(args.bound, args.m, args.u, args.delta, args.emp_risk,
+                         args.prior_mass, args.kl, args.loss_bound)
     _emit(
         ("m", "u", "bound_name", "raw", "clamped", "valid"),
         [(args.m, args.u, out.name, out.raw, out.clamped, out.valid)],
@@ -203,7 +165,6 @@ def cmd_transduce(args) -> int:
         c=args.max_clusters,
         delta=args.delta,
         bound_name=args.bound,
-        seed=args.seed,
     )
     cert = transduce(data, labeled, config)
 
@@ -253,8 +214,7 @@ def cmd_validate(args) -> int:
         target[ids] = labels
         instance = ClusteringInstance(
             points=pts, target=target, m=args.m, c=args.max_clusters,
-            algorithm=args.clusterer[0] if args.clusterer else "kmeans",
-            bound_name=args.bound,
+            clusterers=tuple(args.clusterer), bound_name=args.bound,
         )
     else:
         instance = random_hypothesis_instance(
@@ -314,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kl", type=float, default=0.0)
 
     p = sub.add_parser("curve", help="bound values over an m grid")
-    p.add_argument("--bounds", default="", help="comma list of: " + ",".join(CURVE_BOUNDS))
+    p.add_argument("--bounds", default="", help="comma list of: " + ",".join(EVAL_BOUNDS))
     p.add_argument("--m-grid", required=True, help="comma list, strictly increasing")
     p.add_argument("--u-rule", default="multiple:1",
                    help="multiple:ALPHA (u = ALPHA*m), sqrt, or const:V")
@@ -332,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prior_sweep)
 
     p = sub.add_parser("eval", help="evaluate a single bound from flags")
-    p.add_argument("--bound", required=True, choices=CURVE_BOUNDS)
+    p.add_argument("--bound", required=True, choices=EVAL_BOUNDS)
     common_bound_flags(p)
     p.add_argument("--loss-bound", type=float, default=1.0)
     p.set_defaults(func=cmd_eval)
@@ -352,13 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-clusters", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--bound", choices=BOUND_NAMES, default="serfling_printed")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--predictions-out", default=None)
     p.add_argument("--certificate-out", default=None)
     p.set_defaults(func=cmd_transduce)
 
     p = sub.add_parser("validate", help="Monte-Carlo delta-validity of a bound")
-    p.add_argument("--scenario", required=True, choices=VALIDATE_SCENARIOS)
+    p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--n", type=int, default=40, help="full sample size")
     p.add_argument("--m", type=int, default=20)
     p.add_argument("--hypotheses", type=int, default=16)
@@ -370,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None)
     p.add_argument("--clusterer", action="append", choices=ALGORITHMS, default=None)
     p.add_argument("--max-clusters", type=int, default=5)
-    p.add_argument("--bound", default="serfling_printed")
+    p.add_argument("--bound", choices=BOUND_NAMES, default="serfling_printed")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("mc-concentration", help="empirical vs exact vs bound tails")

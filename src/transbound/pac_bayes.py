@@ -9,6 +9,10 @@ independence (Hoeffding) and direct without-replacement inequalities
 (Serfling for general bounded losses, a counting bound for binary losses);
 the direct route trades a sqrt((m+u)/u) factor for the reduction route's
 (m+u)/u and stays meaningful even for a single test point.
+
+``det_raw`` and ``gibbs_raw`` are the formulas, written once over arrays of
+empirical risks; ``evaluate_bound`` is the one map from a bound's name to its
+formula, the implicit Vapnik-style bounds included.
 """
 
 from dataclasses import dataclass
@@ -16,15 +20,23 @@ import math
 
 import numpy as np
 
+from .hypergeom import epsilon_star, vapnik_bound
 from .records import BoundValue
+
+EVAL_BOUNDS = ("vapnik_relative", "vapnik_absolute", "serfling", "det_reduction", "det_direct",
+               "gibbs_reduction", "gibbs_direct")
 
 __all__ = [
     "BoundInputs",
     "BoundValue",
+    "EVAL_BOUNDS",
     "GibbsEnsemble",
     "det_bound",
+    "det_raw",
+    "evaluate_bound",
     "full_to_test",
     "gibbs_bound",
+    "gibbs_raw",
     "gibbs_risk",
     "graepel_inductive_bound",
     "invert_self_bounding",
@@ -118,25 +130,24 @@ def kl_divergence(posterior: np.ndarray, prior: np.ndarray) -> float:
     return float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
 
 
-def _reduction_complexity(kl_value: float, m: int, delta: float) -> float:
+def _reduction_complexity(kl_value, m: int, delta: float):
     return kl_value + math.log(m / delta)
 
 
-def _direct_complexity(kl_value: float, m: int, u: int, delta: float,
-                       population_term: bool = True) -> float:
+def _direct_complexity(kl_value, m: int, u: int, delta: float, population_term: bool = True):
     # the 7 ln(m+u+1) slack comes from the counting bound behind this route;
     # tests zero it to compare the two routes' sqrt factors structurally
     extra = 7.0 * math.log(m + u + 1.0) if population_term else 0.0
     return kl_value + math.log(m / delta) + extra
 
 
-def _finish(raw: float, name: str, loss_bound: float) -> BoundValue:
+def _finish(raw, name: str, loss_bound: float) -> BoundValue:
+    raw = float(raw)
     return BoundValue(raw=raw, clamped=min(raw / loss_bound, 1.0), name=name)
 
 
-def gibbs_bound(inputs: BoundInputs, variant: str = "direct", *,
-                _population_term: bool = True) -> BoundValue:
-    """Test-risk bound for a Gibbs classifier with complexity D(q||p).
+def gibbs_raw(variant: str, emp_risk, kl_value, m: int, u: int, delta: float):
+    """Raw Gibbs bound, elementwise over arrays of empirical risks and KL values.
 
     ``reduction``:
         R + ((m+u)/u) (sqrt(2 R K / (m-1)) + 2 K / (m-1)),  K = D + ln(m/delta)
@@ -144,48 +155,81 @@ def gibbs_bound(inputs: BoundInputs, variant: str = "direct", *,
         R + sqrt((2 R (m+u)/u) T / (m-1)) + 2 T / (m-1),
         T = D + ln(m/delta) + 7 ln(m+u+1)
     """
-    if inputs.kl_value is None:
-        raise ValueError("gibbs_bound needs kl_value complexity")
-    if inputs.m < 2:
+    if m < 2:
         raise ValueError("m must be >= 2")
-    if inputs.loss_bound != 1.0:
-        raise ValueError("gibbs bounds are stated for binary (B = 1) losses")
-    r, m, u = inputs.emp_risk, inputs.m, inputs.u
+    r = emp_risk
     if variant == "reduction":
-        k = _reduction_complexity(inputs.kl_value, m, inputs.delta)
-        raw = r + (m + u) / u * (math.sqrt(2.0 * r * k / (m - 1)) + 2.0 * k / (m - 1))
-        return _finish(raw, "gibbs_reduction", 1.0)
+        k = _reduction_complexity(kl_value, m, delta)
+        return r + (m + u) / u * (np.sqrt(2.0 * r * k / (m - 1)) + 2.0 * k / (m - 1))
     if variant == "direct":
-        t = _direct_complexity(inputs.kl_value, m, u, inputs.delta, _population_term)
-        raw = r + math.sqrt(2.0 * r * (m + u) / u * t / (m - 1)) + 2.0 * t / (m - 1)
-        return _finish(raw, "gibbs_direct", 1.0)
+        t = _direct_complexity(kl_value, m, u, delta)
+        return r + np.sqrt(2.0 * r * (m + u) / u * t / (m - 1)) + 2.0 * t / (m - 1)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def det_bound(inputs: BoundInputs, variant: str = "serfling") -> BoundValue:
-    """Test-risk bound for a deterministic classifier with prior mass p(h).
+def det_raw(variant: str, emp_risk, prior_mass: float, m: int, u: int, delta: float,
+            loss_bound: float = 1.0):
+    """Raw deterministic-classifier bound, elementwise over an array of empirical risks.
 
     ``reduction`` and ``direct`` are the Gibbs forms with D replaced by
     ln(1/p) (binary loss, m >= 2); ``serfling`` is
         R + B sqrt(((m+u)/u) ((u+1)/u) (ln(1/p) + ln(1/delta)) / (2m)),
     valid for any loss range B and any m >= 1.
     """
+    log_inv_p = math.log(1.0 / prior_mass)
+    if variant == "serfling":
+        comp = (log_inv_p + math.log(1.0 / delta)) / (2.0 * m)
+        return emp_risk + loss_bound * math.sqrt((m + u) / u * (u + 1) / u * comp)
+    if variant in ("reduction", "direct"):
+        return gibbs_raw(variant, emp_risk, log_inv_p, m, u, delta)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def gibbs_bound(inputs: BoundInputs, variant: str = "direct") -> BoundValue:
+    """Test-risk bound for a Gibbs classifier with complexity D(q||p); see ``gibbs_raw``."""
+    if inputs.kl_value is None:
+        raise ValueError("gibbs_bound needs kl_value complexity")
+    if inputs.loss_bound != 1.0:
+        raise ValueError("gibbs bounds are stated for binary (B = 1) losses")
+    raw = gibbs_raw(variant, inputs.emp_risk, inputs.kl_value, inputs.m, inputs.u, inputs.delta)
+    return _finish(raw, f"gibbs_{variant}", 1.0)
+
+
+def det_bound(inputs: BoundInputs, variant: str = "serfling") -> BoundValue:
+    """Test-risk bound for a deterministic classifier with prior mass p(h); see ``det_raw``."""
     if inputs.prior_mass is None:
         raise ValueError("det_bound needs prior_mass complexity")
-    log_inv_p = math.log(1.0 / inputs.prior_mass)
-    if variant == "serfling":
-        m, u, b = inputs.m, inputs.u, inputs.loss_bound
-        comp = (log_inv_p + math.log(1.0 / inputs.delta)) / (2.0 * m)
-        raw = inputs.emp_risk + b * math.sqrt((m + u) / u * (u + 1) / u * comp)
-        return _finish(raw, "serfling", b)
-    if variant in ("reduction", "direct"):
-        proxy = BoundInputs(
-            m=inputs.m, u=inputs.u, delta=inputs.delta, emp_risk=inputs.emp_risk,
-            kl_value=log_inv_p, loss_bound=inputs.loss_bound,
-        )
-        out = gibbs_bound(proxy, variant)
-        return _finish(out.raw, f"det_{variant}", inputs.loss_bound)
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant != "serfling" and inputs.loss_bound != 1.0:
+        raise ValueError("gibbs bounds are stated for binary (B = 1) losses")
+    raw = det_raw(variant, inputs.emp_risk, inputs.prior_mass, inputs.m, inputs.u,
+                  inputs.delta, inputs.loss_bound)
+    return _finish(raw, "serfling" if variant == "serfling" else f"det_{variant}",
+                   inputs.loss_bound)
+
+
+def evaluate_bound(name: str, m: int, u: int, delta: float, emp_risk: float,
+                   prior_mass: float = 1.0, kl_value: float = 0.0,
+                   loss_bound: float = 1.0) -> BoundValue:
+    """One bound from ``EVAL_BOUNDS`` at one point.
+
+    The ``vapnik_*`` bounds invert the exact worst-case tail at the prior
+    mass, ``serfling``/``det_*`` charge ln(1/prior_mass) and ``gibbs_*``
+    charge ``kl_value``.  ``loss_bound`` scales ``serfling`` only: the
+    binary-loss bounds reject any other value and ``vapnik_*`` ignores it.
+    """
+    if name not in EVAL_BOUNDS:
+        raise ValueError(f"unknown bound {name!r}; choose from {', '.join(EVAL_BOUNDS)}")
+    family, _, variant = name.partition("_")
+    if family == "vapnik":
+        star = epsilon_star(prior_mass, delta, m, u, variant)
+        return vapnik_bound(emp_risk, star, m, u)
+    if family == "gibbs":
+        inputs = BoundInputs(m=m, u=u, delta=delta, emp_risk=emp_risk, kl_value=kl_value,
+                             loss_bound=loss_bound)
+        return gibbs_bound(inputs, variant)
+    inputs = BoundInputs(m=m, u=u, delta=delta, emp_risk=emp_risk, prior_mass=prior_mass,
+                         loss_bound=loss_bound)
+    return det_bound(inputs, variant or family)
 
 
 def gibbs_risk(ensemble: GibbsEnsemble, target: np.ndarray, subset) -> float:

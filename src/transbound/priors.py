@@ -15,7 +15,6 @@ in both the published form and the tighter form the mass actually implies.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 import numpy as np
@@ -147,20 +146,16 @@ def clustering_bound(emp_risk: float, tau: int, c: int, m: int, u: int, delta: f
 def compression_mixture_log_total(m: int, u: int) -> float:
     """ln of the compression mixture's total mass, all terms kept in log space.
 
-    Sums (1/m) * |H_tau| * p_tau(h) over tau with |H_tau| = 2^tau C(m+u, tau)
-    and p_tau uniform; the result should be ln 1 = 0 up to rounding.
+    Sums |H_tau| * p(h) over tau, with |H_tau| = 2^tau C(m+u, tau) and p(h)
+    the mass ``CompressionPrior.log_mass`` gives a size-tau hypothesis; the
+    result should be ln 1 = 0 up to rounding.
     """
     prior = CompressionPrior(m=m, u=u)
-    terms = [
-        -math.log(m) + prior.log_subprior_size(tau) - prior.log_subprior_size(tau)
-        for tau in range(1, m + 1)
-    ]
+    terms = [prior.log_subprior_size(tau) + prior.log_mass(tau) for tau in range(1, m + 1)]
     return float(np.logaddexp.reduce(terms))
 
 
-def clustering_mixture_total(c: int) -> Fraction:
-    """Exact total mass of the clustering prior: sum of 2^tau * p_tau over tau."""
-    return sum(
-        (Fraction(1, c) * (2 ** tau) * Fraction(1, 2 ** tau) for tau in range(1, c + 1)),
-        Fraction(0),
-    )
+def clustering_mixture_total(c: int) -> float:
+    """Total mass of the clustering prior: sum of 2^tau * ``ClusteringPrior.mass(tau)``."""
+    prior = ClusteringPrior(c=c)
+    return sum(2 ** tau * prior.mass(tau) for tau in range(1, c + 1))

@@ -11,13 +11,13 @@ random choice of the training subset.
 """
 
 from dataclasses import dataclass
-import math
+import functools
 
 import numpy as np
 
 from .clustering import agglomerative_sweep, kmeans_labels
 from .hypergeom import epsilon_star, vapnik_bound
-from .pac_bayes import BoundInputs, det_bound
+from .pac_bayes import det_raw
 from .priors import ClusteringPrior, clustering_bound
 from .records import BoundValue
 
@@ -120,7 +120,6 @@ class TransduceConfig:
     c: int
     delta: float
     bound_name: str = "serfling_printed"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.algorithms:
@@ -136,14 +135,12 @@ class TransduceConfig:
             raise ValueError("delta must be in (0, 1)")
 
 
-def cluster_sweep(data: Dataset, algorithm: str, c: int, seed: int = 0,
-                  clusterer_id: int = 0) -> list[Partition]:
+def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) -> list[Partition]:
     """Partitions of the full sample into tau = 1..c clusters.
 
-    Deterministic given (data, algorithm, c, seed); the seed is accepted for
-    interface stability but none of the built-in algorithms consumes
-    randomness.  Points are addressed by id, so presentation order of the
-    dataset rows is irrelevant.
+    Deterministic given (data, algorithm, c): none of the built-in algorithms
+    consumes randomness.  Points are addressed by id, so presentation order
+    of the dataset rows is irrelevant.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown clustering algorithm {algorithm!r}")
@@ -162,6 +159,28 @@ def cluster_sweep(data: Dataset, algorithm: str, c: int, seed: int = 0,
     ]
 
 
+def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
+    """``cluster_sweep`` of every algorithm, clusterer id = position in ``algorithms``."""
+    partitions = []
+    for i, algo in enumerate(algorithms):
+        partitions += cluster_sweep(data, algo, c, clusterer_id=i)
+    return partitions
+
+
+def _votes(partition: Partition, row, point, positive, rows: int):
+    """Per (mask row, cluster): is the majority of the training pairs (row, point) +1?
+
+    Also returns each row's training errors.  Ties and clusters containing no
+    training point get +1.
+    """
+    tau = partition.tau
+    counts = np.bincount((row * tau + partition.assignment[point]) * 2 + positive,
+                         minlength=2 * rows * tau).reshape(rows, tau, 2)
+    neg, pos = counts[..., 0], counts[..., 1]
+    label_pos = pos >= neg
+    return label_pos, np.where(label_pos, neg, pos).sum(axis=1)
+
+
 def majority_label(partition: Partition, labeled: LabeledSubset) -> np.ndarray:
     """Label every point with its cluster's majority training label.
 
@@ -171,79 +190,115 @@ def majority_label(partition: Partition, labeled: LabeledSubset) -> np.ndarray:
     """
     if labeled.indices.max() >= len(partition.assignment):
         raise ValueError("training ids outside the partitioned sample")
-    pos = np.zeros(partition.tau)
-    neg = np.zeros(partition.tau)
-    cl = partition.assignment[labeled.indices]
-    np.add.at(pos, cl[labeled.labels == 1], 1.0)
-    np.add.at(neg, cl[labeled.labels == -1], 1.0)
-    cluster_label = np.where(pos >= neg, 1, -1).astype(np.int64)
-    return cluster_label[partition.assignment]
+    label_pos, _ = _votes(partition, 0, labeled.indices, labeled.labels == 1, 1)
+    return np.where(label_pos[0], 1, -1)[partition.assignment]
 
 
-def _evaluate_bound(bound_name: str, emp: float, tau: int, prior: ClusteringPrior,
-                    m: int, u: int, delta: float) -> BoundValue:
-    if bound_name == "serfling_printed":
-        return clustering_bound(emp, tau, prior.c, m, u, delta, prior.k_ensemble, "printed")
-    if bound_name == "serfling_exact":
-        return clustering_bound(emp, tau, prior.c, m, u, delta, prior.k_ensemble, "exact")
+def _tau_bound(bound_name: str, tau: int, prior: ClusteringPrior, m: int, u: int,
+               delta: float):
+    """Raw bound of a tau-cluster hypothesis as a function of its empirical risks."""
     if bound_name == "direct":
-        inputs = BoundInputs(m=m, u=u, delta=delta, emp_risk=emp, prior_mass=prior.mass(tau))
-        return det_bound(inputs, "direct")
+        return functools.partial(det_raw, "direct", prior_mass=prior.mass(tau), m=m, u=u,
+                                 delta=delta)
     if bound_name == "vapnik_absolute":
-        star = epsilon_star(prior.mass(tau), delta, m, u, "absolute")
-        return vapnik_bound(emp, star, m, u)
-    raise ValueError(f"unknown bound {bound_name!r}")
+        excess = epsilon_star(prior.mass(tau), delta, m, u, "absolute").value
+    else:
+        variant = bound_name.removeprefix("serfling_")
+        excess = clustering_bound(0.0, tau, prior.c, m, u, delta, prior.k_ensemble, variant).raw
+    return lambda emp: emp + excess
+
+
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """The smallest-bound hypothesis under each training mask of a batch."""
+
+    tau: np.ndarray
+    clusterer_id: np.ndarray
+    emp_risk: np.ndarray
+    bound: np.ndarray  # raw bound
+    labels: np.ndarray  # (masks, n) int8: the chosen hypothesis's +-1 label per id
+    c: int
+    k_ensemble: int
+
+
+def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.ndarray,
+                     delta: float, bound_name: str = "serfling_printed") -> Selection:
+    """Label every partition by majority vote under each mask; keep the smallest bound.
+
+    ``masks`` is a (batch, n) boolean array holding one training set of a
+    common size m per row; of the +-1 ``target`` only the entries under a
+    mask are read.  The prior's cluster budget is the largest tau present and
+    its ensemble size is the number of distinct clusterers, so the guarantee
+    presumes the given sequence is the full sweep.  Each tau's complexity
+    term is computed once for all clusterers, and ties break toward smaller
+    tau, then smaller clusterer id.
+    """
+    if bound_name not in BOUND_NAMES:
+        raise ValueError(f"unknown bound {bound_name!r}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if not partitions:
+        raise ValueError("need at least one partition")
+    masks = np.asarray(masks, dtype=bool)
+    rows, n = masks.shape
+    if any(len(p.assignment) != n for p in partitions):
+        raise ValueError("partitions disagree on the sample size")
+    m = int(masks[0].sum())
+    if not 1 <= m < n or (masks.sum(axis=1) != m).any():
+        raise ValueError("every mask must select the same m training ids, 1 <= m < n")
+    c = max(p.tau for p in partitions)
+    prior = ClusteringPrior(c=c, k_ensemble=len({p.clusterer_id for p in partitions}))
+    bound_of = {tau: _tau_bound(bound_name, tau, prior, m, n - m, delta)
+                for tau in sorted({p.tau for p in partitions})}
+
+    row, point = np.nonzero(masks)
+    positive = np.asarray(target)[point] == 1
+    best = Selection(tau=np.zeros(rows, dtype=np.int64),
+                     clusterer_id=np.zeros(rows, dtype=np.int64),
+                     emp_risk=np.zeros(rows), bound=np.full(rows, np.inf),
+                     labels=np.ones((rows, n), dtype=np.int8), c=c,
+                     k_ensemble=prior.k_ensemble)
+    for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
+        label_pos, errors = _votes(p, row, point, positive, rows)
+        emp = errors / m
+        bound = bound_of[p.tau](emp)
+        better = bound < best.bound
+        best.tau[better] = p.tau
+        best.clusterer_id[better] = p.clusterer_id
+        best.emp_risk[better] = emp[better]
+        best.bound[better] = bound[better]
+        best.labels[better] = np.where(label_pos[better], np.int8(1), np.int8(-1))[:, p.assignment]
+    return best
 
 
 def select_by_bound(partitions: list[Partition], labeled: LabeledSubset, delta: float,
                     bound_name: str = "serfling_printed",
                     algorithm_names: dict[int, str] | None = None) -> Certificate:
-    """Pick the partition whose labelled hypothesis carries the smallest bound.
-
-    The prior's cluster budget is the largest tau present and its ensemble
-    size is the number of distinct clusterers, so the guarantee presumes the
-    given sequence is the full sweep.  Ties break toward smaller tau, then
-    smaller clusterer id.
-    """
+    """Certificate of the smallest-bound partition: ``label_and_select`` on one mask."""
     if not partitions:
         raise ValueError("need at least one partition")
     n = len(partitions[0].assignment)
-    for p in partitions:
-        if len(p.assignment) != n:
-            raise ValueError("partitions disagree on the sample size")
-    m = labeled.m
-    u = n - m
-    if u < 1:
-        raise ValueError("no test points left")
-    c = max(p.tau for p in partitions)
-    k = len({p.clusterer_id for p in partitions})
-    prior = ClusteringPrior(c=c, k_ensemble=k)
-
-    train_pos = np.zeros(n, dtype=bool)
-    train_pos[labeled.indices] = True
-    test_ids = np.flatnonzero(~train_pos)
-
-    best = None
-    for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
-        hyp = majority_label(p, labeled)
-        emp = float((hyp[labeled.indices] != labeled.labels).mean())
-        bound = _evaluate_bound(bound_name, emp, p.tau, prior, m, u, delta)
-        if best is None or bound.raw < best[0].raw:
-            best = (bound, p, hyp, emp)
-    bound, part, hyp, emp = best
-    name = (algorithm_names or {}).get(part.clusterer_id, "")
+    if labeled.indices.max() >= n:
+        raise ValueError("training ids outside the partitioned sample")
+    target = np.zeros(n, dtype=np.int64)
+    target[labeled.indices] = labeled.labels
+    masks = target[None, :] != 0
+    chosen = label_and_select(partitions, target, masks, delta, bound_name)
+    test_ids = np.flatnonzero(~masks[0])
+    raw = float(chosen.bound[0])
+    clusterer_id = int(chosen.clusterer_id[0])
     return Certificate(
-        chosen_tau=part.tau,
-        clusterer_id=part.clusterer_id,
-        algorithm=name,
-        emp_risk=emp,
-        bound=bound,
+        chosen_tau=int(chosen.tau[0]),
+        clusterer_id=clusterer_id,
+        algorithm=(algorithm_names or {}).get(clusterer_id, ""),
+        emp_risk=float(chosen.emp_risk[0]),
+        bound=BoundValue(raw=raw, clamped=min(raw, 1.0), name=bound_name),
         bound_name=bound_name,
         delta=delta,
-        c=c,
-        k_ensemble=k,
+        c=chosen.c,
+        k_ensemble=chosen.k_ensemble,
         test_ids=test_ids,
-        predictions=hyp[test_ids],
+        predictions=chosen.labels[0, test_ids].astype(np.int64),
     )
 
 
@@ -253,9 +308,6 @@ def transduce(data: Dataset, labeled: LabeledSubset, config: TransduceConfig) ->
         raise ValueError("cluster budget c must not exceed the training size")
     if labeled.indices.max() >= data.n_total:
         raise ValueError("training ids outside the dataset")
-    partitions = []
-    names = {}
-    for i, algo in enumerate(config.algorithms):
-        partitions.extend(cluster_sweep(data, algo, config.c, config.seed, clusterer_id=i))
-        names[i] = algo
-    return select_by_bound(partitions, labeled, config.delta, config.bound_name, names)
+    partitions = ensemble_sweep(data, config.algorithms, config.c)
+    return select_by_bound(partitions, labeled, config.delta, config.bound_name,
+                           dict(enumerate(config.algorithms)))

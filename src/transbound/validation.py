@@ -23,10 +23,8 @@ from .concentration import (
     serfling_bound,
 )
 from .hypergeom import HypergeomSpec, epsilon_star, hypergeom_pmf
-from .pac_bayes import BoundInputs, det_bound, gibbs_bound, kl_divergence
-from .priors import ClusteringPrior, clustering_bound
-from .transduce import Dataset, LabeledSubset, cluster_sweep
-from .hypergeom import vapnik_bound
+from .pac_bayes import det_raw, gibbs_raw, kl_divergence
+from .transduce import ALGORITHMS, BOUND_NAMES, Dataset, ensemble_sweep, label_and_select
 
 SCENARIOS = (
     "vapnik_absolute",
@@ -267,27 +265,30 @@ class FiniteHypothesisInstance:
 
 @dataclass(frozen=True, eq=False)
 class ClusteringInstance:
-    """Full sample and target labels for end-to-end certificate validation."""
+    """Full sample, target labels and the ``transduce`` settings to validate."""
 
     points: np.ndarray
     target: np.ndarray  # +-1 per id
     m: int
     c: int
-    algorithm: str = "kmeans"
+    clusterers: tuple = ("kmeans",)
     bound_name: str = "serfling_printed"
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=np.int64)
         object.__setattr__(self, "target", t)
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
+        object.__setattr__(self, "clusterers", tuple(self.clusterers))
+        if not self.clusterers or not set(self.clusterers) <= set(ALGORITHMS):
+            raise ValueError(f"clusterers must be a nonempty choice from {ALGORITHMS}")
         if not np.isin(t, (-1, 1)).all():
             raise ValueError("target labels must be +-1")
         if len(t) != len(self.points):
             raise ValueError("one target label per point required")
         if not 1 <= self.c <= self.m < len(t):
             raise ValueError("need 1 <= c <= m < n_total")
-        if self.bound_name not in ("serfling_printed", "serfling_exact", "vapnik_absolute"):
-            raise ValueError(f"unsupported clustering bound {self.bound_name!r}")
+        if self.bound_name not in BOUND_NAMES:
+            raise ValueError(f"unknown clustering bound {self.bound_name!r}")
 
 
 def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> FiniteHypothesisInstance:
@@ -314,19 +315,15 @@ def _risks(instance: FiniteHypothesisInstance, masks: np.ndarray):
 
 
 def _vapnik_violations(instance, masks, delta, variant):
-    n_hyp, n = instance.errors.shape
+    n = instance.errors.shape[1]
     m, u = instance.m, n - instance.m
-    stars = {}
-    for p in instance.prior:
-        key = float(p)
-        if key not in stars:
-            stars[key] = epsilon_star(key, delta, m, u, variant).value
-    thresholds = np.array([stars[float(p)] for p in instance.prior])
+    stars = {p: epsilon_star(p, delta, m, u, variant).value for p in set(instance.prior.tolist())}
+    thresholds = np.array([stars[p] for p in instance.prior.tolist()])
 
-    k = instance.errors.sum(axis=1, keepdims=True)
-    train_counts = instance.errors @ masks.T.astype(np.int64)
-    dev = (k - train_counts) / u - train_counts / m
+    r_m, r_u = _risks(instance, masks)
+    dev = r_u - r_m
     if variant == "relative":
+        k = instance.errors.sum(axis=1, keepdims=True)
         scale = np.where(k > 0, np.sqrt(n / np.maximum(k, 1)), 0.0)
         dev = dev * scale  # the k = 0 rows are identically 0 by the convention
     violated = (dev >= thresholds[:, None]).any(axis=0)
@@ -340,16 +337,7 @@ def _det_bound_violations(instance, masks, delta, variant):
     r_m, r_u = _risks(instance, masks)
     viol = np.zeros(masks.shape[0], dtype=bool)
     for j, p in enumerate(instance.prior):
-        bounds = np.array(
-            [
-                det_bound(
-                    BoundInputs(m=m, u=u, delta=delta, emp_risk=float(r), prior_mass=float(p)),
-                    variant,
-                ).raw
-                for r in r_m[j]
-            ]
-        )
-        viol |= r_u[j] > bounds
+        viol |= r_u[j] > det_raw(variant, r_m[j], float(p), m, u, delta)
     return int(viol.sum())
 
 
@@ -361,63 +349,23 @@ def _gibbs_violations(instance, masks, delta, variant):
     logits = -m * r_m
     q = np.exp(logits - logits.max(axis=0, keepdims=True))
     q /= q.sum(axis=0, keepdims=True)
-    viol = 0
-    for t in range(masks.shape[0]):
+    trials = masks.shape[0]
+    kl, emp, test = np.empty(trials), np.empty(trials), np.empty(trials)
+    for t in range(trials):
         qt = q[:, t]
-        kl = kl_divergence(qt, instance.prior)
-        emp = float(qt @ r_m[:, t])
-        test = float(qt @ r_u[:, t])
-        bound = gibbs_bound(
-            BoundInputs(m=m, u=u, delta=delta, emp_risk=emp, kl_value=kl), variant
-        )
-        viol += test > bound.raw
-    return int(viol)
+        kl[t] = kl_divergence(qt, instance.prior)
+        emp[t] = qt @ r_m[:, t]
+        test[t] = qt @ r_u[:, t]
+    return int((test > gibbs_raw(variant, emp, kl, m, u, delta)).sum())
 
 
 def _clustering_violations(instance: ClusteringInstance, masks, delta):
     n = len(instance.target)
-    m, u = instance.m, n - instance.m
     data = Dataset(points=instance.points, ids=np.arange(n))
-    partitions = cluster_sweep(data, instance.algorithm, instance.c)
-    prior = ClusteringPrior(c=instance.c, k_ensemble=1)
-    onehots = [
-        (np.arange(p.tau)[:, None] == p.assignment[None, :]).astype(np.int64)
-        for p in partitions
-    ]
-
-    trials = masks.shape[0]
-    pos_all = (masks & (instance.target == 1)).T.astype(np.int64)  # (n, trials)
-    neg_all = (masks & (instance.target == -1)).T.astype(np.int64)
-    tpos_all = (~masks & (instance.target == 1)).T.astype(np.int64)
-    tneg_all = (~masks & (instance.target == -1)).T.astype(np.int64)
-
-    emp = np.empty((len(partitions), trials))
-    test = np.empty((len(partitions), trials))
-    for i, a in enumerate(onehots):
-        pos, neg = a @ pos_all, a @ neg_all
-        choose_pos = pos >= neg  # ties and empty clusters label +1
-        emp[i] = np.where(choose_pos, neg, pos).sum(axis=0) / m
-        tpos, tneg = a @ tpos_all, a @ tneg_all
-        test[i] = np.where(choose_pos, tneg, tpos).sum(axis=0) / u
-
-    bounds = np.empty_like(emp)
-    if instance.bound_name == "vapnik_absolute":
-        stars = {
-            p.tau: epsilon_star(prior.mass(p.tau), delta, m, u, "absolute").value
-            for p in partitions
-        }
-        for i, p in enumerate(partitions):
-            bounds[i] = emp[i] + stars[p.tau]
-    else:
-        variant = {"serfling_printed": "printed", "serfling_exact": "exact"}[instance.bound_name]
-        for i, p in enumerate(partitions):
-            excess = clustering_bound(0.0, p.tau, instance.c, m, u, delta, 1, variant).raw
-            bounds[i] = emp[i] + excess
-
-    chosen = np.argmin(bounds, axis=0)  # partitions are tau-ascending: ties -> smaller tau
-    cols = np.arange(trials)
-    viol = test[chosen, cols] > bounds[chosen, cols]
-    return int(viol.sum())
+    partitions = ensemble_sweep(data, instance.clusterers, instance.c)
+    chosen = label_and_select(partitions, instance.target, masks, delta, instance.bound_name)
+    test_errors = ((chosen.labels != instance.target) & ~masks).sum(axis=1)
+    return int((test_errors / (n - instance.m) > chosen.bound).sum())
 
 
 def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: int,

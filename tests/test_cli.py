@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from transbound import cli
 from transbound.cli import main
 from transbound.hypergeom import epsilon_star
 from transbound.pac_bayes import BoundInputs, det_bound
@@ -140,7 +141,6 @@ class TestTransduce:
         args = [
             "transduce", "--data", FEATURES, "--labels", LABELS,
             "--clusterer", "kmeans", "--max-clusters", "10", "--delta", "0.05",
-            "--seed", "3",
         ]
         outs = []
         for i in range(2):
@@ -234,6 +234,25 @@ class TestValidate:
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
         assert row[6] == "true"
+
+    def test_clustering_takes_every_clusterer_and_bound(self, capsys, tmp_path, monkeypatch):
+        full = tmp_path / "full_labels.csv"
+        full.write_text("".join(f"{i},{1 if i % 2 == 0 else -1}\n" for i in range(100)))
+        seen = []
+        real = cli.mc_bound_validity
+        monkeypatch.setattr(cli, "mc_bound_validity",
+                            lambda sc, inst, *a: seen.append(inst) or real(sc, inst, *a))
+        argv = ["validate", "--scenario", "clustering", "--data", FEATURES, "--labels",
+                str(full), "--m", "50", "--max-clusters", "4", "--trials", "200",
+                "--clusterer", "kmeans", "--clusterer", "agglomerative_single",
+                "--bound", "direct"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert seen[0].clusterers == ("kmeans", "agglomerative_single")
+        assert seen[0].bound_name == "direct"
+        assert out.strip().split("\n")[1].split(",")[6] == "true"
+        code, _, _ = run(capsys, argv[:-1] + ["tightest"])
+        assert code == 2
 
 
 class TestMcConcentration:

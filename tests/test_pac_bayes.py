@@ -1,18 +1,23 @@
 """Explicit bound formulas: frozen values, orderings and structural checks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from transbound.pac_bayes import (
+    EVAL_BOUNDS,
     BoundInputs,
     GibbsEnsemble,
     _direct_complexity,
     _reduction_complexity,
     det_bound,
+    det_raw,
+    evaluate_bound,
     full_to_test,
     gibbs_bound,
+    gibbs_raw,
     gibbs_risk,
     graepel_inductive_bound,
     invert_self_bounding,
@@ -333,3 +338,66 @@ class TestGraepel:
     def test_domain(self):
         with pytest.raises(ValueError):
             graepel_inductive_bound(0.1, 100, 100, 0.05)
+
+
+class TestArrayFormulas:
+    """The scalar bounds are the array formulas at one point, bit for bit."""
+
+    SHAPES = list(itertools.product((2, 3, 17, 500, 4000), (1, 9, 500, 3000), (1e-4, 0.05, 0.5)))
+    RISKS = np.concatenate([[0.0, 1.0], np.random.default_rng(7).uniform(0.0, 1.0, 40)])
+
+    @staticmethod
+    def _same_bits(a, b):
+        return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+    def test_det_bound_is_det_raw(self):
+        for (m, u, delta), p, variant in itertools.product(
+                self.SHAPES, (1.0, 0.3, 1e-9), ("serfling", "reduction", "direct")):
+            scalar = [
+                det_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=float(r), prior_mass=p),
+                          variant).raw
+                for r in self.RISKS
+            ]
+            assert self._same_bits(det_raw(variant, self.RISKS, p, m, u, delta), scalar)
+
+    def test_gibbs_bound_is_gibbs_raw(self):
+        kls = np.random.default_rng(8).uniform(0.0, 30.0, len(self.RISKS))
+        kls[0] = 0.0
+        for (m, u, delta), variant in itertools.product(self.SHAPES, ("reduction", "direct")):
+            scalar = [
+                gibbs_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=float(r),
+                                        kl_value=float(kl)), variant).raw
+                for r, kl in zip(self.RISKS, kls)
+            ]
+            assert self._same_bits(gibbs_raw(variant, self.RISKS, kls, m, u, delta), scalar)
+
+    def test_raw_is_a_python_float(self):
+        # an np.float64 would print as np.float64(...) in reprs of the results
+        inputs = BoundInputs(m=50, u=50, delta=0.05, emp_risk=0.1, prior_mass=0.5)
+        for variant in ("serfling", "reduction", "direct"):
+            out = det_bound(inputs, variant)
+            assert type(out.raw) is float and type(out.clamped) is float
+        gibbs_in = BoundInputs(m=50, u=50, delta=0.05, emp_risk=0.1, kl_value=1.0)
+        assert type(gibbs_bound(gibbs_in, "direct").raw) is float
+
+
+class TestEvaluateBound:
+    def test_every_name_reaches_its_formula(self):
+        for name in EVAL_BOUNDS:
+            out = evaluate_bound(name, 60, 40, 0.05, 0.1, prior_mass=0.2, kl_value=0.7)
+            assert out.name == name
+            assert type(out.raw) is float
+        want = det_bound(BoundInputs(m=60, u=40, delta=0.05, emp_risk=0.1, prior_mass=0.2),
+                         "direct")
+        assert evaluate_bound("det_direct", 60, 40, 0.05, 0.1, prior_mass=0.2) == want
+
+    def test_loss_bound_scales_serfling_only(self):
+        out = evaluate_bound("serfling", 60, 40, 0.05, 0.2, loss_bound=2.0)
+        assert out.raw < 2.0
+        assert out.clamped == pytest.approx(out.raw / 2.0)
+        with pytest.raises(ValueError):
+            evaluate_bound("det_direct", 60, 40, 0.05, 0.1, loss_bound=2.0)
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError):
+            evaluate_bound("hoeffding", 60, 40, 0.05, 0.1)

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from transbound.priors import clustering_bound
+from transbound.hypergeom import epsilon_star, vapnik_bound
+from transbound.pac_bayes import BoundInputs, det_bound
+from transbound.priors import ClusteringPrior, clustering_bound
 from transbound.transduce import (
+    BOUND_NAMES,
     Certificate,
     Dataset,
     LabeledSubset,
     Partition,
     TransduceConfig,
     cluster_sweep,
+    ensemble_sweep,
+    label_and_select,
     majority_label,
     select_by_bound,
     transduce,
@@ -180,6 +185,65 @@ class TestSelectByBound:
         parts = cluster_sweep(data, "kmeans", c=2)
         with pytest.raises(ValueError):
             select_by_bound(parts, labeled, delta=0.05, bound_name="tightest")
+
+
+def _scalar_choice(partitions, labeled, delta, bound_name):
+    """(tau, clusterer id, emp risk, raw bound) from one scalar bound call per partition."""
+    m = labeled.m
+    u = len(partitions[0].assignment) - m
+    prior = ClusteringPrior(c=max(p.tau for p in partitions),
+                            k_ensemble=len({p.clusterer_id for p in partitions}))
+    best = None
+    for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
+        emp = float((majority_label(p, labeled)[labeled.indices] != labeled.labels).mean())
+        if bound_name == "direct":
+            raw = det_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=emp,
+                                        prior_mass=prior.mass(p.tau)), "direct").raw
+        elif bound_name == "vapnik_absolute":
+            star = epsilon_star(prior.mass(p.tau), delta, m, u, "absolute")
+            raw = vapnik_bound(emp, star, m, u).raw
+        else:
+            raw = clustering_bound(emp, p.tau, prior.c, m, u, delta, prior.k_ensemble,
+                                   bound_name.removeprefix("serfling_")).raw
+        if best is None or raw < best[3]:
+            best = (p.tau, p.clusterer_id, emp, raw)
+    return best
+
+
+class TestLabelAndSelect:
+    @pytest.mark.parametrize("bound_name", BOUND_NAMES)
+    def test_batch_matches_each_split_alone(self, two_blob, bound_name):
+        data, _, truth = two_blob
+        rng = np.random.default_rng(5)
+        target = np.where(rng.random(100) < 0.15, -truth, truth)  # noisy: risks vary
+        partitions = ensemble_sweep(data, ("kmeans", "agglomerative_single"), 8)
+        masks = np.zeros((20, 100), dtype=bool)
+        for row in masks:
+            row[rng.choice(100, size=40, replace=False)] = True
+        batch = label_and_select(partitions, target, masks, 0.05, bound_name)
+        assert (batch.c, batch.k_ensemble) == (8, 2)
+        for t in range(20):
+            ids = np.flatnonzero(masks[t])
+            labeled = LabeledSubset(indices=ids, labels=target[ids])
+            cert = select_by_bound(partitions, labeled, 0.05, bound_name)
+            got = (int(batch.tau[t]), int(batch.clusterer_id[t]), float(batch.emp_risk[t]),
+                   float(batch.bound[t]))
+            assert got == (cert.chosen_tau, cert.clusterer_id, cert.emp_risk, cert.bound.raw)
+            assert got == _scalar_choice(partitions, labeled, 0.05, bound_name)
+            assert np.array_equal(batch.labels[t, cert.test_ids], cert.predictions)
+            assert type(cert.bound.raw) is float and type(cert.emp_risk) is float
+        assert len(set(batch.emp_risk.tolist())) > 1
+
+    def test_masks_must_share_one_size(self, two_blob):
+        data, _, truth = two_blob
+        partitions = cluster_sweep(data, "kmeans", 3)
+        masks = np.zeros((2, 100), dtype=bool)
+        masks[0, :10] = True
+        masks[1, :11] = True
+        with pytest.raises(ValueError):
+            label_and_select(partitions, truth, masks, 0.05)
+        with pytest.raises(ValueError):
+            label_and_select(partitions, truth, np.ones((1, 100), dtype=bool), 0.05)
 
 
 class TestTransduce:

@@ -261,7 +261,16 @@ class TestMcBoundValidity:
         assert rep.passed
         with pytest.raises(ValueError):
             ClusteringInstance(points=data.points, target=truth, m=50, c=5,
-                               bound_name="direct")
+                               bound_name="tightest")
+
+    def test_clustering_instance_checks_clusterers(self, two_blob):
+        data, _, truth = two_blob
+        for bad in ((), ("kmeans", "spectral")):
+            with pytest.raises(ValueError):
+                ClusteringInstance(points=data.points, target=truth, m=50, c=5, clusterers=bad)
+        inst = ClusteringInstance(points=data.points, target=truth, m=50, c=5,
+                                  clusterers=["kmeans", "kmeans"])
+        assert inst.clusterers == ("kmeans", "kmeans")
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
