@@ -233,6 +233,8 @@ def cmd_validate(args) -> int:
 def cmd_mc_concentration(args) -> int:
     if args.trials < 1:
         raise ValueError("need at least one trial")
+    if args.population_size < 1:
+        raise ValueError("population-size must be positive")
     pop = np.zeros(args.population_size, dtype=np.int64)
     if not 0 <= args.ones <= args.population_size:
         raise ValueError("ones must lie in 0..population-size")

@@ -12,6 +12,7 @@ the absolute-deviation flavours) follows Vapnik's classical construction
 with a prior mass p(h) on the hypothesis.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 import math
@@ -85,65 +86,25 @@ def log_binomial(n: int, r: int) -> float:
         return float(v)
 
 
-class _SplitTable:
-    """Per-(m, u) cache of deviations and cumulative log-tails for every k.
+def _rows(m: int, u: int, ks):
+    """Yield (k, deviations, log-pmf) for each k errors among m + u points.
 
-    For each full-sample error count k the feasible training error counts are
-    r in max(k-u, 0)..min(m, k).  The deviation (k-r)/u - r/m is strictly
-    decreasing in r, so the tail over {deviation > eps} is a prefix of the
-    r-ascending probability vector; we store cumulative log-sums of that
-    prefix once and answer any tail query with a binary search.
-
-    ``neg_dev`` holds the negated deviations (ascending) for searchsorted;
-    ``neg_scaled`` holds the same multiplied by sqrt((m+u)/k), the form the
-    relative-deviation machinery compares against.  Using one precomputed
-    array on both the tail side and the threshold-enumeration side keeps
-    threshold comparisons exact in floating point.
+    Both arrays run over the feasible training error counts r in
+    max(k-u, 0)..min(m, k), ascending.  The deviation (k-r)/u - r/m is
+    strictly decreasing in r, so every tail {deviation > eps} is a prefix of
+    the log-pmf.
     """
+    n = m + u
+    gl = gammaln(np.arange(n + 2, dtype=np.float64))
 
-    def __init__(self, m: int, u: int):
-        self.m = m
-        self.u = u
-        n = m + u
-        self.n_total = n
-        gl = gammaln(np.arange(n + 2, dtype=np.float64))
+    def lb(nn, rr):
+        return gl[nn + 1] - gl[rr + 1] - gl[nn - rr + 1]
 
-        def lb(nn, rr):
-            return gl[nn + 1] - gl[rr + 1] - gl[nn - rr + 1]
-
-        log_total = lb(n, m)
-        self.neg_dev = []
-        self.neg_scaled = []
-        self.log_pmfs = []
-        self.log_tails = []
-        for k in range(n + 1):
-            r = np.arange(max(k - u, 0), min(m, k) + 1, dtype=np.int64)
-            dev = (k - r) / u - r / m
-            logpmf = lb(np.full_like(r, k), r) + lb(np.full_like(r, n - k), m - r) - log_total
-            self.neg_dev.append(-dev)
-            if k >= 1:
-                self.neg_scaled.append(-dev * math.sqrt(n / k))
-            else:
-                self.neg_scaled.append(-dev)
-            self.log_pmfs.append(logpmf)
-            self.log_tails.append(np.logaddexp.accumulate(logpmf))
-
-    def tail(self, k: int, eps: float, scaled: bool) -> float:
-        """Probability that the (scaled) deviation strictly exceeds eps."""
-        neg = self.neg_scaled[k] if scaled else self.neg_dev[k]
-        j = int(np.searchsorted(neg, -eps, side="left"))
-        if j == 0:
-            return 0.0
-        return float(math.exp(self.log_tails[k][j - 1]))
-
-    def log_pmf(self, k: int, r: int) -> float:
-        lo = max(k - self.u, 0)
-        return float(self.log_pmfs[k][r - lo])
-
-
-@lru_cache(maxsize=32)
-def _split_table(m: int, u: int) -> _SplitTable:
-    return _SplitTable(m, u)
+    log_total = lb(n, m)
+    for k in ks:
+        r = np.arange(max(k - u, 0), min(m, k) + 1, dtype=np.int64)
+        dev = (k - r) / u - r / m
+        yield k, dev, lb(np.full_like(r, k), r) + lb(np.full_like(r, n - k), m - r) - log_total
 
 
 def hypergeom_pmf(r: int, spec: HypergeomSpec) -> float:
@@ -155,25 +116,61 @@ def hypergeom_pmf(r: int, spec: HypergeomSpec) -> float:
     k, m, u = spec.k, spec.m, spec.u
     if r < max(k - u, 0) or r > min(m, k):
         return 0.0
-    return math.exp(_split_table(m, u).log_pmf(k, r))
+    _, _, log_pmf = next(_rows(m, u, [k]))
+    return math.exp(log_pmf[r - max(k - u, 0)])
 
 
 def deviation_tail(eps: float, spec: HypergeomSpec) -> float:
     """Exact Pr{R(test) - R(train) > eps} over uniform without-replacement splits."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return _split_table(spec.m, spec.u).tail(spec.k, eps, scaled=False)
+    _, dev, log_pmf = next(_rows(spec.m, spec.u, [spec.k]))
+    j = int(np.searchsorted(-dev, -eps, side="left"))
+    return math.exp(np.logaddexp.accumulate(log_pmf[:j])[-1]) if j else 0.0
 
 
-def _gamma_argmax(eps: float, m: int, u: int, variant: str) -> tuple[float, int]:
-    table = _split_table(m, u)
-    best, best_k = 0.0, 0
-    scaled = variant == "relative"
-    for k in range(1, table.n_total + 1):
-        t = table.tail(k, eps, scaled=scaled)
-        if t > best:
-            best, best_k = t, k
-    return best, best_k
+@lru_cache(maxsize=32)
+def _envelope(m: int, u: int, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The worst-case-over-k tail as a step function of the threshold.
+
+    Every pair (k >= 1, r) with positive (scaled) deviation d contributes
+    its cumulative log-tail L, the log of Pr{deviation > eps} for eps just
+    below d.  The worst case at eps is the largest L over pairs with
+    d > eps: a running maximum over the pairs sorted by d, descending.
+    Only its change points are kept, as arrays (-d ascending, L, smallest k
+    attaining L); pairs of equal d never straddle a query, so their order
+    does not matter.  ``relative`` scales the deviation by sqrt((m+u)/k).
+    """
+    HypergeomSpec(m, u, 0)  # validates m and u
+    n = m + u
+    negs, tails, counts = [], [], []
+    for k, dev, log_pmf in _rows(m, u, range(1, n + 1)):
+        neg = -dev * math.sqrt(n / k) if variant == "relative" else -dev
+        j = int(np.searchsorted(neg, 0.0, side="left"))
+        negs.append(neg[:j])
+        tails.append(np.logaddexp.accumulate(log_pmf[:j]))
+        counts.append(j)
+    neg = np.concatenate(negs)
+    order = np.argsort(neg)
+    neg, log_tail = neg[order], np.concatenate(tails)[order]
+    ks = np.repeat(np.arange(1, n + 1), counts)[order]
+    del negs, tails, order
+
+    best = np.maximum.accumulate(log_tail)
+    # Smallest k with L equal to the running max: a running min of k over
+    # the attaining pairs that restarts whenever the max rises, done in one
+    # pass by offsetting each level's keys below every earlier level's.
+    level = np.cumsum(np.r_[True, best[1:] > best[:-1]])
+    key = np.where(log_tail == best, ks, n + 1) - level * (n + 1)
+    ks = np.minimum.accumulate(key) + level * (n + 1)
+
+    ends = np.r_[neg[1:] != neg[:-1], True]
+    neg, best, ks = neg[ends], best[ends], ks[ends]
+    change = np.r_[True, (best[1:] != best[:-1]) | (ks[1:] != ks[:-1])]
+    neg, best, ks = neg[change], best[change], ks[change]
+    # tails that underflow to 0 never raise the worst case above 0
+    lo = bisect_right(best, 0.0, key=math.exp)
+    return neg[lo:], best[lo:], ks[lo:]
 
 
 def gamma(eps: float, m: int, u: int, variant: str = "absolute") -> float:
@@ -187,7 +184,9 @@ def gamma(eps: float, m: int, u: int, variant: str = "absolute") -> float:
         raise ValueError("eps must be nonnegative")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    return _gamma_argmax(eps, m, u, variant)[0]
+    neg, log_tail, _ = _envelope(m, u, variant)
+    j = int(np.searchsorted(neg, -eps, side="left"))
+    return math.exp(log_tail[j - 1]) if j else 0.0
 
 
 def epsilon_star(prior_mass: float, delta: float, m: int, u: int,
@@ -196,10 +195,8 @@ def epsilon_star(prior_mass: float, delta: float, m: int, u: int,
 
     The worst-case tail is a right-continuous step function that only jumps
     at the finitely many attainable (scaled) deviations, so the minimiser is
-    found by enumerating those thresholds (plus 0) and binary-searching the
-    monotone predicate; no continuum root finding is involved.  The largest
-    threshold always satisfies the constraint (its tail is 0), so the search
-    cannot fail.
+    the deviation of the first envelope step whose tail exceeds
+    prior_mass * delta (0 if none does); no root finding is involved.
     """
     if not 0.0 < prior_mass <= 1.0:
         raise ValueError("prior_mass must be in (0, 1]")
@@ -207,27 +204,10 @@ def epsilon_star(prior_mass: float, delta: float, m: int, u: int,
         raise ValueError("delta must be in (0, 1)")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    target = prior_mass * delta
-
-    table = _split_table(m, u)
-    negs = table.neg_scaled if variant == "relative" else table.neg_dev
-    cand = np.unique(np.concatenate([-neg[neg < 0] for neg in negs[1:]]))
-    cand = np.concatenate([[0.0], cand])
-
-    # gamma is nonincreasing in eps, so "gamma(cand[i]) <= target" is a
-    # monotone predicate over the ascending candidates.
-    lo, hi = 0, len(cand) - 1
-    if gamma(float(cand[0]), m, u, variant) <= target:
-        hi = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if gamma(float(cand[mid]), m, u, variant) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    value = float(cand[hi])
-    _, k_at = _gamma_argmax(value, m, u, variant)
-    return EpsilonStar(value=value, variant=variant, achieving_k=k_at)
+    neg, log_tail, ks = _envelope(m, u, variant)
+    j = bisect_right(log_tail, prior_mass * delta, key=math.exp)
+    value = float(-neg[j]) if j < len(neg) else 0.0
+    return EpsilonStar(value=value, variant=variant, achieving_k=int(ks[j - 1]) if j else 0)
 
 
 def vapnik_bound(emp_risk: float, eps_star: EpsilonStar, m: int, u: int) -> BoundValue:

@@ -204,14 +204,14 @@ def mc_concentration(population, m: int, eps_grid, trials: int, seed: int,
     if not np.isin(population, (0, 1)).all():
         raise ValueError("population must be a 0/1 vector")
     n = len(population)
+    if n == 0:
+        raise ValueError("population must be nonempty")
     ones = int(population.sum())
     mean = ones / n
     pop = PopulationSummary(n_total=n, mean=mean, binary=True)
 
-    sampler = SplitSampler(n_total=n, m=m, master_seed=seed)
-    means = np.empty(trials)
-    for t in range(trials):
-        means[t] = population[sample_split(sampler, trial_offset + t)].mean()
+    masks = _split_masks(SplitSampler(n_total=n, m=m, master_seed=seed), trials, trial_offset)
+    means = masks[:, population == 1].sum(axis=1) / m
 
     out = []
     for eps in eps_grid:
@@ -293,6 +293,8 @@ class ClusteringInstance:
 
 def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> FiniteHypothesisInstance:
     """Random +-1 labelings against a random target, uniform prior."""
+    if n_hyp < 1:
+        raise ValueError("need at least one hypothesis")
     rng = np.random.Generator(np.random.PCG64(splitmix64(seed, 0)))
     target = rng.choice([-1, 1], size=n_total)
     hyps = rng.choice([-1, 1], size=(n_hyp, n_total))

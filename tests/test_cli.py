@@ -1,5 +1,6 @@
 """CLI contract: exit codes, CSV determinism, value passthrough."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -134,6 +135,42 @@ class TestEvalAndEpsilonStar:
         assert row[6] == "2"
         want = epsilon_star(1.0, 0.2, 2, 2, "absolute")
         assert float(row[5]) == want.value
+
+
+class TestReadmeExamples:
+    """stdout of the README's CLI examples, pinned by sha256."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["epsilon-star", "--m", "50", "--u", "50", "--prior-mass", "0.025",
+          "--delta", "0.05", "--variant", "absolute"],
+         "4dc900f59581bb8c743ad981bf07bc8388e44974673ed6245084c53064fa8983"),
+        (["prior-sweep", "--p-grid", "0.01,0.05,0.2,1", "--m", "50", "--u", "50",
+          "--delta", "0.01"],
+         "daa62a5e43128ff082133dd27d895e96835a3e7b767e15d9cb1ffac5fab695a5"),
+    ])
+    def test_stdout_sha256(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSizeChecks:
+    @pytest.mark.parametrize("argv", [
+        ["epsilon-star", "--m", "0", "--u", "5"],
+        ["epsilon-star", "--m", "-3", "--u", "5"],
+        ["epsilon-star", "--m", "5", "--u", "0", "--variant", "relative"],
+        ["eval", "--bound", "vapnik_absolute", "--m", "0", "--u", "4"],
+        ["eval", "--bound", "vapnik_relative", "--m", "4", "--u", "-1"],
+        ["prior-sweep", "--p-grid", "0.5", "--m", "0", "--u", "5"],
+        ["validate", "--scenario", "vapnik_absolute", "--hypotheses", "0", "--trials", "10"],
+        ["mc-concentration", "--population-size", "0", "--ones", "0", "--m", "1",
+         "--trials", "1000"],
+    ])
+    def test_nonpositive_sizes_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestTransduce:

@@ -40,6 +40,21 @@ def brute_tail(eps, m, u, k):
     return Fraction(hits, total)
 
 
+def positive_deviations(m, u, variant):
+    """Ascending distinct positive deviations (k-r)/u - r/m over k >= 1, scaled
+    by sqrt((m+u)/k) for the relative variant: the points where gamma jumps."""
+    n = m + u
+    out = set()
+    for k in range(1, n + 1):
+        for r in range(max(k - u, 0), min(m, k) + 1):
+            dev = (k - r) / u - r / m
+            if variant == "relative":
+                dev = dev * math.sqrt(n / k)
+            if dev > 0:
+                out.add(dev)
+    return sorted(out)
+
+
 class TestLogBinomial:
     def test_small_exact(self):
         assert log_binomial(4, 2) == pytest.approx(math.log(6), abs=1e-12)
@@ -200,13 +215,8 @@ class TestEpsilonStar:
         assert gamma(star.value, m, u, variant) <= p * delta + 1e-15
         if star.value > 0:
             # every candidate threshold strictly below the result must fail
-            from transbound.hypergeom import _split_table
-
-            table = _split_table(m, u)
-            negs = table.neg_scaled if variant == "relative" else table.neg_dev
-            cands = np.unique(np.concatenate([-x[x < 0] for x in negs[1:]]))
-            below = cands[cands < star.value]
-            prev = float(below[-1]) if len(below) else 0.0
+            below = [c for c in positive_deviations(m, u, variant) if c < star.value]
+            prev = below[-1] if below else 0.0
             assert gamma(prev, m, u, variant) > p * delta
 
     def test_domain_errors(self):
@@ -214,6 +224,65 @@ class TestEpsilonStar:
             epsilon_star(0.0, 0.1, 2, 2)
         with pytest.raises(ValueError):
             epsilon_star(0.5, 1.0, 2, 2)
+
+    @pytest.mark.parametrize("m,u", [(0, 5), (-3, 5), (5, 0), (4, -1)])
+    def test_nonpositive_sizes(self, m, u):
+        for variant in ("absolute", "relative"):
+            with pytest.raises(ValueError):
+                epsilon_star(0.5, 0.1, m, u, variant)
+            with pytest.raises(ValueError):
+                gamma(0.1, m, u, variant)
+
+
+class TestEnvelopeReference:
+    """gamma and epsilon_star equal a brute-force reference bit for bit.
+
+    The reference maximises deviation_tail over k one k at a time (smallest k
+    on ties) and scans every attainable threshold in ascending order.
+    """
+
+    SHAPES = [(1, 1), (1, 4), (4, 1), (2, 2), (3, 5), (5, 3), (6, 8), (10, 10),
+              (7, 17), (17, 7), (12, 12), (20, 9)]
+    MASSES = [1.0, 0.3, 0.05, 1e-3, 1e-6, 1e-12]
+    DELTAS = [0.01, 0.05, 0.3, 0.9]
+
+    @staticmethod
+    def ref_tail(eps, m, u, k, variant):
+        """Pr{(scaled) deviation > eps} through deviation_tail on the same r-prefix."""
+        if variant == "absolute":
+            return deviation_tail(eps, HypergeomSpec(m, u, k))
+        # the scaled prefix ends at the first r whose scaled deviation is <= eps;
+        # every r before it has a positive deviation, so the unscaled cut works
+        n = m + u
+        for r in range(max(k - u, 0), min(m, k) + 1):
+            dev = (k - r) / u - r / m
+            if not dev * math.sqrt(n / k) > eps:
+                return deviation_tail(max(dev, 0.0), HypergeomSpec(m, u, k))
+        return deviation_tail(0.0, HypergeomSpec(m, u, k))
+
+    def ref_gamma(self, eps, m, u, variant):
+        best, best_k = 0.0, 0
+        for k in range(1, m + u + 1):
+            t = self.ref_tail(eps, m, u, k, variant)
+            if t > best:
+                best, best_k = t, k
+        return best, best_k
+
+    @pytest.mark.parametrize("variant", ["absolute", "relative"])
+    @pytest.mark.parametrize("m,u", SHAPES)
+    def test_bit_identical(self, m, u, variant):
+        cands = [0.0] + positive_deviations(m, u, variant)
+        ref = [self.ref_gamma(c, m, u, variant) for c in cands]
+        between = [(a + b) / 2 for a, b in zip(cands, cands[1:])] + [cands[-1] + 1.0]
+        for c, (g, _) in zip(cands, ref):
+            assert gamma(c, m, u, variant) == g
+        for e in between:
+            assert gamma(e, m, u, variant) == self.ref_gamma(e, m, u, variant)[0]
+        for p in self.MASSES:
+            for d in self.DELTAS:
+                i = next(i for i, (g, _) in enumerate(ref) if g <= p * d)
+                star = epsilon_star(p, d, m, u, variant)
+                assert (star.value, star.achieving_k) == (cands[i], ref[i][1])
 
 
 class TestVapnikBound:

@@ -137,6 +137,21 @@ class TestMcConcentration:
         with pytest.raises(ValueError):
             mc_concentration(np.zeros(10, dtype=int), 5, [0.1], trials=10, seed=0)
 
+    def test_requires_nonempty_population(self):
+        with pytest.raises(ValueError):
+            mc_concentration(np.zeros(0, dtype=int), 1, [0.1], trials=1000, seed=0)
+
+    def test_exceed_counts_match_per_trial_splits(self):
+        pop = np.zeros(30, dtype=int)
+        pop[[1, 4, 5, 11, 17, 18, 29]] = 1
+        grid = [0.0, 0.05, 0.1, 0.2]
+        reports = mc_concentration(pop, m=12, eps_grid=grid, trials=3000, seed=5,
+                                   trial_offset=7)
+        sampler = SplitSampler(n_total=30, m=12, master_seed=5)
+        means = np.array([pop[sample_split(sampler, 7 + t)].mean() for t in range(3000)])
+        for r, eps in zip(reports, grid):
+            assert r.exceed_count == int((means - pop.mean() >= eps).sum())
+
 
 class TestExactMeanTail:
     def test_matches_deviation_tail_complement_arithmetic(self):
@@ -275,3 +290,7 @@ class TestMcBoundValidity:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             mc_bound_validity("bootstrap", small_instance(), delta=0.1, trials=10, seed=0)
+
+    def test_random_instance_needs_a_hypothesis(self):
+        with pytest.raises(ValueError):
+            random_hypothesis_instance(n_total=10, m=5, n_hyp=0, seed=0)
