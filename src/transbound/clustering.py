@@ -5,6 +5,16 @@ well defined if the same point set always yields the same partitions, so
 k-means uses farthest-first seeding (no randomness) with fixed tie-breaking
 and empty-cluster repair, and the agglomerative variants cut a single
 dendrogram at every level.  All distances are Euclidean.
+
+Every output is bit-identical to the direct NumPy formulation, which the
+tests keep as the reference.  Squared distances equal
+``((points[:, None, :] - centers[None]) ** 2).sum(axis=2)`` bit for bit:
+they are built from one array of squared differences per coordinate, added
+in the order NumPy's pairwise reduction uses over a contiguous axis
+(sequential below 8 terms; eight interleaved partial sums combined as
+``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128 terms; halving at a
+multiple of 8 above that).  Each new k-means center is the mean of its
+members' rows in index order, as a boolean mask would select them.
 """
 
 import numpy as np
@@ -13,18 +23,50 @@ from scipy.spatial.distance import pdist
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-9
+# Largest condensed distance matrix agglomerative_sweep builds: 2**27 float64
+# pairs (1 GiB, n of about 16 000); complete linkage holds a second copy.
+MAX_LINKAGE_PAIRS = 2 ** 27
 
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel clusters by order of first appearance so output ids are stable."""
-    mapping: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        lab = int(lab)
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
+
+def _pairwise_sum(terms: list) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays in NumPy's pairwise order.
+
+    Adds in place into arrays of ``terms``, which the caller gives up.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+    if n <= 128:
+        r = terms[:8]
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                r[j] += terms[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in terms[n - n % 8:]:
+            total += t
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _sq_dists(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(k, n) squared Euclidean distances from k centers to n points.
+
+    ``coords`` holds the points as (d, n) coordinate rows.  Each entry is
+    bit-identical to the broadcast sum over the coordinate axis.
+    """
+    return _pairwise_sum([(row - centers[:, j, None]) ** 2 for j, row in enumerate(coords)])
 
 
 def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
@@ -40,28 +82,35 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
     if tau == 1:
         return np.zeros(n, dtype=np.int64)
 
+    coords = np.ascontiguousarray(points.T)
     centroid = points.mean(axis=0)
-    first = int(np.argmin(((points - centroid) ** 2).sum(axis=1)))
+    first = int(np.argmin(_sq_dists(coords, centroid[None])[0]))
     seeds = [first]
-    nearest = ((points - points[first]) ** 2).sum(axis=1)
+    nearest = _sq_dists(coords, points[[first]])[0]
     while len(seeds) < tau:
         nxt = int(np.argmax(nearest))
         seeds.append(nxt)
-        nearest = np.minimum(nearest, ((points - points[nxt]) ** 2).sum(axis=1))
+        nearest = np.minimum(nearest, _sq_dists(coords, points[[nxt]])[0])
     centers = points[seeds].astype(float).copy()
 
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(dists, axis=1).astype(np.int64)
+        dists = _sq_dists(coords, centers)
+        labels = np.argmin(dists, axis=0).astype(np.int64)
+        sizes = np.bincount(labels, minlength=tau)
         for j in range(tau):
-            if not (labels == j).any():
-                sizes = np.bincount(labels, minlength=tau)
+            if sizes[j] == 0:
                 big = int(np.argmax(sizes))
                 members = np.flatnonzero(labels == big)
-                far = members[int(np.argmax(dists[members, big]))]
+                far = members[int(np.argmax(dists[big, members]))]
                 labels[far] = j
-        new_centers = np.stack([points[labels == j].mean(axis=0) for j in range(tau)])
+                sizes[big] -= 1
+                sizes[j] += 1
+        # A stable sort keeps each cluster's rows in index order; the narrow
+        # dtype lets NumPy use its radix sort.
+        grouped = points[np.argsort(labels.astype(np.min_scalar_type(tau)), kind="stable")]
+        ends = np.cumsum(sizes)
+        new_centers = np.stack([grouped[e - s:e].mean(axis=0) for s, e in zip(sizes, ends)])
         moved = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if moved <= KMEANS_TOL:
@@ -72,21 +121,29 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
 def agglomerative_sweep(points: np.ndarray, c: int, method: str) -> dict[int, np.ndarray]:
     """Cut one single- or complete-linkage dendrogram at every level 1..c.
 
-    Returns {tau: labels}; the merges are replayed bottom-up and a snapshot
-    is taken whenever the live cluster count drops to <= c.
+    Returns {tau: labels} for tau = 1..min(c, n).  Merge i of the linkage
+    creates node n + i, so the tau clusters are the nodes below 2n - tau
+    whose parent is not; each point's cluster is found by pointer doubling
+    on the parent array restricted to those nodes.
     """
     if method not in ("single", "complete"):
         raise ValueError(f"unknown linkage {method!r}")
     n = len(points)
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_LINKAGE_PAIRS:
+        raise ValueError(f"agglomerative clustering of n={n} points needs {pairs} "
+                         f"pairwise distances, more than the limit of {MAX_LINKAGE_PAIRS}")
     merges = linkage(pdist(points), method=method)
-    labels = np.arange(n, dtype=np.int64)
+    nodes = np.arange(2 * n - 1)
+    parent = nodes.copy()
+    parent[merges[:, :2].astype(np.int64).ravel()] = np.repeat(nodes[n:], 2)
     out: dict[int, np.ndarray] = {}
-    if n <= c:
-        out[n] = canonical_labels(labels)
-    for i in range(n - 1):
-        a, b = int(merges[i, 0]), int(merges[i, 1])
-        labels[(labels == a) | (labels == b)] = n + i
-        live = n - 1 - i
-        if live <= c:
-            out[live] = canonical_labels(labels)
+    for tau in range(min(c, n), 0, -1):
+        root = np.where(parent < 2 * n - tau, parent, nodes)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        out[tau] = canonical_labels(root[:n])
     return out

@@ -29,6 +29,12 @@ VARIANTS = ("relative", "absolute")
 # cancellation for the 1e-10 accuracy contract; switch to 30-digit arithmetic.
 _LGAMMA_SAFE_N = 20000
 
+# Largest m*u whose worst-case-tail envelope is built.  The build holds about
+# m*u/2 deviation pairs while it sorts them: its peak resident memory grew by
+# 38 MB per 10**6 of m*u between m = u = 3000 (412 MB) and m = u = 4000
+# (676 MB), so this cap keeps the build near 2 GB (m = u of about 7000).
+MAX_ENVELOPE_MU = 50_000_000
+
 
 @dataclass(frozen=True)
 class HypergeomSpec:
@@ -142,6 +148,9 @@ def _envelope(m: int, u: int, variant: str) -> tuple[np.ndarray, np.ndarray, np.
     does not matter.  ``relative`` scales the deviation by sqrt((m+u)/k).
     """
     HypergeomSpec(m, u, 0)  # validates m and u
+    if m * u > MAX_ENVELOPE_MU:
+        raise ValueError(f"m={m}, u={u} is too large for the exact worst-case tail: "
+                         f"m*u = {m * u} exceeds the limit of {MAX_ENVELOPE_MU}")
     n = m + u
     negs, tails, counts = [], [], []
     for k, dev, log_pmf in _rows(m, u, range(1, n + 1)):

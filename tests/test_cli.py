@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from transbound import cli
+from transbound import cli, clustering
 from transbound.cli import main
 from transbound.hypergeom import epsilon_star
 from transbound.pac_bayes import BoundInputs, det_bound
@@ -159,6 +159,7 @@ class TestSizeChecks:
         ["epsilon-star", "--m", "0", "--u", "5"],
         ["epsilon-star", "--m", "-3", "--u", "5"],
         ["epsilon-star", "--m", "5", "--u", "0", "--variant", "relative"],
+        ["epsilon-star", "--m", "100000", "--u", "100000"],
         ["eval", "--bound", "vapnik_absolute", "--m", "0", "--u", "4"],
         ["eval", "--bound", "vapnik_relative", "--m", "4", "--u", "-1"],
         ["prior-sweep", "--p-grid", "0.5", "--m", "0", "--u", "5"],
@@ -221,6 +222,18 @@ class TestTransduce:
         )
         assert code == 2
         assert "unknown id" in err
+
+    def test_oversized_agglomerative_exits_2(self, capsys, monkeypatch):
+        # the two-blob file's 100 points need 4950 distances; lower the cap below that
+        monkeypatch.setattr(clustering, "MAX_LINKAGE_PAIRS", 4949)
+        code, out, err = run(
+            capsys,
+            ["transduce", "--data", FEATURES, "--labels", LABELS, "--clusterer",
+             "agglomerative_single", "--max-clusters", "2"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "n=100 points" in err
 
     def test_infeasible_budget_exits_2(self, capsys):
         code, _, _ = run(

@@ -233,6 +233,15 @@ class TestEpsilonStar:
             with pytest.raises(ValueError):
                 gamma(0.1, m, u, variant)
 
+    @pytest.mark.parametrize("m,u", [(100_000, 100_000), (7072, 7072), (2, 30_000_000)])
+    def test_oversized_rejected_before_building(self, m, u):
+        # without the cap, 10**5 x 10**5 would try to hold 5e9 deviation pairs
+        for variant in ("absolute", "relative"):
+            with pytest.raises(ValueError, match=f"m={m}, u={u}"):
+                epsilon_star(0.5, 0.1, m, u, variant)
+            with pytest.raises(ValueError, match="m\\*u"):
+                gamma(0.1, m, u, variant)
+
 
 class TestEnvelopeReference:
     """gamma and epsilon_star equal a brute-force reference bit for bit.
