@@ -30,6 +30,7 @@ from .transduce import (
 from .validation import (
     SCENARIOS,
     ClusteringInstance,
+    check_mc_cells,
     mc_bound_validity,
     mc_concentration,
     random_hypothesis_instance,
@@ -54,7 +55,10 @@ def _resolve_u(rule: str, m: int) -> int:
     if rule == "sqrt":
         u = math.ceil(math.sqrt(m))
     elif rule.startswith("multiple:"):
-        u = int(round(float(rule.split(":", 1)[1]) * m))
+        alpha = float(rule.split(":", 1)[1])
+        if not math.isfinite(alpha):
+            raise ValueError(f"u-rule {rule!r} needs a finite multiple")
+        u = int(round(alpha * m))
     elif rule.startswith("const:"):
         u = int(rule.split(":", 1)[1])
     else:
@@ -136,7 +140,7 @@ def _load_points(path: str) -> np.ndarray:
 
 
 def _load_labels(path: str, n_total: int):
-    ids, labels = [], []
+    ids, labels, first_line = [], [], {}
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -148,6 +152,10 @@ def _load_labels(path: str, n_total: int):
             i, lab = int(parts[0]), int(parts[1])
             if not 0 <= i < n_total:
                 raise ValueError(f"{path}:{line_no}: unknown id {i}")
+            if i in first_line:
+                raise ValueError(f"{path}:{line_no}: repeated id {i} "
+                                 f"(first on line {first_line[i]})")
+            first_line[i] = line_no
             if lab not in (-1, 1):
                 raise ValueError(f"{path}:{line_no}: label must be +1 or -1")
             ids.append(i)
@@ -235,6 +243,7 @@ def cmd_mc_concentration(args) -> int:
         raise ValueError("need at least one trial")
     if args.population_size < 1:
         raise ValueError("population-size must be positive")
+    check_mc_cells(args.trials, args.population_size, "trials x population-size")
     pop = np.zeros(args.population_size, dtype=np.int64)
     if not 0 <= args.ones <= args.population_size:
         raise ValueError("ones must lie in 0..population-size")

@@ -92,6 +92,19 @@ def log_binomial(n: int, r: int) -> float:
         return float(v)
 
 
+def _log_pmf(log_fact, n: int, m: int, k, r):
+    """ln C(k, r) + ln C(n-k, m-r) - ln C(n, m), given log_fact(j) = ln j!."""
+    return (log_fact(k) - log_fact(r) - log_fact(k - r)
+            + (log_fact(n - k) - log_fact(m - r) - log_fact(n - k - m + r))
+            - (log_fact(n) - log_fact(m) - log_fact(n - m)))
+
+
+@lru_cache(maxsize=4096)
+def _log_factorial(j: int) -> float:
+    """ln j!, the same ``gammaln`` value ``_rows`` tabulates; repeated calls reuse it."""
+    return float(gammaln(j + 1))
+
+
 def _rows(m: int, u: int, ks):
     """Yield (k, deviations, log-pmf) for each k errors among m + u points.
 
@@ -101,16 +114,10 @@ def _rows(m: int, u: int, ks):
     the log-pmf.
     """
     n = m + u
-    gl = gammaln(np.arange(n + 2, dtype=np.float64))
-
-    def lb(nn, rr):
-        return gl[nn + 1] - gl[rr + 1] - gl[nn - rr + 1]
-
-    log_total = lb(n, m)
+    table = gammaln(np.arange(1, n + 2, dtype=np.float64))  # table[j] = ln j!
     for k in ks:
         r = np.arange(max(k - u, 0), min(m, k) + 1, dtype=np.int64)
-        dev = (k - r) / u - r / m
-        yield k, dev, lb(np.full_like(r, k), r) + lb(np.full_like(r, n - k), m - r) - log_total
+        yield k, (k - r) / u - r / m, _log_pmf(table.__getitem__, n, m, k, r)
 
 
 def hypergeom_pmf(r: int, spec: HypergeomSpec) -> float:
@@ -122,8 +129,7 @@ def hypergeom_pmf(r: int, spec: HypergeomSpec) -> float:
     k, m, u = spec.k, spec.m, spec.u
     if r < max(k - u, 0) or r > min(m, k):
         return 0.0
-    _, _, log_pmf = next(_rows(m, u, [k]))
-    return math.exp(log_pmf[r - max(k - u, 0)])
+    return math.exp(_log_pmf(_log_factorial, m + u, m, k, r))
 
 
 def deviation_tail(eps: float, spec: HypergeomSpec) -> float:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.special import rel_entr
 
 from .hypergeom import epsilon_star, vapnik_bound
 from .records import BoundValue
@@ -68,16 +69,16 @@ class BoundInputs:
             raise ValueError("m and u must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.loss_bound <= 0:
-            raise ValueError("loss bound must be positive")
+        if not 0.0 < self.loss_bound < math.inf:
+            raise ValueError(f"loss bound must be positive and finite, got {self.loss_bound}")
         if not 0.0 <= self.emp_risk <= self.loss_bound:
             raise ValueError("emp_risk must lie in [0, loss_bound]")
         if (self.prior_mass is None) == (self.kl_value is None):
             raise ValueError("exactly one of prior_mass and kl_value must be set")
         if self.prior_mass is not None and not 0.0 < self.prior_mass <= 1.0:
             raise ValueError("prior_mass must be in (0, 1]")
-        if self.kl_value is not None and self.kl_value < 0.0:
-            raise ValueError("kl_value must be nonnegative")
+        if self.kl_value is not None and not 0.0 <= self.kl_value < math.inf:
+            raise ValueError(f"kl_value must be nonnegative and finite, got {self.kl_value}")
 
 
 @dataclass(frozen=True)
@@ -120,14 +121,11 @@ def invert_self_bounding(a: float, b: float) -> float:
     return a + b + math.sqrt(a * b)
 
 
-def kl_divergence(posterior: np.ndarray, prior: np.ndarray) -> float:
-    """KL divergence between two finite distributions, 0 ln 0 := 0."""
-    q = np.asarray(posterior, dtype=float)
-    p = np.asarray(prior, dtype=float)
-    mask = q > 0
-    if (p[mask] == 0).any():
-        return math.inf
-    return float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
+def kl_divergence(posterior: np.ndarray, prior: np.ndarray) -> float | np.ndarray:
+    """D(q||p) over the first axis, 0 ln 0 := 0, +inf where p = 0 < q: a float for two vectors,
+    one value per column for a (hypotheses, trials) posterior against ``prior[:, None]``."""
+    kl = rel_entr(posterior, prior).sum(axis=0)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def _reduction_complexity(kl_value, m: int, delta: float):
@@ -190,7 +188,7 @@ def gibbs_bound(inputs: BoundInputs, variant: str = "direct") -> BoundValue:
     if inputs.kl_value is None:
         raise ValueError("gibbs_bound needs kl_value complexity")
     if inputs.loss_bound != 1.0:
-        raise ValueError("gibbs bounds are stated for binary (B = 1) losses")
+        raise ValueError(f"gibbs_{variant} is stated for binary (B = 1) losses")
     raw = gibbs_raw(variant, inputs.emp_risk, inputs.kl_value, inputs.m, inputs.u, inputs.delta)
     return _finish(raw, f"gibbs_{variant}", 1.0)
 
@@ -200,7 +198,7 @@ def det_bound(inputs: BoundInputs, variant: str = "serfling") -> BoundValue:
     if inputs.prior_mass is None:
         raise ValueError("det_bound needs prior_mass complexity")
     if variant != "serfling" and inputs.loss_bound != 1.0:
-        raise ValueError("gibbs bounds are stated for binary (B = 1) losses")
+        raise ValueError(f"det_{variant} is stated for binary (B = 1) losses")
     raw = det_raw(variant, inputs.emp_risk, inputs.prior_mass, inputs.m, inputs.u,
                   inputs.delta, inputs.loss_bound)
     return _finish(raw, "serfling" if variant == "serfling" else f"det_{variant}",

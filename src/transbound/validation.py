@@ -36,6 +36,13 @@ SCENARIOS = (
     "clustering",
 )
 
+# Largest cell count of one Monte-Carlo array: trials x n_total, hypotheses x
+# n_total or hypotheses x trials.  Peak resident memory grew by at most 39 MB
+# per 10**6 cells (gibbs_direct, hypotheses x trials from 2*10**6 to 4*10**6;
+# serfling, clustering and mc-concentration grew less), so this cap keeps a run
+# near 2 GB, five times the 10**5 trials x 100 points of the README example.
+MAX_MC_CELLS = 50_000_000
+
 # SplitMix64 constants (Steele, Lea & Flood's generator): the per-trial seed
 # is finalize(master_seed + (trial_index + 1) * GOLDEN) over uint64.
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,6 +57,13 @@ def splitmix64(master_seed: int, trial_index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+def check_mc_cells(rows: int, cols: int, what: str) -> None:
+    """Reject a Monte-Carlo array of rows x cols cells above ``MAX_MC_CELLS``."""
+    if rows * cols > MAX_MC_CELLS:
+        raise ValueError(f"{what} = {rows} x {cols} = {rows * cols} cells exceeds the "
+                         f"Monte-Carlo limit of {MAX_MC_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +220,7 @@ def mc_concentration(population, m: int, eps_grid, trials: int, seed: int,
     n = len(population)
     if n == 0:
         raise ValueError("population must be nonempty")
+    check_mc_cells(trials, n, "trials x population size")
     ones = int(population.sum())
     mean = ones / n
     pop = PopulationSummary(n_total=n, mean=mean, binary=True)
@@ -295,6 +310,9 @@ def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> F
     """Random +-1 labelings against a random target, uniform prior."""
     if n_hyp < 1:
         raise ValueError("need at least one hypothesis")
+    if not 1 <= m < n_total:
+        raise ValueError("need 1 <= m < n_total")
+    check_mc_cells(n_hyp, n_total, "hypotheses x n_total")
     rng = np.random.Generator(np.random.PCG64(splitmix64(seed, 0)))
     target = rng.choice([-1, 1], size=n_total)
     hyps = rng.choice([-1, 1], size=(n_hyp, n_total))
@@ -343,21 +361,19 @@ def _det_bound_violations(instance, masks, delta, variant):
     return int(viol.sum())
 
 
-def _gibbs_violations(instance, masks, delta, variant):
-    n = instance.errors.shape[1]
-    m, u = instance.m, n - instance.m
+def _gibbs_terms(instance, masks):
+    """KL to the prior, training and test risk of the Gibbs posterior, one per trial."""
     r_m, r_u = _risks(instance, masks)
     # posterior after seeing labels: mass proportional to exp(-m * training error)
-    logits = -m * r_m
+    logits = -instance.m * r_m
     q = np.exp(logits - logits.max(axis=0, keepdims=True))
     q /= q.sum(axis=0, keepdims=True)
-    trials = masks.shape[0]
-    kl, emp, test = np.empty(trials), np.empty(trials), np.empty(trials)
-    for t in range(trials):
-        qt = q[:, t]
-        kl[t] = kl_divergence(qt, instance.prior)
-        emp[t] = qt @ r_m[:, t]
-        test[t] = qt @ r_u[:, t]
+    return kl_divergence(q, instance.prior[:, None]), (q * r_m).sum(axis=0), (q * r_u).sum(axis=0)
+
+
+def _gibbs_violations(instance, masks, delta, variant):
+    m, u = instance.m, instance.errors.shape[1] - instance.m
+    kl, emp, test = _gibbs_terms(instance, masks)
     return int((test > gibbs_raw(variant, emp, kl, m, u, delta)).sum())
 
 
@@ -387,7 +403,12 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
 
-    n = len(instance.target) if scenario == "clustering" else instance.errors.shape[1]
+    if scenario == "clustering":
+        n = len(instance.target)
+    else:
+        n = instance.errors.shape[1]
+        check_mc_cells(instance.errors.shape[0], trials, "hypotheses x trials")
+    check_mc_cells(trials, n, "trials x n_total")
     sampler = SplitSampler(n_total=n, m=instance.m, master_seed=seed)
     masks = _split_masks(sampler, trials, trial_offset)
 

@@ -174,6 +174,33 @@ class TestSizeChecks:
         assert err.startswith("error: ")
 
 
+class TestBadValues:
+    @pytest.mark.parametrize("argv,named", [
+        (["eval", "--bound", "gibbs_direct", "--m", "10", "--u", "10", "--kl", "nan"], "nan"),
+        (["curve", "--bounds", "gibbs_direct", "--m-grid", "10,20", "--kl", "nan"], "nan"),
+        (["eval", "--bound", "gibbs_reduction", "--m", "10", "--u", "10", "--kl", "inf",
+          "--emp-risk", "0"], "inf"),
+        (["eval", "--bound", "serfling", "--m", "10", "--u", "10", "--loss-bound", "inf",
+          "--emp-risk", "0.1"], "inf"),
+        (["curve", "--bounds", "serfling", "--m-grid", "10", "--u-rule", "multiple:inf"],
+         "multiple:inf"),
+        (["eval", "--bound", "det_reduction", "--m", "10", "--u", "10", "--loss-bound", "2"],
+         "det_reduction"),
+        (["eval", "--bound", "det_direct", "--m", "10", "--u", "10", "--loss-bound", "2"],
+         "det_direct"),
+        (["validate", "--scenario", "serfling", "--trials", "1000000000"], "1000000000"),
+        (["validate", "--scenario", "serfling", "--trials", "1000", "--hypotheses",
+          "1000000000"], "1000000000"),
+        (["mc-concentration", "--population-size", "100000000000", "--ones", "3", "--m", "5",
+          "--trials", "1000"], "100000000000"),
+    ])
+    def test_exit_2_naming_the_value(self, capsys, argv, named):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+
+
 class TestTransduce:
     def test_end_to_end_and_byte_identical(self, capsys, tmp_path):
         args = [
@@ -284,6 +311,20 @@ class TestValidate:
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
         assert row[6] == "true"
+
+    def test_clustering_rejects_a_repeated_id(self, capsys, tmp_path):
+        # id 5 twice and id 7 never: the count still matches the 100 points
+        ids = [5 if i == 7 else i for i in range(100)]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(f"{i},{1 if i % 2 == 0 else -1}\n" for i in ids))
+        code, out, err = run(
+            capsys,
+            ["validate", "--scenario", "clustering", "--data", FEATURES, "--labels",
+             str(labels), "--m", "50", "--trials", "10"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {labels}:8: repeated id 5 (first on line 6)\n"
 
     def test_clustering_takes_every_clusterer_and_bound(self, capsys, tmp_path, monkeypatch):
         full = tmp_path / "full_labels.csv"

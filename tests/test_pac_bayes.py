@@ -87,6 +87,12 @@ class TestBoundInputs:
         with pytest.raises(ValueError):
             BoundInputs(m=10, u=10, delta=0.1, emp_risk=0.1, prior_mass=0.0)
 
+    @pytest.mark.parametrize("kl,loss", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+                                         (0.0, math.inf), (0.0, math.nan), (0.0, 0.0)])
+    def test_non_finite_complexity_and_loss_bound(self, kl, loss):
+        with pytest.raises(ValueError, match="finite"):
+            BoundInputs(m=10, u=10, delta=0.1, emp_risk=0.0, kl_value=kl, loss_bound=loss)
+
 
 class TestGibbsBound:
     def test_reduction_realizable_form(self):
@@ -319,6 +325,23 @@ class TestKlDivergence:
 
     def test_infinite_off_support(self):
         assert kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == math.inf
+
+    def test_zero_mass_off_support_counts_zero(self):
+        out = kl_divergence(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert type(out) is float and out == 0.0
+
+    def test_columns_are_per_trial_divergences(self):
+        rng = np.random.default_rng(3)
+        prior = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
+        q = rng.dirichlet(np.ones(5), size=6).T
+        q[4, :5] = 0.0
+        q[3, 1] = 0.0
+        q /= q.sum(axis=0)
+        cols = kl_divergence(q, prior[:, None])
+        assert cols.shape == (6,)
+        assert np.isinf(cols[5]) and np.isfinite(cols[:5]).all()
+        for t in range(6):
+            assert cols[t] == pytest.approx(kl_divergence(q[:, t], prior), rel=1e-12)
 
 
 class TestGraepel:

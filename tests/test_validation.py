@@ -1,5 +1,6 @@
 """Harness self-checks: seeding, exhaustive counting, MC agreement, validity."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 from scipy.stats import chi2
 
 from transbound.hypergeom import HypergeomSpec, deviation_tail
-from transbound.pac_bayes import BoundInputs, det_bound
+from transbound import validation
+from transbound.pac_bayes import BoundInputs, det_bound, gibbs_raw
 from transbound.validation import (
     ClusteringInstance,
     FiniteHypothesisInstance,
@@ -291,6 +293,124 @@ class TestMcBoundValidity:
         with pytest.raises(ValueError):
             mc_bound_validity("bootstrap", small_instance(), delta=0.1, trials=10, seed=0)
 
+    def test_monte_carlo_arrays_are_capped_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(validation, "MAX_MC_CELLS", 400)
+        inst = small_instance(n=20, m=10, n_hyp=4)  # 4 x 20 cells
+        assert mc_bound_validity("serfling", inst, 0.1, trials=20, seed=0).trials == 20
+        with pytest.raises(ValueError, match="trials x n_total = 21 x 20 = 420 cells"):
+            mc_bound_validity("serfling", inst, 0.1, trials=21, seed=0)
+        with pytest.raises(ValueError, match="hypotheses x n_total"):
+            random_hypothesis_instance(n_total=20, m=10, n_hyp=21, seed=0)
+        with pytest.raises(ValueError, match="trials x population size"):
+            mc_concentration(np.zeros(20, dtype=int), 10, [0.1], trials=1000, seed=0)
+
     def test_random_instance_needs_a_hypothesis(self):
         with pytest.raises(ValueError):
             random_hypothesis_instance(n_total=10, m=5, n_hyp=0, seed=0)
+
+
+# The Gibbs scenarios once computed each trial's KL and posterior-weighted risks
+# in a Python loop, one masked KL sum and two dot products per trial.  That loop
+# is the reference for the column-wise form; sums in another order may differ in
+# the last bits only, so the tolerance is fixed here, independent of the code.
+GIBBS_RTOL = 1e-12
+
+
+def loop_gibbs_posterior(instance, r_m):
+    logits = -instance.m * r_m
+    q = np.exp(logits - logits.max(axis=0, keepdims=True))
+    return q / q.sum(axis=0, keepdims=True)
+
+
+def loop_gibbs_terms(instance, masks):
+    r_m, r_u = validation._risks(instance, masks)
+    q = loop_gibbs_posterior(instance, r_m)
+    trials = masks.shape[0]
+    kl, emp, test = np.empty(trials), np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        qt = q[:, t]
+        nz = qt > 0
+        kl[t] = np.sum(qt[nz] * np.log(qt[nz] / instance.prior[nz]))
+        emp[t] = qt @ r_m[:, t]
+        test[t] = qt @ r_u[:, t]
+    return kl, emp, test
+
+
+def _with_prior(inst, prior):
+    return FiniteHypothesisInstance(errors=inst.errors, prior=prior / prior.sum(), m=inst.m)
+
+
+def _single_error_instance(n, n_hyp, seed):
+    """u = 1 and hypothesis j errs on point j only: the direct Gibbs bound can fail."""
+    errors = np.zeros((n_hyp, n), dtype=np.int64)
+    errors[np.arange(n_hyp), np.arange(n_hyp)] = 1
+    prior = np.random.default_rng(seed).uniform(0.5, 2.0, size=n_hyp)
+    return _with_prior(FiniteHypothesisInstance(errors=errors, prior=np.full(n_hyp, 1 / n_hyp),
+                                                m=n - 1), prior)
+
+
+def _underflow_instance():
+    """A perfect and an always-wrong hypothesis: exp(-m) underflows to exactly 0."""
+    errors = np.zeros((3, 1200), dtype=np.int64)
+    errors[1] = 1
+    errors[2, ::3] = 1
+    return FiniteHypothesisInstance(errors=errors, prior=np.array([0.2, 0.5, 0.3]), m=1000)
+
+
+def gibbs_cases():
+    """(id, instance) pairs: uniform and non-uniform priors, u = 1, underflow."""
+    cases = []
+    for seed, (n, m, n_hyp) in enumerate([(12, 6, 4), (16, 8, 8), (40, 20, 16), (30, 5, 3),
+                                          (30, 25, 10), (60, 30, 1), (25, 12, 40),
+                                          (80, 60, 20)]):
+        inst = random_hypothesis_instance(n_total=n, m=m, n_hyp=n_hyp, seed=seed)
+        cases.append((f"uniform-{n}-{m}-{n_hyp}", inst))
+        dirichlet = np.random.default_rng(seed).dirichlet(np.full(n_hyp, 0.5))
+        cases.append((f"dirichlet-{n}-{m}-{n_hyp}", _with_prior(inst, dirichlet + 1e-3)))
+    for n, n_hyp in [(101, 1), (201, 1), (301, 2), (401, 2)]:
+        cases.append((f"single-error-{n}-{n_hyp}", _single_error_instance(n, n_hyp, n)))
+    cases.append(("underflow", _underflow_instance()))
+    return cases
+
+
+GIBBS_CASES = gibbs_cases()
+
+
+GIBBS_TRIALS, GIBBS_SEED, GIBBS_DELTA = 1000, 5, 0.05
+
+
+@functools.lru_cache(maxsize=None)
+def gibbs_case(name):
+    """The case's instance, split masks and loop reference terms, computed once."""
+    inst = dict(GIBBS_CASES)[name]
+    sampler = SplitSampler(n_total=inst.errors.shape[1], m=inst.m, master_seed=GIBBS_SEED)
+    masks = validation._split_masks(sampler, GIBBS_TRIALS, 0)
+    return inst, masks, loop_gibbs_terms(inst, masks)
+
+
+def loop_violations(name, variant):
+    inst, _, (kl, emp, test) = gibbs_case(name)
+    n, m = inst.errors.shape[1], inst.m
+    return int((test > gibbs_raw(variant, emp, kl, m, n - m, GIBBS_DELTA)).sum())
+
+
+class TestGibbsAgainstLoop:
+    @pytest.mark.parametrize("name", [c[0] for c in GIBBS_CASES])
+    def test_terms_match_loop(self, name):
+        inst, masks, reference = gibbs_case(name)
+        for new, old in zip(validation._gibbs_terms(inst, masks), reference):
+            np.testing.assert_allclose(new, old, rtol=GIBBS_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("name", [c[0] for c in GIBBS_CASES])
+    @pytest.mark.parametrize("variant", ["reduction", "direct"])
+    def test_violation_counts_match_loop(self, name, variant):
+        inst = gibbs_case(name)[0]
+        rep = mc_bound_validity(f"gibbs_{variant}", inst, GIBBS_DELTA, GIBBS_TRIALS, GIBBS_SEED)
+        assert rep.violations == loop_violations(name, variant)
+
+    def test_cases_reach_violations_and_underflow(self):
+        # the count comparison can fail only where the reference sees violations
+        assert sum(loop_violations(name, "direct") for name, _ in GIBBS_CASES) >= 10
+        inst, masks, _ = gibbs_case("underflow")
+        q = loop_gibbs_posterior(inst, validation._risks(inst, masks)[0])
+        assert (q == 0.0).any()
