@@ -118,22 +118,30 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
     return canonical_labels(labels)
 
 
-def agglomerative_sweep(points: np.ndarray, c: int, method: str) -> dict[int, np.ndarray]:
-    """Cut one single- or complete-linkage dendrogram at every level 1..c.
-
-    Returns {tau: labels} for tau = 1..min(c, n).  Merge i of the linkage
-    creates node n + i, so the tau clusters are the nodes below 2n - tau
-    whose parent is not; each point's cluster is found by pointer doubling
-    on the parent array restricted to those nodes.
-    """
-    if method not in ("single", "complete"):
-        raise ValueError(f"unknown linkage {method!r}")
+def condensed_distances(points: np.ndarray) -> np.ndarray:
+    """``pdist(points)``, refused above ``MAX_LINKAGE_PAIRS`` pairs before it is built."""
     n = len(points)
     pairs = n * (n - 1) // 2
     if pairs > MAX_LINKAGE_PAIRS:
         raise ValueError(f"agglomerative clustering of n={n} points needs {pairs} "
                          f"pairwise distances, more than the limit of {MAX_LINKAGE_PAIRS}")
-    merges = linkage(pdist(points), method=method)
+    return pdist(points)
+
+
+def agglomerative_sweep(points: np.ndarray, c: int, method: str,
+                        dists: np.ndarray | None = None) -> dict[int, np.ndarray]:
+    """Cut one single- or complete-linkage dendrogram at every level 1..c.
+
+    Returns {tau: labels} for tau = 1..min(c, n).  Merge i of the linkage
+    creates node n + i, so the tau clusters are the nodes below 2n - tau
+    whose parent is not; each point's cluster is found by pointer doubling
+    on the parent array restricted to those nodes.  ``dists`` is the points'
+    ``condensed_distances`` if already built; ``linkage`` does not modify it.
+    """
+    if method not in ("single", "complete"):
+        raise ValueError(f"unknown linkage {method!r}")
+    n = len(points)
+    merges = linkage(condensed_distances(points) if dists is None else dists, method=method)
     nodes = np.arange(2 * n - 1)
     parent = nodes.copy()
     parent[merges[:, :2].astype(np.int64).ravel()] = np.repeat(nodes[n:], 2)

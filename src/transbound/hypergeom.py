@@ -113,11 +113,20 @@ def _rows(m: int, u: int, ks):
     strictly decreasing in r, so every tail {deviation > eps} is a prefix of
     the log-pmf.
     """
-    n = m + u
-    table = gammaln(np.arange(1, n + 2, dtype=np.float64))  # table[j] = ln j!
+    table = gammaln(np.arange(1, m + u + 2, dtype=np.float64))  # table[j] = ln j!
     for k in ks:
-        r = np.arange(max(k - u, 0), min(m, k) + 1, dtype=np.int64)
-        yield k, (k - r) / u - r / m, _log_pmf(table.__getitem__, n, m, k, r)
+        yield (k, *_row(m, u, k, table.__getitem__))
+
+
+def _row(m: int, u: int, k: int, log_fact):
+    """(deviations, log-pmf) of one k, as ``_rows`` yields them."""
+    r = np.arange(max(k - u, 0), min(m, k) + 1, dtype=np.int64)
+    return (k - r) / u - r / m, _log_pmf(log_fact, m + u, m, k, r)
+
+
+def _gammaln_factorial(j):
+    """ln j! elementwise: the ``gammaln`` value ``_rows`` tabulates, without the table."""
+    return gammaln(j + 1)
 
 
 def hypergeom_pmf(r: int, spec: HypergeomSpec) -> float:
@@ -136,7 +145,7 @@ def deviation_tail(eps: float, spec: HypergeomSpec) -> float:
     """Exact Pr{R(test) - R(train) > eps} over uniform without-replacement splits."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    _, dev, log_pmf = next(_rows(spec.m, spec.u, [spec.k]))
+    dev, log_pmf = _row(spec.m, spec.u, spec.k, _gammaln_factorial)
     j = int(np.searchsorted(-dev, -eps, side="left"))
     return math.exp(np.logaddexp.accumulate(log_pmf[:j])[-1]) if j else 0.0
 

@@ -15,13 +15,14 @@ import functools
 
 import numpy as np
 
-from .clustering import agglomerative_sweep, kmeans_labels
+from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
 from .hypergeom import epsilon_star, vapnik_bound
 from .pac_bayes import det_raw
 from .priors import ClusteringPrior, clustering_bound
 from .records import BoundValue
 
 ALGORITHMS = ("kmeans", "agglomerative_single", "agglomerative_complete")
+LINKAGES = ALGORITHMS[1:]
 BOUND_NAMES = ("serfling_printed", "serfling_exact", "direct", "vapnik_absolute")
 
 
@@ -135,12 +136,14 @@ class TransduceConfig:
             raise ValueError("delta must be in (0, 1)")
 
 
-def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) -> list[Partition]:
+def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0,
+                  dists: np.ndarray | None = None) -> list[Partition]:
     """Partitions of the full sample into tau = 1..c clusters.
 
     Deterministic given (data, algorithm, c): none of the built-in algorithms
     consumes randomness.  Points are addressed by id, so presentation order
-    of the dataset rows is irrelevant.
+    of the dataset rows is irrelevant.  A linkage reuses ``dists``, the
+    ``condensed_distances`` of the points by id, when given.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown clustering algorithm {algorithm!r}")
@@ -152,7 +155,7 @@ def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) 
         by_tau = {tau: kmeans_labels(pts, tau) for tau in range(1, c + 1)}
     else:
         method = algorithm.removeprefix("agglomerative_")
-        by_tau = agglomerative_sweep(pts, c, method)
+        by_tau = agglomerative_sweep(pts, c, method, dists)
     return [
         Partition(tau=tau, assignment=by_tau[tau], clusterer_id=clusterer_id)
         for tau in range(1, c + 1)
@@ -160,10 +163,19 @@ def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) 
 
 
 def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
-    """``cluster_sweep`` of every algorithm, clusterer id = position in ``algorithms``."""
-    partitions = []
+    """``cluster_sweep`` of every algorithm, clusterer id = position in ``algorithms``.
+
+    Two or more linkages share one condensed distance matrix, built for the
+    first of them and dropped after the last.
+    """
+    linkages = [i for i, algo in enumerate(algorithms) if algo in LINKAGES]
+    partitions, dists = [], None
     for i, algo in enumerate(algorithms):
-        partitions += cluster_sweep(data, algo, c, clusterer_id=i)
+        if len(linkages) > 1 and i == linkages[0]:
+            dists = condensed_distances(data.points_by_id())
+        partitions += cluster_sweep(data, algo, c, clusterer_id=i, dists=dists)
+        if linkages and i == linkages[-1]:
+            dists = None
     return partitions
 
 

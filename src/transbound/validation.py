@@ -7,6 +7,16 @@ trial_index) by a SplitMix64 mix, so results are independent of execution
 order and partial runs merge associatively: running trials [0, a) and
 [a, b) separately and summing (trials, violations) reproduces the single
 run over [0, b) bit for bit.
+
+Trial t's split is defined by ``sample_split``: numpy's
+``Generator(PCG64(seed)).choice(n_total, m, replace=False)``, sorted.  The
+Monte-Carlo runs draw every trial's split at once through ``_split_masks``,
+an array kernel that replays the numpy components that call uses --
+``SeedSequence.generate_state``, PCG64 seeding and its XSL-RR output,
+``next_uint32``, Lemire's bounded draw with rejection, and ``choice``'s
+Floyd set or tail Fisher-Yates shuffle -- so its masks equal
+``sample_split``'s bit for bit; ``tests/test_validation.py::TestSplitKernel``
+pins that equality.
 """
 
 from dataclasses import dataclass
@@ -85,11 +95,251 @@ def sample_split(sampler: SplitSampler, trial_index: int) -> np.ndarray:
     return np.sort(rng.choice(sampler.n_total, size=sampler.m, replace=False))
 
 
+# The split kernel's arithmetic is uint32/uint64 and wraps exactly as numpy's
+# C code does; every constant is a NumPy scalar, so NumPy 1.x value-based
+# casting and NumPy 2's NEP 50 give the same dtypes.
+_U32 = np.uint32
+_U64 = np.uint64
+_LO32 = _U64(0xFFFFFFFF)
+_SHIFT16, _SHIFT32 = _U32(16), _U64(32)
+
+
+def _hash_constants(start: int, mult: int, count: int) -> list:
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return [_U32(h) for h in out]
+
+
+# SeedSequence's hash constants: each hashmix call xors with the current
+# constant and multiplies by the next, so the sequence is data-independent.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # mix_entropy, 16 calls
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)   # generate_state, 8 words
+_MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> list:
+    """SeedSequence(seed).generate_state(8, uint32) for uint64 seeds, word by word.
+
+    A seed below 2**32 has one entropy word; pool size 4 pads it with hashed
+    zeros exactly as it pads [lo, 0], so both cases are [lo, hi, 0, 0].
+    """
+    def hashmix(value, call):
+        value = (value ^ _HASH_A[call]) * _HASH_A[call + 1]
+        return value ^ (value >> _SHIFT16)
+
+    entropy = [(seeds & _LO32).astype(_U32), (seeds >> _SHIFT32).astype(_U32)]
+    zero = np.zeros(len(seeds), dtype=_U32)
+    pool = [hashmix(entropy[i] if i < 2 else zero, i) for i in range(4)]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                r = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src], call)
+                pool[dst] = r ^ (r >> _SHIFT16)
+                call += 1
+    words = []
+    for i in range(8):
+        w = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1]
+        words.append((w ^ (w >> _SHIFT16)).astype(_U64))
+    return words
+
+
+def _mul128(ah, al, bh, bl):
+    """Low 128 bits of (ah:al) * (bh:bl), each half a uint64 array."""
+    a0, a1 = al & _LO32, al >> _SHIFT32
+    b0, b1 = bl & _LO32, bl >> _SHIFT32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
+    hi = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32) + ah * bl + al * bh
+    return hi, al * bl
+
+
+def _add128(ah, al, bh, bl):
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _jump_table(doublings: int) -> list:
+    """(A, C) for 2**r LCG steps, r < doublings: 2**r steps map x to A x + C inc (mod 2**128)."""
+    out, a, c = [], _PCG_MULT, 1
+    for _ in range(doublings):
+        out.append(tuple(_U64(v >> shift & _MASK) for v in (a, c) for shift in (64, 0)))
+        a, c = a * a & (1 << 128) - 1, c * (a + 1) & (1 << 128) - 1
+    return out
+
+
+_JUMPS = _jump_table(64)
+
+
+class _Streams:
+    """One PCG64 uint32 stream per trial, all advanced together.
+
+    ``hi:lo`` is the 128-bit state before the output that holds the next
+    word, and ``half`` is 1 where that output's low half was already used.
+    """
+
+    def __init__(self, seeds: np.ndarray):
+        w = _seed_sequence_words(seeds)
+        s_hi, s_lo = w[0] | w[1] << _SHIFT32, w[2] | w[3] << _SHIFT32
+        i_hi, i_lo = w[4] | w[5] << _SHIFT32, w[6] | w[7] << _SHIFT32
+        one = _U64(1)
+        self.inc_hi, self.inc_lo = i_hi << one | i_lo >> _U64(63), i_lo << one | one
+        self.inc_jumps = {}
+        # state = 0; step; state += s; step -- the first step leaves inc
+        self.hi, self.lo = self._step(0, *_add128(self.inc_hi, self.inc_lo, s_hi, s_lo))
+        self.half = np.zeros(len(seeds), dtype=np.intp)
+
+    def _step(self, r, hi, lo, rows=slice(None)):
+        """States 2**r LCG steps after ``hi:lo`` (whose rows are ``rows`` of the streams)."""
+        a_hi, a_lo, c_hi, c_lo = _JUMPS[r]
+        if r not in self.inc_jumps:  # C * inc depends only on the stream and r
+            self.inc_jumps[r] = _mul128(self.inc_hi, self.inc_lo, c_hi, c_lo)
+        add_hi, add_lo = (x[rows] for x in self.inc_jumps[r])
+        if hi.ndim == 2:
+            add_hi, add_lo = add_hi[:, None], add_lo[:, None]
+        return _add128(*_mul128(hi, lo, a_hi, a_lo), add_hi, add_lo)
+
+    def words(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` uint32 words of each stream in ``rows``, (rows, count)."""
+        outputs = (count + 2) // 2
+        hi = np.empty((len(rows), outputs), dtype=_U64)
+        lo = np.empty_like(hi)
+        hi[:, 0], lo[:, 0] = self._step(0, self.hi[rows], self.lo[rows], rows)
+        filled, r = 1, 0
+        while filled < outputs:  # the next columns are the first ones jumped 2**r = filled steps
+            width = min(filled, outputs - filled)
+            hi[:, filled:filled + width], lo[:, filled:filled + width] = self._step(
+                r, hi[:, :width], lo[:, :width], rows)
+            filled, r = filled + width, r + 1
+        v, rot = hi ^ lo, hi >> _U64(58)  # XSL-RR
+        out = v >> rot | v << ((_U64(64) - rot) & _U64(63))
+        w = out.astype("<u8", copy=False).view("<u4")  # low half, then high half
+        half = self.half[rows] == 1
+        if not half.any():
+            return w[:, :count]
+        shifted = w[:, :count].copy()
+        shifted[half] = w[half, 1:count + 1]
+        return shifted
+
+    def advance(self, used: np.ndarray) -> None:
+        """Move every stream past ``used`` words."""
+        pos = self.half + used
+        steps = pos // 2
+        for r in range(int(steps.max()).bit_length()):
+            take = (steps >> r & 1).astype(bool)
+            hi, lo = self._step(r, self.hi, self.lo)
+            self.hi, self.lo = np.where(take, hi, self.hi), np.where(take, lo, self.lo)
+        self.half = pos % 2
+
+    def bounded(self, bounds: np.ndarray) -> np.ndarray:
+        """Lemire draws in [0, bounds[i]) for step i, (steps, trials); ``bounds`` <= 2**32.
+
+        A draw whose low product word falls below (2**32 - bound) % bound is
+        rejected and redrawn from the stream's next word.  Rows go in groups
+        of about ``_WORD_CELLS`` words.
+        """
+        trials, steps = len(self.half), len(bounds)
+        threshold = (_U64(1 << 32) - bounds) % bounds
+        draws = np.empty((steps, trials), dtype=np.intp)
+        used = np.full(trials, steps)
+        group = max(1, _WORD_CELLS // steps)
+        for start in range(0, trials, group):
+            rows, spare = np.arange(start, min(start + group, trials)), _SPARE_WORDS
+            while rows.size:  # rows whose rejections outran the spare words go again
+                w = self.words(rows, steps + spare)
+                p = w[:, :steps] * bounds
+                reject = (p & _LO32) < threshold
+                bad = np.flatnonzero(reject.any(axis=1))
+                wb, reject = w[bad], reject[bad]
+                pos = np.broadcast_to(np.arange(steps), (bad.size, steps))
+                while reject.any():  # skip each row's first rejected word, redraw from there on
+                    first = np.where(reject.any(axis=1), reject.argmax(axis=1), steps)
+                    pos = pos + (np.arange(steps) >= first[:, None])
+                    clipped = np.minimum(pos, w.shape[1] - 1)
+                    p[bad] = np.take_along_axis(wb, clipped, axis=1) * bounds
+                    reject = ((p[bad] & _LO32) < threshold) & (pos < w.shape[1])
+                used[rows[bad]] = pos[:, -1] + 1
+                ok = used[rows] <= w.shape[1]
+                draws[:, rows[ok]] = (p[ok] >> _SHIFT32).T
+                rows, spare = rows[~ok], 2 * spare + 2
+        self.advance(used)
+        return draws
+
+
+# Generator.choice(n, m, replace=False) uses Floyd's algorithm unless
+# n > 10000 and m > n // 50, where it shuffles the tail of arange(n).
+_FLOYD_MAX_N, _TAIL_FRACTION = 10_000, 50
+_CHUNK_CELLS = 1 << 17  # trials x steps of draws per pass
+_WORD_CELLS = 1 << 15   # trials x words generated at once; 1 << 16 raised the
+                        # mc_validity benchmark's peak RSS by 2 MB
+_TAIL_CELLS = 1 << 22   # trials x n_total of index arrays in the tail shuffle
+_STEP_BLOCK = 1024      # draws per trial and pass
+_SPARE_WORDS = 2        # words per trial and pass beyond one per draw, for rejections
+
+
 def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
-    masks = np.zeros((trials, sampler.n_total), dtype=bool)
-    for t in range(trials):
-        masks[t, sample_split(sampler, offset + t)] = True
+    """Boolean training masks of trials offset .. offset + trials - 1, (trials, n_total).
+
+    Row t marks ``sample_split(sampler, offset + t)``, which defines the
+    split; the kernel replays that call's numpy draws for all trials at once
+    (``tests/test_validation.py::TestSplitKernel`` pins the equality).  Trial
+    indices and seeds are uint64, wrapping as ``splitmix64``'s do.  Trials go
+    in chunks and draws in passes of at most ``_STEP_BLOCK`` steps, so the
+    working memory beside the masks stays near ``_CHUNK_CELLS`` draws and
+    ``_WORD_CELLS`` random words, plus ``_TAIL_CELLS`` int32 positions in the
+    tail shuffle.
+    """
+    n, m = sampler.n_total, sampler.m
+    if n >= 1 << 31:
+        raise ValueError("split kernel needs n_total < 2**31")
+    index = _U64((offset + 1) & _MASK) + np.arange(trials, dtype=_U64)
+    z = _U64(sampler.master_seed & _MASK) + index * _U64(_GOLDEN)
+    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
+    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
+    seeds = z ^ (z >> _U64(31))
+
+    masks = np.zeros((trials, n), dtype=bool)
+    tail = n > _FLOYD_MAX_N and m > n // _TAIL_FRACTION
+    block = min(m, _STEP_BLOCK)
+    chunk = max(1, _CHUNK_CELLS // block)
+    if tail:
+        chunk = max(1, min(chunk, _TAIL_CELLS // n))
+    for start in range(0, trials, chunk):
+        rows = masks[start:start + chunk]
+        streams = _Streams(seeds[start:start + chunk])
+        (_tail_shuffle if tail else _floyd)(streams, rows, n, m, block)
     return masks
+
+
+def _floyd(streams: _Streams, masks: np.ndarray, n: int, m: int, block: int) -> None:
+    """Floyd's sampling: step j draws v in [0, j] and adds v, or j if v is taken."""
+    flat = masks.reshape(-1)
+    base = np.arange(len(masks)) * n
+    for lo in range(n - m, n, block):
+        js = np.arange(lo, min(lo + block, n))
+        drawn = streams.bounded((js + 1).astype(_U64))
+        drawn += base
+        for v, j in zip(drawn, js[:, None] + base):
+            flat[np.where(flat[v], j, v)] = True
+
+
+def _tail_shuffle(streams: _Streams, masks: np.ndarray, n: int, m: int, block: int) -> None:
+    """Fisher-Yates over arange(n) for i = n-1 down to n-m; the set is idx[n-m:]."""
+    rows = len(masks)
+    idx = np.repeat(np.arange(n, dtype=np.int32), rows)  # position-major: idx[p * rows + t]
+    cols = np.arange(rows)
+    for hi in range(n, n - m, -block):
+        iis = np.arange(hi - 1, max(hi - block, n - m) - 1, -1)
+        swap = streams.bounded((iis + 1).astype(_U64))
+        swap *= rows
+        swap += cols
+        chosen = np.empty(swap.shape, dtype=np.int32)
+        for s, (i, j) in enumerate(zip(iis.tolist(), swap)):
+            chosen[s] = idx[j]
+            idx[j] = idx[i * rows:(i + 1) * rows].copy()  # a copy skips numpy's overlap check
+        masks[cols, chosen] = True
 
 
 @dataclass(frozen=True)
@@ -225,8 +475,14 @@ def mc_concentration(population, m: int, eps_grid, trials: int, seed: int,
     mean = ones / n
     pop = PopulationSummary(n_total=n, mean=mean, binary=True)
 
-    masks = _split_masks(SplitSampler(n_total=n, m=m, master_seed=seed), trials, trial_offset)
-    means = masks[:, population == 1].sum(axis=1) / m
+    # masks in chunks of trials (the tail shuffle's own chunk size): only each
+    # trial's count of ones outlives its chunk
+    sampler = SplitSampler(n_total=n, m=m, master_seed=seed)
+    chunk = max(1, _TAIL_CELLS // n)
+    counts = np.concatenate([
+        _split_masks(sampler, min(chunk, trials - start), trial_offset + start)[:, population == 1]
+        .sum(axis=1) for start in range(0, trials, chunk)])
+    means = counts / m
 
     out = []
     for eps in eps_grid:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from transbound import hypergeom
 from transbound.hypergeom import (
     EpsilonStar,
     HypergeomSpec,
@@ -158,6 +159,17 @@ class TestDeviationTail:
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):
             deviation_tail(-0.1, HypergeomSpec(2, 2, 1))
+
+    @pytest.mark.parametrize("m,u", [(1, 1), (3, 7), (20, 20), (50, 13), (90, 150)])
+    def test_equals_the_tabulated_row_on_every_k(self, m, u):
+        # deviation_tail reads gammaln of its row's own arguments; the envelope's
+        # rows read the same values from a table of m + u + 2 entries
+        for k, dev, log_pmf in hypergeom._rows(m, u, range(m + u + 1)):
+            spec = HypergeomSpec(m, u, k)
+            for eps in [0.0, *dev[dev >= 0][::4], *np.nextafter(dev[dev > 0], -1.0)[::4]]:
+                j = int(np.searchsorted(-dev, -eps, side="left"))
+                want = math.exp(np.logaddexp.accumulate(log_pmf[:j])[-1]) if j else 0.0
+                assert deviation_tail(float(eps), spec) == want
 
 
 class TestGamma:

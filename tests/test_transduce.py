@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from transbound import clustering
 from transbound.hypergeom import epsilon_star, vapnik_bound
 from transbound.pac_bayes import BoundInputs, det_bound
 from transbound.priors import ClusteringPrior, clustering_bound
@@ -208,6 +210,30 @@ def _scalar_choice(partitions, labeled, delta, bound_name):
         if best is None or raw < best[3]:
             best = (p.tau, p.clusterer_id, emp, raw)
     return best
+
+
+class TestEnsembleSweep:
+    @pytest.mark.parametrize("algorithms", [
+        ("kmeans", "agglomerative_single", "agglomerative_complete"),
+        ("agglomerative_complete", "kmeans", "agglomerative_single"),
+        ("agglomerative_single", "agglomerative_single"),
+    ])
+    def test_one_distance_matrix_same_partitions(self, two_blob, monkeypatch, algorithms):
+        data = two_blob[0]
+        want = [p for i, algo in enumerate(algorithms)
+                for p in cluster_sweep(data, algo, 9, clusterer_id=i)]
+        built = []
+        monkeypatch.setattr(clustering, "pdist", lambda pts: built.append(1) or pdist(pts))
+        got = ensemble_sweep(data, algorithms, 9)
+        assert len(built) == 1
+        assert [(p.tau, p.clusterer_id) for p in got] == [(p.tau, p.clusterer_id) for p in want]
+        assert all(np.array_equal(a.assignment, b.assignment) for a, b in zip(got, want))
+
+    def test_pair_limit_is_checked_before_the_matrix(self, two_blob, monkeypatch):
+        monkeypatch.setattr(clustering, "MAX_LINKAGE_PAIRS", 100)
+        monkeypatch.setattr(clustering, "pdist", lambda pts: pytest.fail("pdist was built"))
+        with pytest.raises(ValueError, match="pairwise distances"):
+            ensemble_sweep(two_blob[0], ("agglomerative_single", "agglomerative_complete"), 3)
 
 
 class TestLabelAndSelect:

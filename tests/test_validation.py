@@ -39,30 +39,138 @@ class TestSampleSplit:
 
     def test_complement_of_near_full_sample(self):
         s = SplitSampler(n_total=5, m=4, master_seed=3)
-        counts = np.zeros(5)
         trials = 20_000
-        for t in range(trials):
-            left_out = np.setdiff1d(np.arange(5), sample_split(s, t))[0]
-            counts[left_out] += 1
+        left_out = np.argmin(validation._split_masks(s, trials, 0), axis=1)
+        counts = np.bincount(left_out, minlength=5).astype(float)
         expected = trials / 5
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat < chi2.ppf(0.999, df=4)
 
     def test_uniform_over_all_subsets(self):
         s = SplitSampler(n_total=6, m=3, master_seed=123)
-        seen = {}
         trials = 100_000
-        for t in range(trials):
-            key = tuple(sample_split(s, t))
-            seen[key] = seen.get(key, 0) + 1
+        _, seen = np.unique(validation._split_masks(s, trials, 0), axis=0, return_counts=True)
         assert len(seen) == 20
         expected = trials / 20
-        stat = sum((c - expected) ** 2 / expected for c in seen.values())
+        stat = sum((c - expected) ** 2 / expected for c in seen)
         assert stat < chi2.ppf(0.999, df=19)
 
     def test_sampler_validation(self):
         with pytest.raises(ValueError):
             SplitSampler(n_total=5, m=5, master_seed=0)
+
+
+def loop_masks(sampler, trials, offset):
+    """The definition: trial t's mask marks sample_split(sampler, offset + t)."""
+    masks = np.zeros((trials, sampler.n_total), dtype=bool)
+    for t in range(trials):
+        masks[t, sample_split(sampler, offset + t)] = True
+    return masks
+
+
+def assert_kernel_matches_loop(sampler, trials, offset=0):
+    masks = validation._split_masks(sampler, trials, offset)
+    assert masks.dtype == bool and masks.shape == (trials, sampler.n_total)
+    assert np.array_equal(masks, loop_masks(sampler, trials, offset))
+
+
+U64 = np.uint64
+MASK64 = (1 << 64) - 1
+
+
+def _unshift(y, k):
+    """Inverse of y = x ^ (x >> k) over 64-bit words."""
+    x = y
+    for _ in range(64 // k):
+        x = y ^ (x >> k)
+    return x
+
+
+def master_seed_for(trial_seed, trial_index):
+    """A master seed whose SplitMix64 seed at trial_index is trial_seed."""
+    z = _unshift(trial_seed, 31)
+    z = _unshift(z * pow(validation._MIX2, -1, 1 << 64) & MASK64, 27)
+    z = _unshift(z * pow(validation._MIX1, -1, 1 << 64) & MASK64, 30)
+    return (z - (trial_index + 1) * validation._GOLDEN) & MASK64
+
+
+def lemire_rejections(sampler, trial_index):
+    """Rejected draws of Floyd's steps, replayed on numpy's own PCG64 word stream."""
+    n, m = sampler.n_total, sampler.m
+    bitgen = np.random.PCG64(splitmix64(sampler.master_seed, trial_index))
+    raw = bitgen.random_raw(m + 64)  # each output is a low and a high 32-bit word
+    words = np.stack((raw & U64(0xFFFFFFFF), raw >> U64(32)), axis=1).reshape(-1)
+    rejected, pos = 0, 0
+    for j in range(n - m, n):
+        bound = U64(j + 1)
+        threshold = (U64(1 << 32) - bound) % bound
+        while (words[pos] * bound) & U64(0xFFFFFFFF) < threshold:
+            rejected, pos = rejected + 1, pos + 1
+        pos += 1
+    return rejected
+
+
+class TestSplitKernel:
+    """``_split_masks`` replays ``sample_split`` for all trials at once."""
+
+    @pytest.mark.parametrize("n, m, trials", [
+        (10_000, 200, 12),   # Floyd: n at numpy's 10000 limit
+        (10_001, 200, 12),   # Floyd: m = n // 50
+        (10_001, 201, 12),   # tail shuffle: m = n // 50 + 1
+        (12_000, 6_000, 6),  # tail shuffle
+        (20_000, 19_999, 2),
+        (50, 1, 200),
+        (50, 49, 200),
+        (40, 20, 300),
+        (2, 1, 50),
+    ])
+    def test_shapes_on_both_sides_of_the_method_switch(self, n, m, trials):
+        assert_kernel_matches_loop(SplitSampler(n_total=n, m=m, master_seed=17), trials)
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5, 2**64 + 5, 10**30])
+    def test_master_seeds(self, seed):
+        assert_kernel_matches_loop(SplitSampler(n_total=30, m=11, master_seed=seed), 100)
+
+    @pytest.mark.parametrize("offset", [2**63 + 11, 2**64 - 5])
+    def test_trial_offsets_past_int64(self, offset):
+        # indices offset + t run in uint64 and wrap past 2**64 as splitmix64's do
+        assert_kernel_matches_loop(SplitSampler(n_total=30, m=11, master_seed=4), 10, offset)
+
+    @pytest.mark.parametrize("trial_seed", [0, 1, 12345, 2**32 - 1, 2**32])
+    def test_trial_seeds_with_one_entropy_word(self, trial_seed):
+        # SeedSequence sees one uint32 entropy word below 2**32, two from 2**32 on
+        master = master_seed_for(trial_seed, 0)
+        assert splitmix64(master, 0) == trial_seed
+        assert_kernel_matches_loop(SplitSampler(n_total=25, m=9, master_seed=master), 3)
+
+    @pytest.mark.parametrize("spare", [0, 2])
+    def test_lemire_rejections(self, monkeypatch, spare):
+        # about 25 rejected draws are expected over these 10 trials; with no
+        # spare words every rejecting trial draws its pass again
+        monkeypatch.setattr(validation, "_SPARE_WORDS", spare)
+        s = SplitSampler(n_total=4_000_000, m=5000, master_seed=3)
+        assert sum(lemire_rejections(s, t) for t in range(10)) >= 1
+        assert_kernel_matches_loop(s, 10)
+
+    @pytest.mark.parametrize("n, m", [(40, 20), (300, 299), (10_001, 300)])
+    def test_many_chunks_and_odd_passes(self, monkeypatch, n, m):
+        # small chunks and odd passes leave streams mid-output between passes
+        monkeypatch.setattr(validation, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(validation, "_TAIL_CELLS", 3 * n)
+        monkeypatch.setattr(validation, "_STEP_BLOCK", 7)
+        assert_kernel_matches_loop(SplitSampler(n_total=n, m=m, master_seed=8), 11, 5)
+
+    @pytest.mark.parametrize("offset", [0, 2**63 - 3])
+    def test_partial_runs_stack(self, offset):
+        s = SplitSampler(n_total=60, m=25, master_seed=21)
+        a, b = 37, 55
+        stacked = np.vstack([validation._split_masks(s, a, offset),
+                             validation._split_masks(s, b, offset + a)])
+        assert np.array_equal(stacked, validation._split_masks(s, a + b, offset))
+
+    def test_no_trials(self):
+        s = SplitSampler(n_total=10, m=3, master_seed=0)
+        assert validation._split_masks(s, 0, 0).shape == (0, 10)
 
 
 class TestUnbiasedness:
@@ -180,13 +288,10 @@ class TestExactMeanTail:
         errors = np.zeros(n, dtype=int)
         errors[:k] = 1
         s = SplitSampler(n_total=n, m=m, master_seed=77)
+        r = validation._split_masks(s, trials, 0)[:, errors == 1].sum(axis=1)
         for eps in [0.0, 0.15, 0.3]:
             exact = deviation_tail(eps, spec)
-            hits = 0
-            for t in range(trials):
-                idx = sample_split(s, t)
-                r = int(errors[idx].sum())
-                hits += ((k - r) / u - r / m) > eps
+            hits = int((((k - r) / u - r / m) > eps).sum())
             emp = hits / trials
             sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
             assert abs(emp - exact) <= 3 * sigma + 1e-9
