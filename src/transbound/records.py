@@ -1,6 +1,7 @@
 """Shared result record for every explicit risk bound."""
 
 from dataclasses import dataclass
+import math
 
 
 @dataclass(frozen=True)
@@ -20,5 +21,7 @@ class BoundValue:
     valid: bool = True
 
     def __post_init__(self):
+        if math.isnan(self.raw):
+            raise ValueError(f"{self.name} bound is not a number for these inputs")
         if self.clamped > 1.0 + 1e-12:
             raise ValueError(f"clamped bound {self.clamped} exceeds 1")

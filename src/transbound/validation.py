@@ -579,11 +579,22 @@ def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> F
     )
 
 
+# trials x n_total mask cells converted to int64 per product in ``_risks``
+# (32 MB).  Converting all the masks at once took 400 MB of a 505 MB peak at
+# 2500 trials x 20 000; chunks of 1 << 17 cells cost the 10**4-trial,
+# n_total = 40 scenarios a few ms each in allocation.
+_RISK_CELLS = 1 << 22
+
+
 def _risks(instance: FiniteHypothesisInstance, masks: np.ndarray):
     """Training and test risks per (hypothesis, trial) from boolean masks."""
     m = instance.m
     u = instance.errors.shape[1] - m
-    train_counts = instance.errors @ masks.T.astype(np.int64)
+    step = max(1, _RISK_CELLS // masks.shape[1])
+    train_counts = np.empty((instance.errors.shape[0], masks.shape[0]), dtype=np.int64)
+    for t in range(0, masks.shape[0], step):
+        np.matmul(instance.errors, masks[t:t + step].T.astype(np.int64),
+                  out=train_counts[:, t:t + step])
     k = instance.errors.sum(axis=1, keepdims=True)
     r_m = train_counts / m
     r_u = (k - train_counts) / u

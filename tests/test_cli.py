@@ -193,6 +193,9 @@ class TestBadValues:
           "1000000000"], "1000000000"),
         (["mc-concentration", "--population-size", "100000000000", "--ones", "3", "--m", "5",
           "--trials", "1000"], "100000000000"),
+        # ln(1/p) overflows to inf, and the formula gives NaN
+        (["eval", "--bound", "det_reduction", "--m", "2", "--u", "1", "--delta", "0.5",
+          "--prior-mass", "5e-324"], "det_reduction"),
     ])
     def test_exit_2_naming_the_value(self, capsys, argv, named):
         code, out, err = run(capsys, argv)

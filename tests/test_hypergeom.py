@@ -2,10 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from transbound import hypergeom
 from transbound.hypergeom import (
@@ -39,6 +43,42 @@ def brute_tail(eps, m, u, k):
         if (k - r) / u - r / m > eps:
             hits += 1
     return Fraction(hits, total)
+
+
+def _ref_envelope(m, u, variant):
+    """The single-sort envelope build: every positive-deviation pair, one argsort.
+
+    Kept as the reference the block-by-block ``hypergeom._envelope`` must
+    equal bit for bit.
+    """
+    n = m + u
+    table = gammaln(np.arange(1, n + 2, dtype=np.float64))
+    negs, tails, counts = [], [], []
+    for k in range(1, n + 1):
+        r = np.arange(max(k - u, 0), min(m, k) + 1, dtype=np.int64)
+        dev = (k - r) / u - r / m
+        log_pmf = hypergeom._log_pmf(table.__getitem__, n, m, k, r)
+        neg = -dev * math.sqrt(n / k) if variant == "relative" else -dev
+        j = int(np.searchsorted(neg, 0.0, side="left"))
+        negs.append(neg[:j])
+        tails.append(np.logaddexp.accumulate(log_pmf[:j]))
+        counts.append(j)
+    neg = np.concatenate(negs)
+    order = np.argsort(neg)
+    neg, log_tail = neg[order], np.concatenate(tails)[order]
+    ks = np.repeat(np.arange(1, n + 1), counts)[order]
+
+    best = np.maximum.accumulate(log_tail)
+    level = np.cumsum(np.r_[True, best[1:] > best[:-1]])
+    key = np.where(log_tail == best, ks, n + 1) - level * (n + 1)
+    ks = np.minimum.accumulate(key) + level * (n + 1)
+
+    ends = np.r_[neg[1:] != neg[:-1], True]
+    neg, best, ks = neg[ends], best[ends], ks[ends]
+    change = np.r_[True, (best[1:] != best[:-1]) | (ks[1:] != ks[:-1])]
+    neg, best, ks = neg[change], best[change], ks[change]
+    lo = bisect_right(best, 0.0, key=math.exp)
+    return neg[lo:], best[lo:], ks[lo:]
 
 
 def positive_deviations(m, u, variant):
@@ -163,12 +203,17 @@ class TestDeviationTail:
     @pytest.mark.parametrize("m,u", [(1, 1), (3, 7), (20, 20), (50, 13), (90, 150)])
     def test_equals_the_tabulated_row_on_every_k(self, m, u):
         # deviation_tail reads gammaln of its row's own arguments; the envelope's
-        # rows read the same values from a table of m + u + 2 entries
-        for k, dev, log_pmf in hypergeom._rows(m, u, range(m + u + 1)):
+        # pairs read the same values from a table of m + u + 2 entries
+        table = gammaln(np.arange(1, m + u + 2, dtype=np.float64))
+        neg, log_tail, ks = hypergeom._block(m, u, "absolute", np.arange(m + u + 1)[:, None],
+                                             table.__getitem__)
+        for k in range(m + u + 1):
             spec = HypergeomSpec(m, u, k)
-            for eps in [0.0, *dev[dev >= 0][::4], *np.nextafter(dev[dev > 0], -1.0)[::4]]:
-                j = int(np.searchsorted(-dev, -eps, side="left"))
-                want = math.exp(np.logaddexp.accumulate(log_pmf[:j])[-1]) if j else 0.0
+            row, tail = neg[ks == k], log_tail[ks == k]
+            dev = -row
+            for eps in [0.0, *dev[::4], *np.nextafter(dev, -1.0)[::4]]:
+                j = int(np.searchsorted(row, -eps, side="left"))
+                want = math.exp(tail[j - 1]) if j else 0.0
                 assert deviation_tail(float(eps), spec) == want
 
 
@@ -304,6 +349,64 @@ class TestEnvelopeReference:
                 i = next(i for i, (g, _) in enumerate(ref) if g <= p * d)
                 star = epsilon_star(p, d, m, u, variant)
                 assert (star.value, star.achieving_k) == (cands[i], ref[i][1])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("variant", ["absolute", "relative"])
+    @pytest.mark.parametrize("m,u", SHAPES)
+    def test_bit_identical_in_small_blocks(self, m, u, variant, rows, monkeypatch):
+        # every shape then spans several blocks: equal deviations fall into
+        # different blocks, and ties in L across blocks decide achieving_k
+        monkeypatch.setattr(hypergeom, "_BLOCK_ROWS", rows)
+        hypergeom._envelope.cache_clear()
+        try:
+            self.test_bit_identical(m, u, variant)
+        finally:
+            hypergeom._envelope.cache_clear()
+
+
+class TestEnvelopeBlocks:
+    """The block-by-block envelope build against the single-sort reference."""
+
+    @pytest.mark.parametrize("variant", ["absolute", "relative"])
+    @pytest.mark.parametrize("m,u", [(250, 250), (500, 125), (125, 500), (97, 131),
+                                     (1000, 1000)])
+    def test_equals_the_single_sort_build(self, m, u, variant):
+        hypergeom._envelope.cache_clear()
+        got = hypergeom._envelope(m, u, variant)
+        for a, b in zip(got, _ref_envelope(m, u, variant)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["absolute", "relative"])
+    def test_cold_build_memory(self, variant):
+        # the single sort peaked at 31-34 MB here; blocks of k need a few MB
+        hypergeom._envelope.cache_clear()
+        tracemalloc.start()
+        try:
+            hypergeom._envelope(1000, 1000, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            hypergeom._envelope.cache_clear()
+        assert peak <= 12 * 2**20
+
+    def test_log_pmf_accuracy_at_n_50000(self):
+        # _envelope's docstring gives 2.2e-10 here, the largest error over
+        # 20 000 sampled (k, r) against 40-digit arithmetic; these 1000 samples
+        # must stay within 2.5e-10, a margin for other scipy builds of gammaln
+        m, u = 1000, 49_000
+        n = m + u
+        table = gammaln(np.arange(1, n + 2, dtype=np.float64))
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        with mpmath.workdps(40):
+            lf = lambda j: mpmath.loggamma(j + 1)
+            for k in rng.integers(1, n + 1, size=1000).tolist():
+                r = int(rng.integers(max(k - u, 0), min(m, k) + 1))
+                want = (lf(k) - lf(r) - lf(k - r) + (lf(n - k) - lf(m - r) - lf(n - k - m + r))
+                        - (lf(n) - lf(m) - lf(n - m)))
+                got = hypergeom._log_pmf(table.__getitem__, n, m, k, r)
+                worst = max(worst, abs(float(mpmath.mpf(float(got)) - want)))
+        assert worst <= 2.5e-10
 
 
 class TestVapnikBound:

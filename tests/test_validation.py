@@ -409,6 +409,18 @@ class TestMcBoundValidity:
         with pytest.raises(ValueError, match="trials x population size"):
             mc_concentration(np.zeros(20, dtype=int), 10, [0.1], trials=1000, seed=0)
 
+    @pytest.mark.parametrize("cells", [1, 40, 41, 1 << 22])
+    def test_risks_counted_in_chunks_of_trials(self, monkeypatch, cells):
+        # chunks of one trial, of exactly one trial's cells, of a trial and a
+        # bit, and the default one chunk give the one-product counts
+        monkeypatch.setattr(validation, "_RISK_CELLS", cells)
+        inst = small_instance(seed=5, n=40, m=15, n_hyp=6)
+        masks = np.random.default_rng(3).random((57, 40)) < 0.4
+        counts = inst.errors @ masks.T.astype(np.int64)
+        r_m, r_u = validation._risks(inst, masks)
+        assert np.array_equal(r_m, counts / 15)
+        assert np.array_equal(r_u, (inst.errors.sum(axis=1, keepdims=True) - counts) / 25)
+
     def test_random_instance_needs_a_hypothesis(self):
         with pytest.raises(ValueError):
             random_hypothesis_instance(n_total=10, m=5, n_hyp=0, seed=0)
