@@ -96,11 +96,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_prior_sweep(args) -> int:
-    ps = _csv_floats(args.p_grid)
-    if any(not 0.0 < p <= 1.0 for p in ps):
-        raise ValueError("prior masses must lie in (0, 1]")
     rows = []
-    for p in sorted(ps):
+    for p in sorted(_csv_floats(args.p_grid)):
         rel = epsilon_star(p, args.delta, args.m, args.u, "relative").value
         ab = epsilon_star(p, args.delta, args.m, args.u, "absolute").value
         serf = evaluate_bound("serfling", args.m, args.u, args.delta, 0.0, p).raw

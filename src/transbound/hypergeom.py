@@ -37,6 +37,15 @@ _LGAMMA_SAFE_N = 20000
 # The cap keeps one build within a few seconds (m = u of about 7000).
 MAX_ENVELOPE_MU = 50_000_000
 
+# Largest m + u whose envelope is built.  The log-pmf error grows with n (as
+# about n ln n ulps): against 40-digit arithmetic, the largest over sampled
+# (k, r) was 4.1e-11 at m = u = 5000, 2.2e-10 at (m, u) = (1000, 49 000),
+# 3.7e-10 at (10, 99 990), 7.0e-10 at (10, 199 990) and 3.6e-9 at (10, 10**6),
+# so the cap holds it below 1e-9.  The envelope keeps about one change point
+# per k (24 bytes each, 32 shapes cached); with m <= 10 a build at the cap
+# took under 0.5 s on the machine above.
+MAX_ENVELOPE_N = 200_000
+
 # Fewest rows of k per block of the envelope build (a row holds at most
 # m*u/(m+u) + 1 cells).  At m = u = 2000, 32 rows built about 20 % slower
 # and 128 rows doubled the build's peak memory.
@@ -202,19 +211,20 @@ def _envelope(m: int, u: int, variant: str) -> tuple[np.ndarray, np.ndarray, np.
     d > eps.  Only its change points are kept, as arrays (-d ascending, L,
     smallest k attaining L), merged block by block of ascending k
     (``_block``), so memory stays O(_BLOCK_ROWS * min(m, u) + change points).
-    ``relative`` scales the deviation by sqrt((m+u)/k).
+    ``relative`` scales the deviation by sqrt((m+u)/k).  Steps whose tails
+    underflow (exp(L) = 0) are kept for ``epsilon_star``'s log-space rule.
 
     L sums ``gammaln`` table values, whose cancellation grows with n, so the
-    log-tails are not held to ``log_binomial``'s 1e-10 above n = 20 000.
-    Against 40-digit arithmetic, the largest absolute log-pmf error over
-    20 000 sampled (k, r) was 4.1e-11 at m = u = 5000 and 2.2e-10 at (m, u)
-    = (1000, 49 000).
+    log-tails are held to an absolute error of 1e-9 (measured at
+    ``MAX_ENVELOPE_N``), not to ``log_binomial``'s 1e-10.  A shape with m*u
+    above ``MAX_ENVELOPE_MU`` or m + u above ``MAX_ENVELOPE_N`` raises
+    ValueError before any table is built.
     """
     HypergeomSpec(m, u, 0)  # validates m and u
-    if m * u > MAX_ENVELOPE_MU:
-        raise ValueError(f"m={m}, u={u} is too large for the exact worst-case tail: "
-                         f"m*u = {m * u} exceeds the limit of {MAX_ENVELOPE_MU}")
     n = m + u
+    if m * u > MAX_ENVELOPE_MU or n > MAX_ENVELOPE_N:
+        raise ValueError(f"m={m}, u={u} is too large for the exact worst-case tail: m*u = "
+                         f"{m * u} (limit {MAX_ENVELOPE_MU}), m+u = {n} (limit {MAX_ENVELOPE_N})")
     table = gammaln(np.arange(1, n + 2, dtype=np.float64))  # table[j] = ln j!
     width = m * u // n + 1  # no row's positive-deviation prefix is longer
     kept = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
@@ -231,10 +241,7 @@ def _envelope(m: int, u: int, variant: str) -> tuple[np.ndarray, np.ndarray, np.
         block = (neg[live], log_tail[live], ks[live])
         kept = _change_points(*map(np.concatenate, zip(kept, block)), n)
         k0 += rows
-    neg, best, ks = kept
-    # tails that underflow to 0 never raise the worst case above 0
-    lo = bisect_right(best, 0.0, key=math.exp)
-    return neg[lo:], best[lo:], ks[lo:]
+    return kept
 
 
 def gamma(eps: float, m: int, u: int, variant: str = "absolute") -> float:
@@ -253,6 +260,11 @@ def gamma(eps: float, m: int, u: int, variant: str = "absolute") -> float:
     return math.exp(log_tail[j - 1]) if j else 0.0
 
 
+def _log_inverse(prior_mass: float) -> float:
+    """ln(1/p) of a given prior mass p in (0, 1]: -ln p only where 1/p overflows."""
+    return -math.log(prior_mass) if 1.0 / prior_mass == math.inf else math.log(1.0 / prior_mass)
+
+
 def epsilon_star(prior_mass: float, delta: float, m: int, u: int,
                  variant: str = "absolute") -> EpsilonStar:
     """Exact minimal eps with gamma(eps) <= prior_mass * delta.
@@ -261,17 +273,32 @@ def epsilon_star(prior_mass: float, delta: float, m: int, u: int,
     at the finitely many attainable (scaled) deviations, so the minimiser is
     the deviation of the first envelope step whose tail exceeds
     prior_mass * delta (0 if none does); no root finding is involved.
+    Where prior_mass * delta is a normal float, the tails exp(L) are compared
+    with it (tails that underflow read as 0 and name no ``achieving_k``);
+    below that, L itself is compared with ln(delta) - ln(1/prior_mass).
     """
     if not 0.0 < prior_mass <= 1.0:
-        raise ValueError("prior_mass must be in (0, 1]")
+        raise ValueError(f"prior_mass must be in (0, 1], got {prior_mass}")
+    return _epsilon_star(_log_inverse(prior_mass), delta, m, u, variant, prior_mass)
+
+
+def _epsilon_star(log_inv_p: float, delta: float, m: int, u: int, variant: str,
+                  prior_mass: float | None = None) -> EpsilonStar:
+    """``epsilon_star`` at ln(1/p) = ``log_inv_p``, with p = exp(-ln(1/p)) unless given."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     neg, log_tail, ks = _envelope(m, u, variant)
-    j = bisect_right(log_tail, prior_mass * delta, key=math.exp)
+    level = (math.exp(-log_inv_p) if prior_mass is None else prior_mass) * delta
+    if level >= np.finfo(float).tiny:  # the smallest normal float
+        j = bisect_right(log_tail, level, key=math.exp)
+        lo = bisect_right(log_tail, 0.0, key=math.exp)  # steps gamma reads as 0
+    else:
+        j = bisect_right(log_tail, math.log(delta) - log_inv_p)
+        lo = 0
     value = float(-neg[j]) if j < len(neg) else 0.0
-    return EpsilonStar(value=value, variant=variant, achieving_k=int(ks[j - 1]) if j else 0)
+    return EpsilonStar(value=value, variant=variant, achieving_k=int(ks[j - 1]) if j > lo else 0)
 
 
 def vapnik_bound(emp_risk: float, eps_star: EpsilonStar, m: int, u: int) -> BoundValue:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import rel_entr
 
-from .hypergeom import epsilon_star, vapnik_bound
+from .hypergeom import _log_inverse, epsilon_star, vapnik_bound
 from .records import BoundValue
 
 EVAL_BOUNDS = ("vapnik_relative", "vapnik_absolute", "serfling", "det_reduction", "det_direct",
@@ -165,16 +165,16 @@ def gibbs_raw(variant: str, emp_risk, kl_value, m: int, u: int, delta: float):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def det_raw(variant: str, emp_risk, prior_mass: float, m: int, u: int, delta: float,
+def det_raw(variant: str, emp_risk, log_inv_p: float, m: int, u: int, delta: float,
             loss_bound: float = 1.0):
     """Raw deterministic-classifier bound, elementwise over an array of empirical risks.
 
+    ``log_inv_p`` is the complexity ln(1/p), finite even where the mass p underflows.
     ``reduction`` and ``direct`` are the Gibbs forms with D replaced by
     ln(1/p) (binary loss, m >= 2); ``serfling`` is
         R + B sqrt(((m+u)/u) ((u+1)/u) (ln(1/p) + ln(1/delta)) / (2m)),
     valid for any loss range B and any m >= 1.
     """
-    log_inv_p = math.log(1.0 / prior_mass)
     if variant == "serfling":
         comp = (log_inv_p + math.log(1.0 / delta)) / (2.0 * m)
         return emp_risk + loss_bound * math.sqrt((m + u) / u * (u + 1) / u * comp)
@@ -199,8 +199,8 @@ def det_bound(inputs: BoundInputs, variant: str = "serfling") -> BoundValue:
         raise ValueError("det_bound needs prior_mass complexity")
     if variant != "serfling" and inputs.loss_bound != 1.0:
         raise ValueError(f"det_{variant} is stated for binary (B = 1) losses")
-    raw = det_raw(variant, inputs.emp_risk, inputs.prior_mass, inputs.m, inputs.u,
-                  inputs.delta, inputs.loss_bound)
+    raw = det_raw(variant, inputs.emp_risk, _log_inverse(inputs.prior_mass), inputs.m,
+                  inputs.u, inputs.delta, inputs.loss_bound)
     return _finish(raw, "serfling" if variant == "serfling" else f"det_{variant}",
                    inputs.loss_bound)
 

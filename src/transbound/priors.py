@@ -65,11 +65,6 @@ class ClusteringPrior:
         if self.k_ensemble < 1:
             raise ValueError("ensemble size must be >= 1")
 
-    def mass(self, tau: int) -> float:
-        if not 1 <= tau <= self.c:
-            raise ValueError("tau out of range")
-        return math.exp(-self.log_inverse_mass(tau))
-
     def log_inverse_mass(self, tau: int) -> float:
         """ln(1/p(h)) for a hypothesis constant on tau clusters."""
         return clustering_complexity(tau, self.c, self.k_ensemble, variant="exact")
@@ -90,6 +85,18 @@ def compression_complexity(s: int, m: int, u: int, variant: str = "relaxed") -> 
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _serfling_bound(emp_risk: float, complexity: float, m: int, u: int, delta: float,
+                    denom: float, name: str) -> BoundValue:
+    """R + sqrt((m+u)/u (u+1)/u (complexity + ln(1/delta)) / denom), binary loss."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if not 0.0 <= emp_risk <= 1.0:
+        raise ValueError("emp_risk must lie in [0, 1]")
+    comp = complexity + math.log(1.0 / delta)
+    raw = emp_risk + math.sqrt((m + u) / u * (u + 1) / u * comp / denom)
+    return BoundValue(raw=raw, clamped=min(raw, 1.0), name=name)
+
+
 def compression_bound(emp_risk: float, s: int, m: int, u: int, delta: float,
                       variant: str = "derived") -> BoundValue:
     """Test-risk bound for a compression scheme with observed size s.
@@ -98,19 +105,11 @@ def compression_bound(emp_risk: float, s: int, m: int, u: int, delta: float,
     the Serfling-type bound verbatim, dividing by 2m, and is tighter by
     exactly sqrt(2).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if not 0.0 <= emp_risk <= 1.0:
-        raise ValueError("emp_risk must lie in [0, 1]")
-    comp = compression_complexity(s, m, u, "relaxed") + math.log(1.0 / delta)
-    if variant == "printed":
-        denom = float(m)
-    elif variant == "derived":
-        denom = 2.0 * m
-    else:
+    if variant not in ("printed", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
-    raw = emp_risk + math.sqrt((m + u) / u * (u + 1) / u * comp / denom)
-    return BoundValue(raw=raw, clamped=min(raw, 1.0), name=f"compression_{variant}")
+    return _serfling_bound(emp_risk, compression_complexity(s, m, u, "relaxed"), m, u, delta,
+                           float(m) if variant == "printed" else 2.0 * m,
+                           f"compression_{variant}")
 
 
 def clustering_complexity(tau: int, c: int, k_ensemble: int = 1,
@@ -134,13 +133,8 @@ def clustering_complexity(tau: int, c: int, k_ensemble: int = 1,
 def clustering_bound(emp_risk: float, tau: int, c: int, m: int, u: int, delta: float,
                      k_ensemble: int = 1, variant: str = "exact") -> BoundValue:
     """Test-risk bound for the cluster-then-label hypothesis on tau clusters."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if not 0.0 <= emp_risk <= 1.0:
-        raise ValueError("emp_risk must lie in [0, 1]")
-    comp = clustering_complexity(tau, c, k_ensemble, variant) + math.log(1.0 / delta)
-    raw = emp_risk + math.sqrt((m + u) / u * (u + 1) / u * comp / (2.0 * m))
-    return BoundValue(raw=raw, clamped=min(raw, 1.0), name=f"clustering_{variant}")
+    return _serfling_bound(emp_risk, clustering_complexity(tau, c, k_ensemble, variant),
+                           m, u, delta, 2.0 * m, f"clustering_{variant}")
 
 
 def compression_mixture_log_total(m: int, u: int) -> float:
@@ -156,6 +150,6 @@ def compression_mixture_log_total(m: int, u: int) -> float:
 
 
 def clustering_mixture_total(c: int) -> float:
-    """Total mass of the clustering prior: sum of 2^tau * ``ClusteringPrior.mass(tau)``."""
+    """Total mass of the clustering prior: sum of 2^tau * exp(-``log_inverse_mass(tau)``)."""
     prior = ClusteringPrior(c=c)
-    return sum(2 ** tau * prior.mass(tau) for tau in range(1, c + 1))
+    return sum(2 ** tau * math.exp(-prior.log_inverse_mass(tau)) for tau in range(1, c + 1))

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
-from .hypergeom import epsilon_star, vapnik_bound
+from .hypergeom import _epsilon_star
 from .pac_bayes import det_raw
 from .priors import ClusteringPrior, clustering_bound
 from .records import BoundValue
@@ -210,10 +210,10 @@ def _tau_bound(bound_name: str, tau: int, prior: ClusteringPrior, m: int, u: int
                delta: float):
     """Raw bound of a tau-cluster hypothesis as a function of its empirical risks."""
     if bound_name == "direct":
-        return functools.partial(det_raw, "direct", prior_mass=prior.mass(tau), m=m, u=u,
-                                 delta=delta)
+        return functools.partial(det_raw, "direct", log_inv_p=prior.log_inverse_mass(tau),
+                                 m=m, u=u, delta=delta)
     if bound_name == "vapnik_absolute":
-        excess = epsilon_star(prior.mass(tau), delta, m, u, "absolute").value
+        excess = _epsilon_star(prior.log_inverse_mass(tau), delta, m, u, "absolute").value
     else:
         variant = bound_name.removeprefix("serfling_")
         excess = clustering_bound(0.0, tau, prior.c, m, u, delta, prior.k_ensemble, variant).raw

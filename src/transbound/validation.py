@@ -32,7 +32,7 @@ from .concentration import (
     hoeffding_bound,
     serfling_bound,
 )
-from .hypergeom import HypergeomSpec, epsilon_star, hypergeom_pmf
+from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, hypergeom_pmf
 from .pac_bayes import det_raw, gibbs_raw, kl_divergence
 from .transduce import ALGORITHMS, BOUND_NAMES, Dataset, ensemble_sweep, label_and_select
 
@@ -624,7 +624,7 @@ def _det_bound_violations(instance, masks, delta, variant):
     r_m, r_u = _risks(instance, masks)
     viol = np.zeros(masks.shape[0], dtype=bool)
     for j, p in enumerate(instance.prior):
-        viol |= r_u[j] > det_raw(variant, r_m[j], float(p), m, u, delta)
+        viol |= r_u[j] > det_raw(variant, r_m[j], _log_inverse(float(p)), m, u, delta)
     return int(viol.sum())
 
 

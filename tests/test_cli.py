@@ -12,6 +12,7 @@ from transbound import cli, clustering
 from transbound.cli import main
 from transbound.hypergeom import epsilon_star
 from transbound.pac_bayes import BoundInputs, det_bound
+from transbound.transduce import BOUND_NAMES
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 FEATURES = str(DATA / "two_blob_features.csv")
@@ -166,6 +167,7 @@ class TestSizeChecks:
         ["validate", "--scenario", "vapnik_absolute", "--hypotheses", "0", "--trials", "10"],
         ["mc-concentration", "--population-size", "0", "--ones", "0", "--m", "1",
          "--trials", "1000"],
+        ["epsilon-star", "--m", "1", "--u", "50000000"],
     ])
     def test_nonpositive_sizes_exit_2(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -193,9 +195,7 @@ class TestBadValues:
           "1000000000"], "1000000000"),
         (["mc-concentration", "--population-size", "100000000000", "--ones", "3", "--m", "5",
           "--trials", "1000"], "100000000000"),
-        # ln(1/p) overflows to inf, and the formula gives NaN
-        (["eval", "--bound", "det_reduction", "--m", "2", "--u", "1", "--delta", "0.5",
-          "--prior-mass", "5e-324"], "det_reduction"),
+        (["prior-sweep", "--p-grid", "0,0.5", "--m", "5", "--u", "5"], "got 0.0"),
     ])
     def test_exit_2_naming_the_value(self, capsys, argv, named):
         code, out, err = run(capsys, argv)
@@ -203,8 +203,31 @@ class TestBadValues:
         assert out == ""
         assert err.startswith("error: ") and named in err
 
+    def test_subnormal_prior_mass_gives_a_finite_bound(self, capsys):
+        # 1/p overflows at p = 5e-324, ln(1/p) = 744.44 does not
+        code, out, _ = run(capsys, ["eval", "--bound", "det_reduction", "--m", "2", "--u", "1",
+                                    "--delta", "0.5", "--prior-mass", "5e-324"])
+        assert code == 0
+        raw = float(out.splitlines()[1].split(",")[3])
+        assert raw == pytest.approx(6.0 * (-math.log(5e-324) + math.log(4.0)), rel=1e-11)
+
 
 class TestTransduce:
+    @pytest.mark.parametrize("bound", BOUND_NAMES)
+    def test_cluster_budget_where_the_prior_mass_underflows(self, capsys, tmp_path, bound):
+        # p = 2^-tau / c underflows to 0 above tau of about 1075; ln(1/p) stays finite
+        rng = np.random.default_rng(0)
+        points, labels = tmp_path / "points.csv", tmp_path / "labels.csv"
+        np.savetxt(points, rng.random((1200, 2)), delimiter=",")
+        labels.write_text("".join(f"{i},{rng.choice([1, -1])}\n" for i in range(1150)))
+        cert = tmp_path / "cert.json"
+        code, _, err = run(capsys, ["transduce", "--data", str(points), "--labels", str(labels),
+                                    "--clusterer", "agglomerative_single", "--max-clusters",
+                                    "1100", "--bound", bound, "--certificate-out", str(cert)])
+        assert code == 0, err
+        doc = json.loads(cert.read_text())
+        assert doc["c"] == 1100 and math.isfinite(doc["bound_raw"])
+
     def test_end_to_end_and_byte_identical(self, capsys, tmp_path):
         args = [
             "transduce", "--data", FEATURES, "--labels", LABELS,

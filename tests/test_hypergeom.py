@@ -76,9 +76,7 @@ def _ref_envelope(m, u, variant):
     ends = np.r_[neg[1:] != neg[:-1], True]
     neg, best, ks = neg[ends], best[ends], ks[ends]
     change = np.r_[True, (best[1:] != best[:-1]) | (ks[1:] != ks[:-1])]
-    neg, best, ks = neg[change], best[change], ks[change]
-    lo = bisect_right(best, 0.0, key=math.exp)
-    return neg[lo:], best[lo:], ks[lo:]
+    return neg[change], best[change], ks[change]
 
 
 def positive_deviations(m, u, variant):
@@ -299,6 +297,13 @@ class TestEpsilonStar:
             with pytest.raises(ValueError, match="m\\*u"):
                 gamma(0.1, m, u, variant)
 
+    def test_population_cap_checked_before_any_table(self, monkeypatch):
+        # m*u = 5e7 passes the pair cap; n = m + u does not
+        monkeypatch.setattr(hypergeom, "gammaln", lambda j: pytest.fail("table was built"))
+        for variant in ("absolute", "relative"):
+            with pytest.raises(ValueError, match="m\\+u = 50000001"):
+                epsilon_star(0.5, 0.1, 1, 50_000_000, variant)
+
 
 class TestEnvelopeReference:
     """gamma and epsilon_star equal a brute-force reference bit for bit.
@@ -390,7 +395,7 @@ class TestEnvelopeBlocks:
         assert peak <= 12 * 2**20
 
     def test_log_pmf_accuracy_at_n_50000(self):
-        # _envelope's docstring gives 2.2e-10 here, the largest error over
+        # MAX_ENVELOPE_N's comment gives 2.2e-10 here, the largest error over
         # 20 000 sampled (k, r) against 40-digit arithmetic; these 1000 samples
         # must stay within 2.5e-10, a margin for other scipy builds of gammaln
         m, u = 1000, 49_000
@@ -407,6 +412,41 @@ class TestEnvelopeBlocks:
                 got = hypergeom._log_pmf(table.__getitem__, n, m, k, r)
                 worst = max(worst, abs(float(mpmath.mpf(float(got)) - want)))
         assert worst <= 2.5e-10
+
+
+class TestLogSpaceInversion:
+    """``epsilon_star`` at m = u = 600, where the envelope's smallest tails underflow.
+
+    Where prior_mass * delta is below the smallest normal float, the result
+    must be a scan of the reference envelope for the first log-tail above
+    ln(delta) - ln(1/p); where it is normal, the float comparison over the
+    steps whose tails do not underflow, as before those steps were kept.
+    """
+
+    @pytest.mark.parametrize("variant", ["absolute", "relative"])
+    def test_subnormal_level_equals_a_scan(self, variant):
+        neg, log_tail, ks = _ref_envelope(600, 600, variant)
+        assert math.exp(log_tail[0]) == 0.0
+        for p, delta in [(5e-324, 0.5), (1e-320, 0.05), (1e-306, 0.01), (2.3e-308, 0.9)]:
+            assert p * delta < np.finfo(float).tiny
+            level = math.log(delta) - hypergeom._log_inverse(p)
+            i = next((i for i, v in enumerate(log_tail) if v > level), len(log_tail))
+            star = epsilon_star(p, delta, 600, 600, variant)
+            assert star.value == (float(-neg[i]) if i < len(neg) else 0.0)
+            assert star.achieving_k == (int(ks[i - 1]) if i else 0)
+            assert star.value > 0.0
+
+    @pytest.mark.parametrize("variant", ["absolute", "relative"])
+    def test_normal_level_reads_underflowing_tails_as_zero(self, variant):
+        neg, log_tail, ks = _ref_envelope(600, 600, variant)
+        lo = bisect_right(log_tail, 0.0, key=math.exp)
+        assert lo > 0
+        neg, log_tail, ks = neg[lo:], log_tail[lo:], ks[lo:]
+        for p, delta in [(1.0, 0.05), (1e-12, 0.05), (1e-300, 0.5), (3e-308, 0.9)]:
+            j = bisect_right(log_tail, p * delta, key=math.exp)
+            star = epsilon_star(p, delta, 600, 600, variant)
+            assert star.value == (float(-neg[j]) if j < len(neg) else 0.0)
+            assert star.achieving_k == (int(ks[j - 1]) if j else 0)
 
 
 class TestVapnikBound:

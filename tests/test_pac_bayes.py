@@ -381,7 +381,8 @@ class TestArrayFormulas:
                           variant).raw
                 for r in self.RISKS
             ]
-            assert self._same_bits(det_raw(variant, self.RISKS, p, m, u, delta), scalar)
+            log_inv_p = math.log(1.0 / p)
+            assert self._same_bits(det_raw(variant, self.RISKS, log_inv_p, m, u, delta), scalar)
 
     def test_gibbs_bound_is_gibbs_raw(self):
         kls = np.random.default_rng(8).uniform(0.0, 30.0, len(self.RISKS))

@@ -142,5 +142,5 @@ class TestMassAccounting:
 
     def test_clustering_prior_mass(self):
         prior = ClusteringPrior(c=10, k_ensemble=2)
-        assert prior.mass(3) == pytest.approx(1 / (2 * 10 * 8), rel=1e-12)
+        assert math.exp(-prior.log_inverse_mass(3)) == pytest.approx(1 / (2 * 10 * 8), rel=1e-12)
         assert prior.log_inverse_mass(3) == pytest.approx(math.log(160), rel=1e-12)

@@ -68,6 +68,24 @@ class TestNumericFlags:
             assert "nan" not in out
 
     @SETTINGS
+    @given(m=st.integers(1, 20), u=st.integers(1, 20), delta=UNIT, emp=st.floats(0, 1),
+           mass=st.floats(math.log(5e-324), 0.0).map(math.exp),
+           loss=st.sampled_from([1.0, 2.0]))
+    def test_eval_at_any_prior_mass(self, m, u, delta, emp, mass, loss):
+        # log-uniform masses down to the smallest subnormal: every bound charges
+        # ln(1/p), which stays finite where 1/p overflows
+        for bound in EVAL_BOUNDS:
+            code, out, err = check(["eval", "--bound", bound, "--m", m, "--u", u, "--delta",
+                                    delta, "--emp-risk", emp, "--prior-mass", mass,
+                                    "--loss-bound", loss])
+            if bound.startswith(("det_", "gibbs_")) and (m < 2 or loss != 1.0):
+                assert code == 2
+                continue
+            assert code == 0, (bound, mass, err)
+            raw = float(out.splitlines()[1].split(",")[3])
+            assert math.isfinite(raw) and raw >= float(format(emp, ".12g"))
+
+    @SETTINGS
     @given(bounds=st.sampled_from(["", "serfling,gibbs_direct", "vapnik_absolute,det_direct"]),
            grid=st.sampled_from(["10,20", "2", "5,6,7"]),
            rule=st.sampled_from(["sqrt", "const:3", "multiple:0.5", "multiple:2"]),

@@ -190,7 +190,11 @@ class TestSelectByBound:
 
 
 def _scalar_choice(partitions, labeled, delta, bound_name):
-    """(tau, clusterer id, emp risk, raw bound) from one scalar bound call per partition."""
+    """(tau, clusterer id, emp risk, raw bound) from one scalar bound call per partition.
+
+    The reference goes through the public mass path: each hypothesis's prior
+    mass exp(-ln(1/p)) into ``det_bound`` and ``epsilon_star``.
+    """
     m = labeled.m
     u = len(partitions[0].assignment) - m
     prior = ClusteringPrior(c=max(p.tau for p in partitions),
@@ -198,11 +202,12 @@ def _scalar_choice(partitions, labeled, delta, bound_name):
     best = None
     for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
         emp = float((majority_label(p, labeled)[labeled.indices] != labeled.labels).mean())
+        mass = math.exp(-prior.log_inverse_mass(p.tau))
         if bound_name == "direct":
             raw = det_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=emp,
-                                        prior_mass=prior.mass(p.tau)), "direct").raw
+                                        prior_mass=mass), "direct").raw
         elif bound_name == "vapnik_absolute":
-            star = epsilon_star(prior.mass(p.tau), delta, m, u, "absolute")
+            star = epsilon_star(mass, delta, m, u, "absolute")
             raw = vapnik_bound(emp, star, m, u).raw
         else:
             raw = clustering_bound(emp, p.tau, prior.c, m, u, delta, prior.k_ensemble,
