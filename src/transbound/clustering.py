@@ -15,7 +15,28 @@ in the order NumPy's pairwise reduction uses over a contiguous axis
 ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128 terms; halving at a
 multiple of 8 above that).  Each new k-means center is the mean of its
 members' rows in index order, as a boolean mask would select them.
+
+k-means skips a point's distances when triangle-inequality bounds prove its
+label stays (Hamerly, "Making k-means even faster", SDM 2010): an upper
+bound ub on the distance to its own center below a lower bound lb on the
+distance to every other center.  The skip must give the argmin of the
+distances the reference would compute, ties included, so the bounds are
+rounding-safe.  A computed squared distance D >= 2**-1000 of a true distance
+t is a sum of d rounded squares of rounded differences, so
+|D - t**2| <= g t**2 with g = (d + 2) 2**-53 / (1 - (d + 2) 2**-53), plus at
+most d 2**-1075 of underflow, below 2**-70 t**2 there.  With the margin
+rho = 4 (d + 4) 2**-52, far above 2g, ub bounds (1 + rho/2) t for the own
+center and lb bounds t from below for every other one, so ub < lb proves
+that the computed own distance is strictly below every other computed one.
+Every bound that adds or subtracts a shift is rounded outward with
+``np.nextafter``.  A D below 2**-1000 carries no relative precision and
+gives no bound; an overflowed D = inf shows only that t is at least about
+sqrt(float max), where lb is clamped; a NaN anywhere makes the comparison
+False, which means "compute".
 """
+
+import math
+import sys
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
@@ -26,6 +47,21 @@ KMEANS_TOL = 1e-9
 # Largest condensed distance matrix agglomerative_sweep builds: 2**27 float64
 # pairs (1 GiB, n of about 16 000); complete linkage holds a second copy.
 MAX_LINKAGE_PAIRS = 2 ** 27
+# A computed squared distance below 2**-1000 may hold underflowed terms, so it
+# carries no relative precision: it gives no bound, and its point's distances
+# are computed again.  A center shift whose computed square is that small is
+# below 2**-499.5, so 2**-499 bounds it.
+_SQ_TINY = 2.0 ** -1000
+_SHIFT_FLOOR = 2.0 ** -499
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+# Smallest n * tau * d (the distance work of one Lloyd iteration) at which
+# k-means keeps bounds.  Their bookkeeping costs about a hundred NumPy calls
+# per iteration, which the distances they save repay only on large inputs:
+# on Gaussian blobs (process time, pruned over unpruned, 2-vCPU x86-64) the
+# ratio was 1.36 at (n, tau, d) = (3000, 5, 2), 1.04 at (3000, 16, 2),
+# 0.96 at (3000, 20, 2), 0.95 at (3000, 5, 8), 0.70 at (3000, 8, 8),
+# 1.46 at (1000, 5, 8), 0.89 at (1000, 20, 8) and 0.70 at (12000, 20, 2).
+_PRUNE_WORK = 100_000
 
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
@@ -52,21 +88,75 @@ def _pairwise_sum(terms: list) -> np.ndarray:
         for i in range(8, n - n % 8, 8):
             for j in range(8):
                 r[j] += terms[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        total = r[0]
         for t in terms[n - n % 8:]:
             total += t
         return total
     half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    total = _pairwise_sum(terms[:half])
+    total += _pairwise_sum(terms[half:])
+    return total
 
 
-def _sq_dists(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(k, n) squared Euclidean distances from k centers to n points.
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, coordinates along axis 0 of both arguments.
 
-    ``coords`` holds the points as (d, n) coordinate rows.  Each entry is
-    bit-identical to the broadcast sum over the coordinate axis.
+    The two arrays broadcast against each other: (d, 1, n) points and
+    (d, k, 1) centers give the (k, n) matrix, (d, n) and (d, n) one distance
+    per point to its own center.  Each entry is bit-identical to the
+    broadcast sum over the coordinate axis.
     """
-    return _pairwise_sum([(row - centers[:, j, None]) ** 2 for j, row in enumerate(coords)])
+    sq = np.subtract(points, centers)
+    np.square(sq, out=sq)
+    return _pairwise_sum(list(sq))
+
+
+def _up(x):
+    """The next float up: above the exact result that ``x`` rounds."""
+    return np.nextafter(x, np.inf)
+
+
+def _down(x):
+    """The next float down: below the exact result that ``x`` rounds."""
+    return np.nextafter(x, -np.inf)
+
+
+def _margin(d: int) -> float:
+    """rho for d coordinates: far above twice the relative error of a squared distance."""
+    return 4 * (d + 4) * 2.0 ** -52
+
+
+def _dist_above(sq: np.ndarray, rho: float) -> np.ndarray:
+    """At least (1 + rho/2) times any distance whose computed square is ``sq``.
+
+    inf where ``sq`` is below ``_SQ_TINY``, inf or NaN.  The slack in rho
+    covers the rounding of the square root and of the product.
+    """
+    return np.where(sq >= _SQ_TINY, np.sqrt(sq) * (1.0 + rho), np.inf)
+
+
+def _dist_below(sq: np.ndarray, rho: float) -> np.ndarray:
+    """At most any distance whose computed square is ``sq``.
+
+    0 where ``sq`` is below ``_SQ_TINY`` or NaN.  An overflowed ``sq`` = inf
+    shows only that the distance is at least about sqrt(float max), so the
+    bound is clamped there.  The slack in rho covers the rounding.
+    """
+    return np.where(sq >= _SQ_TINY, np.minimum(np.sqrt(sq), _SQRT_MAX) * (1.0 - rho), 0.0)
+
+
+def _shift_above(shift: np.ndarray, rho: float) -> np.ndarray:
+    """At least (1 + rho/2) times any center shift whose computed length is ``shift``."""
+    return np.maximum(_up(shift * (1.0 + rho)), _SHIFT_FLOOR)
+
+
+def _key(lbk: np.ndarray, ub: np.ndarray, grow: np.ndarray) -> np.ndarray:
+    """``lbk - (ub - grow)`` rounded down; NaN, which never lets a point skip, where infinities cancel."""
+    with np.errstate(invalid="ignore"):
+        return _down(lbk - _up(ub - grow))
 
 
 def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
@@ -77,44 +167,113 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
     to the lowest index).  Assignment ties resolve to the lowest cluster
     index; a cluster that empties is repaired by handing it the farthest
     member of the currently largest cluster.
+
+    Each iteration skips the distances that cannot change a label (Hamerly's
+    bounds, see the module docstring), so the labels are those of computing
+    every distance in every iteration.  Bounds are kept only when n * tau * d
+    reaches ``_PRUNE_WORK``; below it every iteration computes every
+    distance, which costs less than the bookkeeping.  A point's bounds are
+    kept as offsets from per-cluster running sums, so moving every bound
+    costs O(tau): ``grow[j]`` sums center j's shift bounds and ``shrink[j]``
+    the largest shift bound among the other centers, both rounded up.  Point
+    i with label a has ``ub`` <= its ub when last set + (``grow[a]`` now -
+    then) and ``lb`` >= ``lbk[i] - shrink[a]``; ``key[i] = lbk[i] - (ub -
+    grow[a])`` rounded down, so ``grow[a] + shrink[a] < key[i]`` proves
+    ``ub < lb``.  A point whose test fails is checked again with its exact
+    distance to its own center, and only a point that fails that too gets
+    its whole column of distances.  Only clusters whose members changed get
+    a new mean: an unchanged cluster's mean would come out with the same
+    bits.
     """
     n = len(points)
     if tau == 1:
         return np.zeros(n, dtype=np.int64)
 
     coords = np.ascontiguousarray(points.T)
-    centroid = points.mean(axis=0)
-    first = int(np.argmin(_sq_dists(coords, centroid[None])[0]))
+    first = int(np.argmin(_sq_dists(coords, points.mean(axis=0)[:, None])))
     seeds = [first]
-    nearest = _sq_dists(coords, points[[first]])[0]
+    seen = [_sq_dists(coords, coords[:, first, None])]
+    nearest = seen[0]
     while len(seeds) < tau:
         nxt = int(np.argmax(nearest))
         seeds.append(nxt)
-        nearest = np.minimum(nearest, _sq_dists(coords, points[[nxt]])[0])
+        seen.append(_sq_dists(coords, coords[:, nxt, None]))
+        nearest = np.minimum(nearest, seen[-1])
     centers = points[seeds].astype(float).copy()
+    # With float64 points the seeding rows are the first iteration's distances.
+    seeded = np.stack(seen) if points.dtype == np.float64 else None
+    del seen
 
+    rho = _margin(points.shape[1])
+    prune = n * tau * points.shape[1] >= _PRUNE_WORK
     labels = np.zeros(n, dtype=np.int64)
+    grow = np.zeros(tau)  # summed shift bounds of each center
+    shrink = np.zeros(tau)  # summed largest shift bounds of the other centers
+    lbk = np.full(n, -np.inf)  # lb + shrink[label] when lb was last set
+    key = np.full(n, -np.inf)  # lbk - (ub - grow[label]) when ub was last set
+    changed = np.ones(tau, dtype=bool)  # the seeds are no cluster's mean
+    full = slice(None)  # every point, unless the bounds rule some out
     for _ in range(KMEANS_MAX_ITER):
-        dists = _sq_dists(coords, centers)
-        labels = np.argmin(dists, axis=0).astype(np.int64)
+        cols = np.ascontiguousarray(centers.T)
+        if prune:
+            drift = _up(grow + shrink)
+            todo = np.flatnonzero(~(drift[labels] < key))
+            # a point with lb <= 0 cannot pass on its exact own distance
+            hope = todo[lbk[todo] > shrink[labels[todo]]]
+            own = labels[hope]
+            ub = _dist_above(_sq_dists(coords[:, hope], cols[:, own]), rho)
+            key[hope] = _key(lbk[hope], ub, grow[own])
+            full = todo[~(drift[labels[todo]] < key[todo])]
+
+        dists = _sq_dists(coords[:, None, full], cols[:, :, None]) if seeded is None else seeded
+        seeded = None
+        near = np.argmin(dists, axis=0)
+        if prune:
+            at = (near, np.arange(len(near)))
+            ub = _dist_above(dists[at], rho)
+            dists[at] = np.inf
+            lbk[full] = _down(_dist_below(dists.min(axis=0), rho) + shrink[near])
+            key[full] = _key(lbk[full], ub, grow[near])
+        old = labels[full]
+        moved = near != old
+        changed[old[moved]] = True
+        changed[near[moved]] = True
+        labels[full] = near
+
         sizes = np.bincount(labels, minlength=tau)
         for j in range(tau):
             if sizes[j] == 0:
                 big = int(np.argmax(sizes))
                 members = np.flatnonzero(labels == big)
-                far = members[int(np.argmax(dists[big, members]))]
+                far = members[int(np.argmax(_sq_dists(coords[:, members], cols[:, big, None])))]
                 labels[far] = j
+                lbk[far] = key[far] = -np.inf
+                changed[[big, j]] = True
                 sizes[big] -= 1
                 sizes[j] += 1
+
+        fresh = np.flatnonzero(changed)
         # A stable sort keeps each cluster's rows in index order; the narrow
         # dtype lets NumPy use its radix sort.
-        grouped = points[np.argsort(labels.astype(np.min_scalar_type(tau)), kind="stable")]
-        ends = np.cumsum(sizes)
-        new_centers = np.stack([grouped[e - s:e].mean(axis=0) for s, e in zip(sizes, ends)])
-        moved = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        rows = np.flatnonzero(changed[labels])
+        grouped = points[rows[np.argsort(labels[rows].astype(np.min_scalar_type(tau)),
+                                         kind="stable")]]
+        counts = sizes[fresh]
+        changed[:] = False
+        new_centers = centers.copy()
+        for j, s, e in zip(fresh, counts, np.cumsum(counts)):
+            new_centers[j] = grouped[e - s:e].mean(axis=0)
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1))
         centers = new_centers
-        if moved <= KMEANS_TOL:
+        if shift.max() <= KMEANS_TOL:
             break
+        if prune:
+            step = _shift_above(shift, rho)
+            top = int(np.argmax(step))
+            others = np.full(tau, step[top])  # largest step of the other centers
+            others[top] = np.max(step, where=np.arange(tau) != top, initial=-np.inf)
+            grow = _up(grow + step)
+            shrink = _up(shrink + others)
     return canonical_labels(labels)
 
 

@@ -34,7 +34,11 @@ _LGAMMA_SAFE_N = 20000
 # m*u while its memory stays small: one variant took 0.33 s at m = u = 2000,
 # 1.5 s at 4000 and 4.8 s at 7000 (a 2-vCPU x86-64 machine), and building
 # both variants at 7000 peaked at 109 MB resident for the whole process.
-# The cap keeps one build within a few seconds (m = u of about 7000).
+# Skewed shapes build about twice as slowly per pair: at the cap, one cold
+# variant took 4.3-4.4 s at m = u = 7000 but 7.8-8.4 s at (m, u) =
+# (500, 99 500) and 8.2-8.7 s at (250, 199 750) (time.perf_counter, same
+# machine).  So the cap keeps one build within about 9 s, and within 5 s
+# only for m near u.
 MAX_ENVELOPE_MU = 50_000_000
 
 # Largest m + u whose envelope is built.  The log-pmf error grows with n (as

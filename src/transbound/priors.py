@@ -150,6 +150,11 @@ def compression_mixture_log_total(m: int, u: int) -> float:
 
 
 def clustering_mixture_total(c: int) -> float:
-    """Total mass of the clustering prior: sum of 2^tau * exp(-``log_inverse_mass(tau)``)."""
+    """Total mass of the clustering prior: sum of 2^tau * exp(-``log_inverse_mass(tau)``).
+
+    Each term is exp(tau ln 2 - ``log_inverse_mass(tau)``), so 2^tau is never
+    a float and no c overflows; a prior that charges other than tau ln 2 per
+    cluster moves the total away from 1.
+    """
     prior = ClusteringPrior(c=c)
-    return sum(2 ** tau * math.exp(-prior.log_inverse_mass(tau)) for tau in range(1, c + 1))
+    return sum(math.exp(tau * _LN2 - prior.log_inverse_mass(tau)) for tau in range(1, c + 1))

@@ -261,7 +261,7 @@ class TestCriterion7PriorAccounting:
         for n in range(2, 21):
             for m in range(1, n):
                 ok &= abs(compression_mixture_log_total(m, n - m)) < 1e-12
-        for c in (1, 2, 5, 20, 64):
+        for c in (1, 2, 5, 20, 64, 1100):
             ok &= abs(clustering_mixture_total(c) - 1.0) < 1e-12
         for emp in (0.0, 0.15):
             for (s, m, u, d) in [(1, 10, 10, 0.2), (7, 60, 40, 0.05), (25, 100, 30, 0.01)]:

@@ -136,9 +136,16 @@ class TestMassAccounting:
     def test_compression_mixture_is_probability(self, m, u):
         assert abs(compression_mixture_log_total(m, u)) < 1e-12
 
-    @pytest.mark.parametrize("c", [1, 2, 7, 50])
+    @pytest.mark.parametrize("c", [1, 2, 7, 50, 1024, 1100, 5000])
     def test_clustering_mixture_exactly_one(self, c):
         assert abs(clustering_mixture_total(c) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("c", [2, 50, 1100])
+    def test_clustering_mixture_catches_a_wrong_charge(self, c, monkeypatch):
+        # a prior charging tau nats per cluster, not tau ln 2, has mass (2/e)^tau / c
+        monkeypatch.setattr(ClusteringPrior, "log_inverse_mass",
+                            lambda self, tau: clustering_complexity(tau, self.c, variant="printed"))
+        assert abs(clustering_mixture_total(c) - 1.0) > 0.3
 
     def test_clustering_prior_mass(self):
         prior = ClusteringPrior(c=10, k_ensemble=2)
