@@ -31,29 +31,35 @@ _LGAMMA_SAFE_N = 20000
 
 # Largest m*u whose worst-case-tail envelope is built.  The build works
 # through about m*u/2 deviation pairs, block by block, so its time grows as
-# m*u while its memory stays small: one variant took 0.33 s at m = u = 2000,
-# 1.5 s at 4000 and 4.8 s at 7000 (a 2-vCPU x86-64 machine), and building
-# both variants at 7000 peaked at 109 MB resident for the whole process.
-# Skewed shapes build about twice as slowly per pair: at the cap, one cold
-# variant took 4.3-4.4 s at m = u = 7000 but 7.8-8.4 s at (m, u) =
-# (500, 99 500) and 8.2-8.7 s at (250, 199 750) (time.perf_counter, same
-# machine).  So the cap keeps one build within about 9 s, and within 5 s
-# only for m near u.
+# m*u while its memory stays small.  One pass builds both variants: it took
+# 0.20 s at m = u = 2000, 2.6 s at 7000 and 6.0 s at (m, u) = (500, 99 500),
+# where the absolute variant alone took 0.15 s, 1.9 s and 4.1 s (one cold
+# build per process, time.perf_counter, a 2-vCPU x86-64 machine in a quiet
+# phase; other tenants slowed it up to 2x at times); both variants at 7000
+# peaked at 109 MB resident for the whole process.  Skewed shapes build
+# more slowly per pair, (250, 199 750) 1.14 times as long as (500, 99 500),
+# so the cap keeps a cold build within about 7 s, and within 3 s only for
+# m near u.
 MAX_ENVELOPE_MU = 50_000_000
 
 # Largest m + u whose envelope is built.  The log-pmf error grows with n (as
 # about n ln n ulps): against 40-digit arithmetic, the largest over sampled
 # (k, r) was 4.1e-11 at m = u = 5000, 2.2e-10 at (m, u) = (1000, 49 000),
 # 3.7e-10 at (10, 99 990), 7.0e-10 at (10, 199 990) and 3.6e-9 at (10, 10**6),
-# so the cap holds it below 1e-9.  The envelope keeps about one change point
-# per k (24 bytes each, 32 shapes cached); with m <= 10 a build at the cap
-# took under 0.5 s on the machine above.
+# so the cap holds it below 1e-9.  An envelope keeps about one change point
+# per k (24 bytes each; 16 shapes cached, both variants each); with m <= 10
+# a build of both variants at the cap took 0.7-0.8 s on the machine above.
 MAX_ENVELOPE_N = 200_000
 
 # Fewest rows of k per block of the envelope build (a row holds at most
-# m*u/(m+u) + 1 cells).  At m = u = 2000, 32 rows built about 20 % slower
-# and 128 rows doubled the build's peak memory.
+# m*u/(m+u) + 1 cells).  Building both variants at m = u = 2000, 32 rows
+# took about 20 % longer than 64 (0.24 s against 0.20 s), and 128 rows
+# raised the tracemalloc peak from 7.3 MB to 18.9 MB.
 _BLOCK_ROWS = 64
+
+# Cells per row segment that ``_merge`` tests at once, against its floor at
+# the segment's first cell, before the exact test of each cell left.
+_SEGMENT = 16
 
 
 @dataclass(frozen=True)
@@ -121,12 +127,12 @@ def _log_pmf(log_fact, n: int, m: int, k, r):
 
 @lru_cache(maxsize=4096)
 def _log_factorial(j: int) -> float:
-    """ln j!, the same ``gammaln`` value ``_envelope`` tabulates; repeated calls reuse it."""
+    """ln j!, the same ``gammaln`` value ``_envelopes`` tabulates; repeated calls reuse it."""
     return float(gammaln(j + 1))
 
 
 def _gammaln_factorial(j):
-    """ln j! elementwise: the ``gammaln`` value ``_envelope`` tabulates, without the table."""
+    """ln j! elementwise: the ``gammaln`` value ``_envelopes`` tabulates, without the table."""
     return gammaln(j + 1)
 
 
@@ -147,37 +153,35 @@ def deviation_tail(eps: float, spec: HypergeomSpec) -> float:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     k = np.array([[spec.k]], dtype=np.int64)
-    neg, log_tail, _ = _block(spec.m, spec.u, "absolute", k, _gammaln_factorial)
+    neg, log_tail, keep = _pairs(spec.m, spec.u, k, _gammaln_factorial)
+    neg, log_tail = neg[keep], log_tail[keep]
     j = int(np.searchsorted(neg, -eps, side="left"))
     return math.exp(log_tail[j - 1]) if j else 0.0
 
 
-def _block(m: int, u: int, variant: str, k: np.ndarray, log_fact):
-    """(-d, L, k) for every pair (k, r) with positive deviation d, k over the column ``k``.
+def _pairs(m: int, u: int, k: np.ndarray, log_fact):
+    """(-d, L, keep) over the pairs (k, r), k over the column ``k``: the pair kernel.
 
-    The pairs sit in one 2-D array, a row per k over r = max(k-u, 0), ...,
-    as wide as the longest positive-deviation prefix r < k*m/(m+u) among the
-    rows; the deviation (k-r)/u - r/m is strictly decreasing in r, so every
-    tail {deviation > eps >= 0} is such a prefix.  L is the row's cumulative
-    log-tail, from ``log_fact(j) = ln j!`` and one ``logaddexp.accumulate``
-    along the rows, so every value has the bits the same expressions give on
-    one row at a time.  Pad cells sit after each row's prefix and are
-    dropped; the flat results run in (k, r) order.  ``relative`` scales d by
-    sqrt((m+u)/k).
+    The pairs sit in 2-D arrays, a row per k over r = max(k-u, 0), ..., as
+    wide as the longest positive-deviation prefix r < k*m/(m+u) among the
+    rows; the deviation d = (k-r)/u - r/m is strictly decreasing in r, so
+    every tail {deviation > eps >= 0} is such a prefix.  L is the row's
+    cumulative log-tail, from ``log_fact(j) = ln j!`` and one
+    ``logaddexp.accumulate`` along the rows, so every value has the bits the
+    same expressions give on one row at a time.  ``keep`` marks the cells
+    with d > 0; the pad cells after each row's prefix are not.
     """
     n = m + u
     lo = np.maximum(k - u, 0)
     width = int((-(-k * m // n) - lo).max())  # ceil(k*m/n) - lo pairs in the longest prefix
     r = lo + np.arange(width, dtype=np.int64)
     neg = -((k - r) / u - r / m)
-    if variant == "relative":
-        neg = neg * np.sqrt(n / k)
     # rounding only shortens a prefix: a computed deviation is never positive
     # where the exact one is not
     keep = neg < 0
     log_pmf = _log_pmf(log_fact, n, m, k, np.where(keep, r, lo))
     tail = np.logaddexp.accumulate(np.where(keep, log_pmf, -np.inf), axis=1)
-    return neg[keep], tail[keep], np.broadcast_to(k, keep.shape)[keep]
+    return neg, tail, keep
 
 
 def _change_points(neg, log_tail, ks, n: int):
@@ -205,18 +209,48 @@ def _change_points(neg, log_tail, ks, n: int):
     return neg[change], best[change], ks[change]
 
 
-@lru_cache(maxsize=32)
-def _envelope(m: int, u: int, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The worst-case-over-k tail as a step function of the threshold.
+def _merge(kept, neg, log_tail, keep, k, n: int):
+    """``kept`` change points with a block of ``_pairs`` cells (k above all of kept's) merged in.
+
+    A cell never shows if its L is no higher than the kept envelope at its
+    -d (a kept point of smaller k attains at least as much there) or lower
+    than the block's last row at its -d (a cell of that row beats it
+    wherever it counts), so only the other cells are merged.  Along a row
+    -d rises and that floor never falls, so a whole ``_SEGMENT``-cell row
+    segment is first tested against the floor at its first cell, and only
+    the cells it leaves get the exact test.
+    """
+    # The floor at -d is the running max over the breakpoints of both step
+    # functions up to -d (both are sorted runs: a stable sort merges them);
+    # the last row's L is taken one float lower, so that a tie keeps the cell.
+    at = np.concatenate((kept[0], neg[-1][keep[-1]]))
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    floor = np.concatenate((kept[1], np.nextafter(log_tail[-1][keep[-1]], -np.inf)))[order]
+    floor = np.r_[-np.inf, np.maximum.accumulate(floor)]  # floor[i]: at -d in [at[i-1], at[i])
+    seg = floor[np.searchsorted(at, neg[:, ::_SEGMENT], side="right")]
+    live = keep & (log_tail > np.repeat(seg, _SEGMENT, axis=1)[:, :neg.shape[1]])
+    neg, log_tail, ks = neg[live], log_tail[live], np.broadcast_to(k, live.shape)[live]
+    live = log_tail > floor[np.searchsorted(at, neg, side="right")]
+    block = (neg[live], log_tail[live], ks[live])
+    return _change_points(*map(np.concatenate, zip(kept, block)), n)
+
+
+@lru_cache(maxsize=16)
+def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
+    """The worst-case-over-k tail of each of ``variants``, as a step function of the threshold.
 
     Every pair (k >= 1, r) with positive (scaled) deviation d contributes
     its cumulative log-tail L, the log of Pr{deviation > eps} for eps just
     below d.  The worst case at eps is the largest L over pairs with
     d > eps.  Only its change points are kept, as arrays (-d ascending, L,
-    smallest k attaining L), merged block by block of ascending k
-    (``_block``), so memory stays O(_BLOCK_ROWS * min(m, u) + change points).
-    ``relative`` scales the deviation by sqrt((m+u)/k).  Steps whose tails
-    underflow (exp(L) = 0) are kept for ``epsilon_star``'s log-space rule.
+    smallest k attaining L), keyed by variant.  One pass over blocks of
+    ascending k computes each block's pairs once (``_pairs``) and merges
+    them into every variant's change points (``_merge``), so memory stays
+    O(_BLOCK_ROWS * min(m, u) + change points).  ``relative`` scales the
+    deviation by sqrt((m+u)/k), which keeps the same cells and L.  Steps
+    whose tails underflow (exp(L) = 0) are kept for ``epsilon_star``'s
+    log-space rule.
 
     L sums ``gammaln`` table values, whose cancellation grows with n, so the
     log-tails are held to an absolute error of 1e-9 (measured at
@@ -231,19 +265,18 @@ def _envelope(m: int, u: int, variant: str) -> tuple[np.ndarray, np.ndarray, np.
                          f"{m * u} (limit {MAX_ENVELOPE_MU}), m+u = {n} (limit {MAX_ENVELOPE_N})")
     table = gammaln(np.arange(1, n + 2, dtype=np.float64))  # table[j] = ln j!
     width = m * u // n + 1  # no row's positive-deviation prefix is longer
-    kept = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+    empty = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+    kept = dict.fromkeys(variants, empty)
     k0 = 1
     while k0 <= n:
-        # A block has at least as many cells as there are kept points, so
+        # A block has at least as many cells as any variant keeps points, so
         # merging them in costs no more than the block itself.
-        rows = max(_BLOCK_ROWS, len(kept[0]) // width)
+        rows = max(_BLOCK_ROWS, max(len(e[0]) for e in kept.values()) // width)
         k = np.arange(k0, min(k0 + rows, n + 1), dtype=np.int64)[:, None]
-        neg, log_tail, ks = _block(m, u, variant, k, table.__getitem__)
-        # A pair whose L is no higher than the kept envelope at its deviation
-        # never shows: a kept point of smaller k attains at least as much there.
-        live = log_tail > np.r_[-np.inf, kept[1]][np.searchsorted(kept[0], neg, side="right")]
-        block = (neg[live], log_tail[live], ks[live])
-        kept = _change_points(*map(np.concatenate, zip(kept, block)), n)
+        neg, log_tail, keep = _pairs(m, u, k, table.__getitem__)
+        for variant, env in kept.items():
+            scaled = neg * np.sqrt(n / k) if variant == "relative" else neg
+            kept[variant] = _merge(env, scaled, log_tail, keep, k, n)
         k0 += rows
     return kept
 
@@ -259,7 +292,7 @@ def gamma(eps: float, m: int, u: int, variant: str = "absolute") -> float:
         raise ValueError("eps must be nonnegative")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    neg, log_tail, _ = _envelope(m, u, variant)
+    neg, log_tail, _ = _envelopes(m, u, VARIANTS)[variant]
     j = int(np.searchsorted(neg, -eps, side="left"))
     return math.exp(log_tail[j - 1]) if j else 0.0
 
@@ -283,17 +316,19 @@ def epsilon_star(prior_mass: float, delta: float, m: int, u: int,
     """
     if not 0.0 < prior_mass <= 1.0:
         raise ValueError(f"prior_mass must be in (0, 1], got {prior_mass}")
-    return _epsilon_star(_log_inverse(prior_mass), delta, m, u, variant, prior_mass)
-
-
-def _epsilon_star(log_inv_p: float, delta: float, m: int, u: int, variant: str,
-                  prior_mass: float | None = None) -> EpsilonStar:
-    """``epsilon_star`` at ln(1/p) = ``log_inv_p``, with p = exp(-ln(1/p)) unless given."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    neg, log_tail, ks = _envelope(m, u, variant)
+    return _epsilon_star(_log_inverse(prior_mass), delta, _envelopes(m, u, VARIANTS)[variant],
+                         variant, prior_mass)
+
+
+def _epsilon_star(log_inv_p: float, delta: float, envelope, variant: str,
+                  prior_mass: float | None = None) -> EpsilonStar:
+    """``epsilon_star`` at ln(1/p) = ``log_inv_p`` on ``variant``'s envelope from ``_envelopes``,
+    with p = exp(-ln(1/p)) unless given; delta must be in (0, 1)."""
+    neg, log_tail, ks = envelope
     level = (math.exp(-log_inv_p) if prior_mass is None else prior_mass) * delta
     if level >= np.finfo(float).tiny:  # the smallest normal float
         j = bisect_right(log_tail, level, key=math.exp)

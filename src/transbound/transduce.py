@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
-from .hypergeom import _epsilon_star
+from .hypergeom import _envelopes, _epsilon_star
 from .pac_bayes import det_raw
 from .priors import ClusteringPrior, clustering_bound
 from .records import BoundValue
@@ -213,7 +213,8 @@ def _tau_bound(bound_name: str, tau: int, prior: ClusteringPrior, m: int, u: int
         return functools.partial(det_raw, "direct", log_inv_p=prior.log_inverse_mass(tau),
                                  m=m, u=u, delta=delta)
     if bound_name == "vapnik_absolute":
-        excess = _epsilon_star(prior.log_inverse_mass(tau), delta, m, u, "absolute").value
+        envelope = _envelopes(m, u, ("absolute",))["absolute"]
+        excess = _epsilon_star(prior.log_inverse_mass(tau), delta, envelope, "absolute").value
     else:
         variant = bound_name.removeprefix("serfling_")
         excess = clustering_bound(0.0, tau, prior.c, m, u, delta, prior.k_ensemble, variant).raw

@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from transbound import hypergeom
 from transbound.transduce import Dataset, LabeledSubset
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
@@ -17,3 +18,17 @@ def two_blob():
     labeled = LabeledSubset(indices=rows[:, 0], labels=rows[:, 1])
     truth = np.where(np.arange(len(pts)) % 2 == 0, 1, -1)
     return data, labeled, truth
+
+
+@pytest.fixture
+def envelope_work(monkeypatch):
+    """Calls of ``hypergeom``'s pair kernel and per-variant merge, from a cold envelope cache."""
+    calls = {"_pairs": 0, "_merge": 0}
+    for name in calls:
+        def counted(*args, kernel=getattr(hypergeom, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(hypergeom, name, counted)
+    hypergeom._envelopes.cache_clear()
+    yield calls
+    hypergeom._envelopes.cache_clear()

@@ -37,10 +37,13 @@ def _ref_canonical_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ref_kmeans_labels(points: np.ndarray, tau: int, evals: list | None = None) -> np.ndarray:
+def _ref_kmeans_labels(points: np.ndarray, tau: int, evals: list | None = None,
+                       repairs: list | None = None) -> np.ndarray:
     """Lloyd's algorithm with farthest-first seeding, fully deterministic.
 
-    Appends to ``evals`` the number of point-center distances each step computes.
+    Appends to ``evals`` the number of point-center distances each step
+    computes, and to ``repairs`` the Lloyd iteration (0 for the first) of
+    each empty-cluster repair.
     """
     n = len(points)
     if tau == 1:
@@ -59,7 +62,7 @@ def _ref_kmeans_labels(points: np.ndarray, tau: int, evals: list | None = None) 
     centers = points[seeds].astype(float).copy()
 
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(KMEANS_MAX_ITER):
+    for it in range(KMEANS_MAX_ITER):
         dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         evals.append(dists.size)
         labels = np.argmin(dists, axis=1).astype(np.int64)
@@ -70,6 +73,8 @@ def _ref_kmeans_labels(points: np.ndarray, tau: int, evals: list | None = None) 
                 members = np.flatnonzero(labels == big)
                 far = members[int(np.argmax(dists[members, big]))]
                 labels[far] = j
+                if repairs is not None:
+                    repairs.append(it)
         new_centers = np.stack([points[labels == j].mean(axis=0) for j in range(tau)])
         moved = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
@@ -307,6 +312,18 @@ class TestPrunedKmeans:
         for points, taus in ((dup, (6, 9, 12)), (ints, (2, 5, 11))):
             for tau in taus:
                 _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+
+    @pytest.mark.parametrize("seed,tau", [(0, 7), (332, 6)])
+    def test_repair_after_the_first_iteration_matches_reference(self, seed, tau):
+        # 40 copies of 4 points, more clusters than points: clusters empty in
+        # later Lloyd iterations too, while bounds are kept, so a repaired
+        # point carries bounds made for the cluster it left
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(4, 2))[rng.integers(0, 4, size=40)]
+        repairs = []
+        want = _ref_kmeans_labels(points, tau, repairs=repairs)
+        assert max(repairs) >= 1
+        _assert_same(kmeans_labels(points, tau), want)
 
     @pytest.mark.parametrize("d", [1, 2, 8])
     @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e153, 1e154, 1e300])

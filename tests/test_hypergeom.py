@@ -1,8 +1,10 @@
 """Exact-tail machinery checked against brute-force split enumeration."""
 
+import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -45,10 +47,11 @@ def brute_tail(eps, m, u, k):
     return Fraction(hits, total)
 
 
+@functools.cache
 def _ref_envelope(m, u, variant):
     """The single-sort envelope build: every positive-deviation pair, one argsort.
 
-    Kept as the reference the block-by-block ``hypergeom._envelope`` must
+    Kept as the reference the block-by-block ``hypergeom._envelopes`` must
     equal bit for bit.
     """
     n = m + u
@@ -198,16 +201,26 @@ class TestDeviationTail:
         with pytest.raises(ValueError):
             deviation_tail(-0.1, HypergeomSpec(2, 2, 1))
 
+    @pytest.mark.parametrize("m,u", [(1, 1), (3, 7), (50, 13)])
+    def test_no_scale_at_either_end(self, m, u):
+        # k = 0 and k = m + u leave no positive deviation; reading the row
+        # must form no sqrt((m+u)/k), where k = 0 would give 0 * inf = NaN
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for k in (0, m + u):
+                for eps in (0.0, 0.5, 2.0):
+                    assert deviation_tail(eps, HypergeomSpec(m, u, k)) == 0.0
+
     @pytest.mark.parametrize("m,u", [(1, 1), (3, 7), (20, 20), (50, 13), (90, 150)])
     def test_equals_the_tabulated_row_on_every_k(self, m, u):
         # deviation_tail reads gammaln of its row's own arguments; the envelope's
         # pairs read the same values from a table of m + u + 2 entries
         table = gammaln(np.arange(1, m + u + 2, dtype=np.float64))
-        neg, log_tail, ks = hypergeom._block(m, u, "absolute", np.arange(m + u + 1)[:, None],
-                                             table.__getitem__)
+        neg, log_tail, keep = hypergeom._pairs(m, u, np.arange(m + u + 1)[:, None],
+                                               table.__getitem__)
         for k in range(m + u + 1):
             spec = HypergeomSpec(m, u, k)
-            row, tail = neg[ks == k], log_tail[ks == k]
+            row, tail = neg[k][keep[k]], log_tail[k][keep[k]]
             dev = -row
             for eps in [0.0, *dev[::4], *np.nextafter(dev, -1.0)[::4]]:
                 j = int(np.searchsorted(row, -eps, side="left"))
@@ -362,11 +375,15 @@ class TestEnvelopeReference:
         # every shape then spans several blocks: equal deviations fall into
         # different blocks, and ties in L across blocks decide achieving_k
         monkeypatch.setattr(hypergeom, "_BLOCK_ROWS", rows)
-        hypergeom._envelope.cache_clear()
+        hypergeom._envelopes.cache_clear()
         try:
             self.test_bit_identical(m, u, variant)
         finally:
-            hypergeom._envelope.cache_clear()
+            hypergeom._envelopes.cache_clear()
+
+
+def _same_bits(got, want):
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestEnvelopeBlocks:
@@ -374,24 +391,29 @@ class TestEnvelopeBlocks:
 
     @pytest.mark.parametrize("variant", ["absolute", "relative"])
     @pytest.mark.parametrize("m,u", [(250, 250), (500, 125), (125, 500), (97, 131),
-                                     (1000, 1000)])
-    def test_equals_the_single_sort_build(self, m, u, variant):
-        hypergeom._envelope.cache_clear()
-        got = hypergeom._envelope(m, u, variant)
-        for a, b in zip(got, _ref_envelope(m, u, variant)):
-            assert np.array_equal(a, b)
+                                     (1000, 1000), (1, 1), (1, 7), (7, 1), (2, 300)])
+    def test_equals_the_single_sort_build(self, m, u, variant, monkeypatch):
+        # the variant alone, as transduce asks for it, and next to the other
+        # variant in one pass, in the default blocks and in blocks of 1 and 3
+        want = _ref_envelope(m, u, variant)
+        for rows in (hypergeom._BLOCK_ROWS, 1, 3):
+            monkeypatch.setattr(hypergeom, "_BLOCK_ROWS", rows)
+            hypergeom._envelopes.cache_clear()
+            assert _same_bits(hypergeom._envelopes(m, u, (variant,))[variant], want)
+            assert _same_bits(hypergeom._envelopes(m, u, hypergeom.VARIANTS)[variant], want)
+        hypergeom._envelopes.cache_clear()
 
-    @pytest.mark.parametrize("variant", ["absolute", "relative"])
-    def test_cold_build_memory(self, variant):
-        # the single sort peaked at 31-34 MB here; blocks of k need a few MB
-        hypergeom._envelope.cache_clear()
+    def test_cold_build_memory(self):
+        # the single sort peaked at 31-34 MB per variant here; one pass over
+        # blocks of k builds both variants in a few MB
+        hypergeom._envelopes.cache_clear()
         tracemalloc.start()
         try:
-            hypergeom._envelope(1000, 1000, variant)
+            hypergeom._envelopes(1000, 1000, hypergeom.VARIANTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            hypergeom._envelope.cache_clear()
+            hypergeom._envelopes.cache_clear()
         assert peak <= 12 * 2**20
 
     def test_log_pmf_accuracy_at_n_50000(self):
@@ -412,6 +434,16 @@ class TestEnvelopeBlocks:
                 got = hypergeom._log_pmf(table.__getitem__, n, m, k, r)
                 worst = max(worst, abs(float(mpmath.mpf(float(got)) - want)))
         assert worst <= 2.5e-10
+
+
+def test_one_pair_pass_serves_both_variants(envelope_work, monkeypatch):
+    monkeypatch.setattr(hypergeom, "_BLOCK_ROWS", 8)
+    epsilon_star(0.1, 0.05, 61, 47, "relative")
+    blocks = envelope_work["_pairs"]
+    assert blocks > 1 and envelope_work["_merge"] == 2 * blocks
+    epsilon_star(0.1, 0.05, 61, 47, "absolute")
+    gamma(0.2, 61, 47, "relative")
+    assert envelope_work == {"_pairs": blocks, "_merge": 2 * blocks}
 
 
 class TestLogSpaceInversion:

@@ -292,6 +292,13 @@ class TestTransduce:
         assert (cert.predictions == truth[cert.test_ids]).all()
         assert cert.bound.raw < 0.5
 
+    def test_vapnik_absolute_builds_no_relative_envelope(self, two_blob, envelope_work):
+        # one merge per block of pairs: the relative variant is never merged
+        data, labeled, _ = two_blob
+        transduce(data, labeled, TransduceConfig(("kmeans",), c=10, delta=0.05,
+                                                 bound_name="vapnik_absolute"))
+        assert envelope_work["_pairs"] > 0 and envelope_work["_merge"] == envelope_work["_pairs"]
+
     def test_duplicate_ensemble_same_choice_larger_bound(self, two_blob):
         data, labeled, _ = two_blob
         one = transduce(data, labeled, TransduceConfig(("kmeans",), c=10, delta=0.05))
