@@ -403,18 +403,20 @@ class TestEnvelopeBlocks:
             assert _same_bits(hypergeom._envelopes(m, u, hypergeom.VARIANTS)[variant], want)
         hypergeom._envelopes.cache_clear()
 
-    def test_cold_build_memory(self):
+    @pytest.mark.parametrize("variant", ["absolute", "relative"])
+    def test_cold_build_memory(self, variant):
         # the single sort peaked at 31-34 MB per variant here; one pass over
-        # blocks of k builds both variants in a few MB
-        hypergeom._envelopes.cache_clear()
-        tracemalloc.start()
-        try:
-            hypergeom._envelopes(1000, 1000, hypergeom.VARIANTS)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # blocks of k builds the variant alone, or both variants, in a few MB
+        for variants in ((variant,), hypergeom.VARIANTS):
             hypergeom._envelopes.cache_clear()
-        assert peak <= 12 * 2**20
+            tracemalloc.start()
+            try:
+                hypergeom._envelopes(1000, 1000, variants)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                hypergeom._envelopes.cache_clear()
+            assert peak <= 12 * 2**20, variants
 
     def test_log_pmf_accuracy_at_n_50000(self):
         # MAX_ENVELOPE_N's comment gives 2.2e-10 here, the largest error over
