@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 from scipy.special import gammaln
-import mpmath
 
 from .records import BoundValue
 
@@ -113,6 +112,8 @@ def log_binomial(n: int, r: int) -> float:
         return 0.0
     if n <= _LGAMMA_SAFE_N:
         return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+    import mpmath  # about 30 ms of import time, paid only on this branch
+
     with mpmath.workdps(30):
         v = mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)
         return float(v)

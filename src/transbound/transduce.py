@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import functools
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
 from .hypergeom import _envelopes, _epsilon_star
@@ -179,18 +180,36 @@ def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
     return partitions
 
 
-def _votes(partition: Partition, row, point, positive, rows: int):
-    """Per (mask row, cluster): is the majority of the training pairs (row, point) +1?
+# Every summand of a count product is 0 or 1, so a float product returns the
+# exact integer in any summation order and with any BLAS thread count while the
+# count fits the mantissa.  Counts never exceed the sample size: float32 is
+# exact below 2**24 points, float64 below 2**53.
+_FLOAT32_COUNTS_BELOW = 1 << 24
 
-    Also returns each row's training errors.  Ties and clusters containing no
-    training point get +1.
+
+def _count_dtype(n: int):
+    """Float dtype whose products of 0/1 matrices count up to n ones exactly."""
+    return np.float32 if n < _FLOAT32_COUNTS_BELOW else np.float64
+
+
+def _cluster_counts(weights: np.ndarray, positive: np.ndarray, partition: Partition):
+    """Training points per (cluster, mask row) with label -1 and with label +1.
+
+    ``weights`` holds the masks as (n, rows) columns in ``_count_dtype(n)``;
+    ``positive`` flags the ids whose target is +1.  One product of the
+    partition's sparse (sign, cluster) indicator rows with the mask columns
+    gives both (tau, rows) count arrays, at a cost that does not grow with
+    tau.
     """
-    tau = partition.tau
-    counts = np.bincount((row * tau + partition.assignment[point]) * 2 + positive,
-                         minlength=2 * rows * tau).reshape(rows, tau, 2)
-    neg, pos = counts[..., 0], counts[..., 1]
-    label_pos = pos >= neg
-    return label_pos, np.where(label_pos, neg, pos).sum(axis=1)
+    tau, n = partition.tau, len(positive)
+    # int32 indices, where they fit, spare scipy a scan for the index dtype:
+    # half of the indicator's cost on one mask
+    index = np.int32 if 2 * max(tau, n) <= np.iinfo(np.int32).max else np.int64
+    indicator = csc_matrix((np.ones(n, dtype=weights.dtype),
+                            (partition.assignment + tau * positive).astype(index),
+                            np.arange(n + 1, dtype=index)), shape=(2 * tau, n))
+    counts = indicator @ weights
+    return counts[:tau], counts[tau:]
 
 
 def majority_label(partition: Partition, labeled: LabeledSubset) -> np.ndarray:
@@ -202,8 +221,13 @@ def majority_label(partition: Partition, labeled: LabeledSubset) -> np.ndarray:
     """
     if labeled.indices.max() >= len(partition.assignment):
         raise ValueError("training ids outside the partitioned sample")
-    label_pos, _ = _votes(partition, 0, labeled.indices, labeled.labels == 1, 1)
-    return np.where(label_pos[0], 1, -1)[partition.assignment]
+    n = len(partition.assignment)
+    weights = np.zeros((n, 1), dtype=_count_dtype(n))
+    weights[labeled.indices] = 1
+    positive = np.zeros(n, dtype=bool)
+    positive[labeled.indices] = labeled.labels == 1
+    neg, pos = _cluster_counts(weights, positive, partition)
+    return np.where(pos[:, 0] >= neg[:, 0], 1, -1)[partition.assignment]
 
 
 def _tau_bound(bound_name: str, tau: int, prior: ClusteringPrior, m: int, u: int,
@@ -223,28 +247,39 @@ def _tau_bound(bound_name: str, tau: int, prior: ClusteringPrior, m: int, u: int
 
 @dataclass(frozen=True, eq=False)
 class Selection:
-    """The smallest-bound hypothesis under each training mask of a batch."""
+    """The smallest-bound hypothesis under each training mask of a batch.
+
+    A mask on which every candidate's bound is +inf or NaN has no winner: it
+    keeps tau = 0, clusterer id 0, empirical risk 0, bound +inf and +1 labels.
+    """
 
     tau: np.ndarray
     clusterer_id: np.ndarray
     emp_risk: np.ndarray
     bound: np.ndarray  # raw bound
-    labels: np.ndarray  # (masks, n) int8: the chosen hypothesis's +-1 label per id
+    labels: np.ndarray  # (masks, n) int8: the winner's +-1 majority label per id
     c: int
     k_ensemble: int
 
 
 def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.ndarray,
                      delta: float, bound_name: str = "serfling_printed") -> Selection:
-    """Label every partition by majority vote under each mask; keep the smallest bound.
+    """Score every partition by majority vote under each mask; keep the smallest bound.
 
     ``masks`` is a (batch, n) boolean array holding one training set of a
     common size m per row; of the +-1 ``target`` only the entries under a
     mask are read.  The prior's cluster budget is the largest tau present and
     its ensemble size is the number of distinct clusterers, so the guarantee
     presumes the given sequence is the full sweep.  Each tau's complexity
-    term is computed once for all clusterers, and ties break toward smaller
-    tau, then smaller clusterer id.
+    term is computed once for all clusterers.
+
+    A scoring pass fills a table of empirical risk and raw bound per
+    (candidate, mask) from exact per-(mask, cluster, sign) training counts,
+    one sparse indicator product per partition.  The winner of a mask is its
+    first candidate, in (tau, clusterer id) order, whose bound is below every
+    earlier one and below +inf, so ties break toward smaller tau, then
+    smaller clusterer id, and a NaN bound never wins.  Labels are then
+    computed for the winners only.
     """
     if bound_name not in BOUND_NAMES:
         raise ValueError(f"unknown bound {bound_name!r}")
@@ -264,24 +299,34 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     bound_of = {tau: _tau_bound(bound_name, tau, prior, m, n - m, delta)
                 for tau in sorted({p.tau for p in partitions})}
 
-    row, point = np.nonzero(masks)
-    positive = np.asarray(target)[point] == 1
-    best = Selection(tau=np.zeros(rows, dtype=np.int64),
-                     clusterer_id=np.zeros(rows, dtype=np.int64),
-                     emp_risk=np.zeros(rows), bound=np.full(rows, np.inf),
-                     labels=np.ones((rows, n), dtype=np.int8), c=c,
-                     k_ensemble=prior.k_ensemble)
-    for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
-        label_pos, errors = _votes(p, row, point, positive, rows)
-        emp = errors / m
-        bound = bound_of[p.tau](emp)
-        better = bound < best.bound
-        best.tau[better] = p.tau
-        best.clusterer_id[better] = p.clusterer_id
-        best.emp_risk[better] = emp[better]
-        best.bound[better] = bound[better]
-        best.labels[better] = np.where(label_pos[better], np.int8(1), np.int8(-1))[:, p.assignment]
-    return best
+    candidates = sorted(partitions, key=lambda p: (p.tau, p.clusterer_id))
+    weights = np.ascontiguousarray(masks.T).astype(_count_dtype(n))
+    positive = np.asarray(target) == 1
+    emp = np.empty((len(candidates), rows))
+    bound = np.empty((len(candidates), rows))
+    for j, p in enumerate(candidates):
+        neg, pos = _cluster_counts(weights, positive, p)
+        emp[j] = np.minimum(neg, pos).sum(axis=0, dtype=np.float64) / m
+        bound[j] = bound_of[p.tau](emp[j])
+
+    key = np.where(np.isnan(bound), np.inf, bound)
+    win = key.argmin(axis=0)
+    every = np.arange(rows)
+    found = key[win, every] < np.inf
+    labels = np.ones((rows, n), dtype=np.int8)
+    for j in np.unique(win[found]):
+        p = candidates[j]
+        at = found & (win == j)
+        neg, pos = _cluster_counts(weights.compress(at, axis=1), positive, p)
+        labels[at] = np.where(pos >= neg, np.int8(1), np.int8(-1)).T[:, p.assignment]
+    return Selection(
+        tau=np.where(found, np.array([p.tau for p in candidates], dtype=np.int64)[win], 0),
+        clusterer_id=np.where(found, np.array([p.clusterer_id for p in candidates],
+                                              dtype=np.int64)[win], 0),
+        emp_risk=np.where(found, emp[win, every], 0.0),
+        bound=np.where(found, bound[win, every], np.inf),
+        labels=labels, c=c, k_ensemble=prior.k_ensemble,
+    )
 
 
 def select_by_bound(partitions: list[Partition], labeled: LabeledSubset, delta: float,

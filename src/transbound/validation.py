@@ -34,7 +34,14 @@ from .concentration import (
 )
 from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, hypergeom_pmf
 from .pac_bayes import det_raw, gibbs_raw, kl_divergence
-from .transduce import ALGORITHMS, BOUND_NAMES, Dataset, ensemble_sweep, label_and_select
+from .transduce import (
+    ALGORITHMS,
+    BOUND_NAMES,
+    Dataset,
+    _count_dtype,
+    ensemble_sweep,
+    label_and_select,
+)
 
 SCENARIOS = (
     "vapnik_absolute",
@@ -579,22 +586,26 @@ def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> F
     )
 
 
-# trials x n_total mask cells converted to int64 per product in ``_risks``
-# (32 MB).  Converting all the masks at once took 400 MB of a 505 MB peak at
-# 2500 trials x 20 000; chunks of 1 << 17 cells cost the 10**4-trial,
-# n_total = 40 scenarios a few ms each in allocation.
+# trials x n_total mask cells converted to the count dtype per product in
+# ``_risks`` (16 MB as float32).  Converting all the masks at once would hold
+# a float copy of every mask, 4 or 8 bytes per cell, next to the masks.
 _RISK_CELLS = 1 << 22
 
 
 def _risks(instance: FiniteHypothesisInstance, masks: np.ndarray):
-    """Training and test risks per (hypothesis, trial) from boolean masks."""
-    m = instance.m
-    u = instance.errors.shape[1] - m
-    step = max(1, _RISK_CELLS // masks.shape[1])
-    train_counts = np.empty((instance.errors.shape[0], masks.shape[0]), dtype=np.int64)
+    """Training and test risks per (hypothesis, trial) from boolean masks.
+
+    The training error counts are exact float BLAS products of the 0/1 error
+    and mask matrices (see ``transduce._count_dtype``).
+    """
+    n_hyp, n = instance.errors.shape
+    m, u = instance.m, n - instance.m
+    dtype = _count_dtype(n)
+    errors = instance.errors.astype(dtype)
+    step = max(1, _RISK_CELLS // n)
+    train_counts = np.empty((n_hyp, masks.shape[0]))
     for t in range(0, masks.shape[0], step):
-        np.matmul(instance.errors, masks[t:t + step].T.astype(np.int64),
-                  out=train_counts[:, t:t + step])
+        train_counts[:, t:t + step] = errors @ masks[t:t + step].T.astype(dtype)
     k = instance.errors.sum(axis=1, keepdims=True)
     r_m = train_counts / m
     r_u = (k - train_counts) / u

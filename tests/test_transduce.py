@@ -1,5 +1,6 @@
 """Cluster-then-label pipeline: determinism, vote rules, bound selection."""
 
+import importlib
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ from transbound.transduce import (
 )
 
 ALGOS = ["kmeans", "agglomerative_single", "agglomerative_complete"]
+# the package re-exports the function ``transduce`` under the module's name
+transduce_module = importlib.import_module("transbound.transduce")
 
 
 class TestRecords:
@@ -275,6 +278,171 @@ class TestLabelAndSelect:
             label_and_select(partitions, truth, masks, 0.05)
         with pytest.raises(ValueError):
             label_and_select(partitions, truth, np.ones((1, 100), dtype=bool), 0.05)
+
+
+def _ref_votes(partition, row, point, positive, rows):
+    """Per (mask row, cluster): is the majority of the training pairs (row, point) +1?
+
+    Also returns each row's training errors.  Ties and clusters containing no
+    training point get +1.
+    """
+    tau = partition.tau
+    counts = np.bincount((row * tau + partition.assignment[point]) * 2 + positive,
+                         minlength=2 * rows * tau).reshape(rows, tau, 2)
+    neg, pos = counts[..., 0], counts[..., 1]
+    label_pos = pos >= neg
+    return label_pos, np.where(label_pos, neg, pos).sum(axis=1)
+
+
+def _ref_label_and_select(partitions, target, masks, delta, bound_name):
+    """``label_and_select`` as a running best over one ``bincount`` per partition.
+
+    Every candidate that beats the best so far writes its labels, so the
+    kernel's argmin and winner-only labels must reproduce these bytes.
+    """
+    rows, n = masks.shape
+    m = int(masks[0].sum())
+    c = max(p.tau for p in partitions)
+    prior = ClusteringPrior(c=c, k_ensemble=len({p.clusterer_id for p in partitions}))
+    row, point = np.nonzero(masks)
+    positive = np.asarray(target)[point] == 1
+    best = transduce_module.Selection(
+        tau=np.zeros(rows, dtype=np.int64), clusterer_id=np.zeros(rows, dtype=np.int64),
+        emp_risk=np.zeros(rows), bound=np.full(rows, np.inf),
+        labels=np.ones((rows, n), dtype=np.int8), c=c, k_ensemble=prior.k_ensemble)
+    for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
+        label_pos, errors = _ref_votes(p, row, point, positive, rows)
+        emp = errors / m
+        bound = transduce_module._tau_bound(bound_name, p.tau, prior, m, n - m, delta)(emp)
+        better = bound < best.bound
+        best.tau[better] = p.tau
+        best.clusterer_id[better] = p.clusterer_id
+        best.emp_risk[better] = emp[better]
+        best.bound[better] = bound[better]
+        best.labels[better] = np.where(label_pos[better], np.int8(1), np.int8(-1))[:, p.assignment]
+    return best
+
+
+def _random_masks(rng, rows, n, m):
+    masks = np.zeros((rows, n), dtype=bool)
+    for row in masks:
+        row[rng.choice(n, size=m, replace=False)] = True
+    return masks
+
+
+def _assert_same_selection(got, want):
+    for field in ("tau", "clusterer_id", "emp_risk", "bound", "labels"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
+    assert (got.c, got.k_ensemble) == (want.c, want.k_ensemble)
+
+
+class TestScoreTable:
+    """``label_and_select`` keeps the bytes of the running-best reference."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        rng = np.random.default_rng(21)
+        pts = np.concatenate([rng.normal(size=(20, 2)), rng.normal(size=(20, 2)) + 3.0,
+                              rng.normal(size=(20, 2)) + [0.0, 6.0]])
+        data = Dataset(points=pts, ids=np.arange(60))
+        return ensemble_sweep(data, tuple(ALGOS), 7)
+
+    @pytest.mark.parametrize("bound_name", BOUND_NAMES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_masks(self, sweep, bound_name, seed):
+        rng = np.random.default_rng(seed)
+        target = np.where(rng.random(60) < 0.5, 1, -1)
+        # m = 1 leaves most clusters without a training point; direct needs m >= 2
+        for m in (2 if bound_name == "direct" else 1, 8, 30, 59):
+            masks = _random_masks(rng, 25, 60, m)
+            _assert_same_selection(label_and_select(sweep, target, masks, 0.05, bound_name),
+                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name))
+
+    @pytest.mark.parametrize("bound_name", BOUND_NAMES)
+    def test_a_partition_under_two_ids_ties(self, sweep, bound_name):
+        rng = np.random.default_rng(4)
+        target = np.where(rng.random(60) < 0.3, -1, 1)
+        twice = [q for p in sweep if p.clusterer_id == 1
+                 for q in (p, Partition(tau=p.tau, assignment=p.assignment, clusterer_id=3))]
+        masks = _random_masks(rng, 40, 60, 20)
+        got = label_and_select(twice, target, masks, 0.05, bound_name)
+        _assert_same_selection(got, _ref_label_and_select(twice, target, masks, 0.05, bound_name))
+        assert (got.clusterer_id == 1).all()
+
+    @pytest.mark.parametrize("m", [1, 59])
+    def test_a_single_mask(self, sweep, m):
+        rng = np.random.default_rng(m)
+        target = np.where(rng.random(60) < 0.4, -1, 1)
+        masks = _random_masks(rng, 1, 60, m)
+        want = _ref_label_and_select(sweep, target, masks, 0.05, "serfling_printed")
+        _assert_same_selection(label_and_select(sweep, target, masks, 0.05), want)
+        ids = np.flatnonzero(masks[0])
+        labeled = LabeledSubset(indices=ids, labels=target[ids])
+        for p in sweep:
+            label_pos, _ = _ref_votes(p, 0, ids, target[ids] == 1, 1)
+            assert np.array_equal(majority_label(p, labeled),
+                                  np.where(label_pos[0], 1, -1)[p.assignment])
+
+    def test_training_points_in_one_cluster(self, sweep):
+        # every mask draws from the first cluster of the tau = 7 k-means partition
+        part = next(p for p in sweep if (p.tau, p.clusterer_id) == (7, 0))
+        inside = np.flatnonzero(part.assignment == 0)
+        rng = np.random.default_rng(9)
+        masks = np.zeros((30, 60), dtype=bool)
+        for row in masks:
+            row[rng.choice(inside, size=3, replace=False)] = True
+        target = np.where(rng.random(60) < 0.5, -1, 1)
+        for bound_name in BOUND_NAMES:
+            _assert_same_selection(label_and_select(sweep, target, masks, 0.05, bound_name),
+                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name))
+
+    def test_nan_never_wins_and_no_winner_keeps_the_default(self, sweep, monkeypatch):
+        # by row % 3: no candidate below +inf; tau 1 wins; tau 3 wins after two
+        # NaN bounds.  Every other candidate scores +inf.
+        plain = transduce_module._tau_bound
+        phase = np.arange(30) % 3
+
+        def tau_bound(bound_name, tau, prior, m, u, delta):
+            bound = plain(bound_name, tau, prior, m, u, delta)
+            if tau == 1:
+                return lambda emp: np.where(phase == 1, bound(emp), np.nan)
+            if tau == 2:
+                return lambda emp: np.full(emp.shape, np.nan)
+            if tau == 3:
+                return lambda emp: np.where(phase == 2, bound(emp), np.inf)
+            return lambda emp: np.full(emp.shape, np.inf)
+
+        monkeypatch.setattr(transduce_module, "_tau_bound", tau_bound)
+        rng = np.random.default_rng(6)
+        target = np.where(rng.random(60) < 0.7, -1, 1)
+        masks = _random_masks(rng, 30, 60, 15)
+        got = label_and_select(sweep, target, masks, 0.05)
+        _assert_same_selection(got, _ref_label_and_select(sweep, target, masks, 0.05,
+                                                          "serfling_printed"))
+        assert (got.tau == np.array([0, 1, 3])[phase]).all()
+        assert (got.labels[phase == 0] == 1).all() and np.isinf(got.bound[phase == 0]).all()
+        assert (got.labels[phase == 1] == -1).any()
+
+    @pytest.mark.parametrize("below", [60, 61])
+    def test_either_count_dtype(self, sweep, monkeypatch, below):
+        # n = 60 points: float64 counts when the float32 limit is 60, float32 at 61
+        monkeypatch.setattr(transduce_module, "_FLOAT32_COUNTS_BELOW", below)
+        count_dtype, used = transduce_module._count_dtype, []
+        monkeypatch.setattr(transduce_module, "_count_dtype",
+                            lambda n: used.append(count_dtype(n)) or used[-1])
+        rng = np.random.default_rng(below)
+        target = np.where(rng.random(60) < 0.5, -1, 1)
+        masks = _random_masks(rng, 30, 60, 24)
+        for bound_name in BOUND_NAMES:
+            _assert_same_selection(label_and_select(sweep, target, masks, 0.05, bound_name),
+                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name))
+        assert used == [np.float64 if below == 60 else np.float32] * len(BOUND_NAMES)
+
+    def test_float32_counts_below_two_to_the_24(self):
+        assert transduce_module._count_dtype(2**24 - 1) == np.float32
+        assert transduce_module._count_dtype(2**24) == np.float64
 
 
 class TestTransduce:

@@ -1,6 +1,7 @@
 """Harness self-checks: seeding, exhaustive counting, MC agreement, validity."""
 
 import functools
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -24,6 +25,9 @@ from transbound.validation import (
     sample_split,
     splitmix64,
 )
+
+# the package re-exports the function ``transduce`` under the module's name
+transduce_module = importlib.import_module("transbound.transduce")
 
 
 class TestSampleSplit:
@@ -412,14 +416,21 @@ class TestMcBoundValidity:
     @pytest.mark.parametrize("cells", [1, 40, 41, 1 << 22])
     def test_risks_counted_in_chunks_of_trials(self, monkeypatch, cells):
         # chunks of one trial, of exactly one trial's cells, of a trial and a
-        # bit, and the default one chunk give the one-product counts
+        # bit, and the default one chunk give the int64 product's counts, in
+        # float64 (float32 limit 40 at n_total = 40) and in float32 (limit 41)
         monkeypatch.setattr(validation, "_RISK_CELLS", cells)
         inst = small_instance(seed=5, n=40, m=15, n_hyp=6)
         masks = np.random.default_rng(3).random((57, 40)) < 0.4
         counts = inst.errors @ masks.T.astype(np.int64)
-        r_m, r_u = validation._risks(inst, masks)
-        assert np.array_equal(r_m, counts / 15)
-        assert np.array_equal(r_u, (inst.errors.sum(axis=1, keepdims=True) - counts) / 25)
+        used = []
+        monkeypatch.setattr(validation, "_count_dtype",
+                            lambda n: used.append(transduce_module._count_dtype(n)) or used[-1])
+        for below, dtype in ((40, np.float64), (41, np.float32)):
+            monkeypatch.setattr(transduce_module, "_FLOAT32_COUNTS_BELOW", below)
+            r_m, r_u = validation._risks(inst, masks)
+            assert used.pop() == dtype and not used
+            assert np.array_equal(r_m, counts / 15)
+            assert np.array_equal(r_u, (inst.errors.sum(axis=1, keepdims=True) - counts) / 25)
 
     def test_random_instance_needs_a_hypothesis(self):
         with pytest.raises(ValueError):
