@@ -13,8 +13,19 @@ they are built from one array of squared differences per coordinate, added
 in the order NumPy's pairwise reduction uses over a contiguous axis
 (sequential below 8 terms; eight interleaved partial sums combined as
 ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128 terms; halving at a
-multiple of 8 above that).  Each new k-means center is the mean of its
-members' rows in index order, as a boolean mask would select them.
+multiple of 8 above that).  Each new k-means center equals the mean of its
+members' rows in index order, as a boolean mask would select them.  For
+d >= 2 float64 or integer points that mean is a sequential float64 sum of
+the rows, so one ``np.bincount`` per coordinate over the members of every
+changed cluster, divided by the sizes, gives its bits.  Two cases keep the
+per-cluster ``mean``: d = 1, where the mean of a contiguous column is a
+pairwise sum, and float16 or float32 points, which ``mean`` accumulates in
+their own precision.  ``bincount`` starts from +0.0, so a coordinate whose
+members all hold -0.0 reads +0.0 where a sum that starts from the first
+row gives -0.0; squared differences and shifts are the same for either
+zero, so no label changes.
+The nearest center is the first index at each column's minimum, argmin's
+tie rule; a column holding a NaN falls back to ``np.argmin``.
 
 k-means skips a point's distances when triangle-inequality bounds prove its
 label stays (Hamerly, "Making k-means even faster", SDM 2010): an upper
@@ -159,6 +170,36 @@ def _key(lbk: np.ndarray, ub: np.ndarray, grow: np.ndarray) -> np.ndarray:
         return _down(lbk - _up(ub - grow))
 
 
+def _updated_centers(points: np.ndarray, coords: np.ndarray, labels: np.ndarray,
+                     changed: np.ndarray, sizes: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``centers`` with row j, where ``changed[j]``, set to the mean of the points labelled j.
+
+    ``coords`` is ``points.T`` and ``sizes`` the label counts.  Each new row
+    has the bits of ``points[labels == j].mean(axis=0)``, up to the sign of a
+    zero (see the module docstring).
+    """
+    tau, d = centers.shape
+    fresh = np.flatnonzero(changed)
+    rows = np.flatnonzero(changed[labels])  # in index order
+    owner = labels[rows]
+    out = centers.copy()
+    # mean(axis=0) of d >= 2 float64 or integer columns is a sequential
+    # float64 row sum, which bincount reproduces; a single column is summed
+    # pairwise, and float16 or float32 in their own precision
+    if d >= 2 and (points.dtype == np.float64 or points.dtype.kind in "biu"):
+        for j in range(d):
+            out[fresh, j] = np.bincount(owner, weights=coords[j, rows],
+                                        minlength=tau)[fresh] / sizes[fresh]
+        return out
+    # A stable sort keeps each cluster's rows in index order; the narrow
+    # dtype lets NumPy use its radix sort.
+    grouped = points[rows[np.argsort(owner.astype(np.min_scalar_type(tau)), kind="stable")]]
+    counts = sizes[fresh]
+    for j, s, e in zip(fresh, counts, np.cumsum(counts)):
+        out[j] = grouped[e - s:e].mean(axis=0)
+    return out
+
+
 def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
     """Lloyd's algorithm with farthest-first seeding, fully deterministic.
 
@@ -227,11 +268,16 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
 
         dists = _sq_dists(coords[:, None, full], cols[:, :, None]) if seeded is None else seeded
         seeded = None
-        near = np.argmin(dists, axis=0)
+        low = dists.min(axis=0)
+        # the first index at the minimum is argmin's tie rule; a NaN is the
+        # minimum of its column but equals nothing, so argmin takes over
+        if np.isnan(low).any():
+            near = np.argmin(dists, axis=0)
+        else:
+            near = (dists == low).argmax(axis=0)
         if prune:
-            at = (near, np.arange(len(near)))
-            ub = _dist_above(dists[at], rho)
-            dists[at] = np.inf
+            ub = _dist_above(low, rho)
+            dists[near, np.arange(len(near))] = np.inf
             lbk[full] = _down(_dist_below(dists.min(axis=0), rho) + shrink[near])
             key[full] = _key(lbk[full], ub, grow[near])
         old = labels[full]
@@ -252,17 +298,8 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
                 sizes[big] -= 1
                 sizes[j] += 1
 
-        fresh = np.flatnonzero(changed)
-        # A stable sort keeps each cluster's rows in index order; the narrow
-        # dtype lets NumPy use its radix sort.
-        rows = np.flatnonzero(changed[labels])
-        grouped = points[rows[np.argsort(labels[rows].astype(np.min_scalar_type(tau)),
-                                         kind="stable")]]
-        counts = sizes[fresh]
+        new_centers = _updated_centers(points, coords, labels, changed, sizes, centers)
         changed[:] = False
-        new_centers = centers.copy()
-        for j, s, e in zip(fresh, counts, np.cumsum(counts)):
-            new_centers[j] = grouped[e - s:e].mean(axis=0)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1))
         centers = new_centers
         if shift.max() <= KMEANS_TOL:
@@ -292,25 +329,40 @@ def agglomerative_sweep(points: np.ndarray, c: int, method: str,
     """Cut one single- or complete-linkage dendrogram at every level 1..c.
 
     Returns {tau: labels} for tau = 1..min(c, n).  Merge i of the linkage
-    creates node n + i, so the tau clusters are the nodes below 2n - tau
-    whose parent is not; each point's cluster is found by pointer doubling
-    on the parent array restricted to those nodes.  ``dists`` is the points'
-    ``condensed_distances`` if already built; ``linkage`` does not modify it.
+    creates node n + i, so the top = min(c, n) clusters are the nodes below
+    2n - top whose parent is not; each point's cluster is found once, by
+    pointer doubling on the parent array restricted to those nodes.  Each
+    lower level follows from the one above: the merge that creates node
+    2n - tau - 1 joins two clusters of level tau + 1 with canonical ids
+    lo < hi, so label hi becomes lo and every id above hi drops by one.
+    Canonical ids follow first appearance, and the joined cluster first
+    appears where lo did.  ``dists`` is the points' ``condensed_distances``
+    if already built; ``linkage`` does not modify it.
     """
     if method not in ("single", "complete"):
         raise ValueError(f"unknown linkage {method!r}")
     n = len(points)
     merges = linkage(condensed_distances(points) if dists is None else dists, method=method)
+    children = merges[:, :2].astype(np.int64)
+    top = min(c, n)
     nodes = np.arange(2 * n - 1)
     parent = nodes.copy()
-    parent[merges[:, :2].astype(np.int64).ravel()] = np.repeat(nodes[n:], 2)
-    out: dict[int, np.ndarray] = {}
-    for tau in range(min(c, n), 0, -1):
-        root = np.where(parent < 2 * n - tau, parent, nodes)
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
-        out[tau] = canonical_labels(root[:n])
+    parent[children.ravel()] = np.repeat(nodes[n:], 2)
+    root = np.where(parent < 2 * n - top, parent, nodes)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    labels = canonical_labels(root[:n])
+    out = {top: labels}
+    leaf = np.empty(2 * n - 1, dtype=np.int64)  # a point below each cluster's node
+    leaf[root[:n]] = nodes[:n]
+    for tau in range(top - 1, 0, -1):
+        a, b = children[n - tau - 1]
+        leaf[2 * n - tau - 1] = leaf[a]
+        lo, hi = sorted((labels[leaf[a]], labels[leaf[b]]))
+        joined = labels - (labels > hi)
+        joined[labels == hi] = lo
+        out[tau] = labels = joined
     return out

@@ -137,21 +137,21 @@ class TransduceConfig:
             raise ValueError("delta must be in (0, 1)")
 
 
-def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0,
-                  dists: np.ndarray | None = None) -> list[Partition]:
-    """Partitions of the full sample into tau = 1..c clusters.
-
-    Deterministic given (data, algorithm, c): none of the built-in algorithms
-    consumes randomness.  Points are addressed by id, so presentation order
-    of the dataset rows is irrelevant.  A linkage reuses ``dists``, the
-    ``condensed_distances`` of the points by id, when given.
-    """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown clustering algorithm {algorithm!r}")
+def _checked_points(data: Dataset, algorithms, c: int) -> np.ndarray:
+    """The points by id, once every algorithm is known and c rows are distinct."""
+    for algo in algorithms:
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown clustering algorithm {algo!r}")
     pts = data.points_by_id()
     distinct = len(np.unique(pts, axis=0))
     if c > distinct:
         raise ValueError(f"cannot form {c} clusters from {distinct} distinct points")
+    return pts
+
+
+def _sweep(pts: np.ndarray, algorithm: str, c: int, clusterer_id: int,
+           dists: np.ndarray | None) -> list[Partition]:
+    """``cluster_sweep`` of the ``_checked_points``."""
     if algorithm == "kmeans":
         by_tau = {tau: kmeans_labels(pts, tau) for tau in range(1, c + 1)}
     else:
@@ -163,18 +163,32 @@ def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0,
     ]
 
 
+def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0,
+                  dists: np.ndarray | None = None) -> list[Partition]:
+    """Partitions of the full sample into tau = 1..c clusters.
+
+    Deterministic given (data, algorithm, c): none of the built-in algorithms
+    consumes randomness.  Points are addressed by id, so presentation order
+    of the dataset rows is irrelevant.  A linkage reuses ``dists``, the
+    ``condensed_distances`` of the points by id, when given.
+    """
+    return _sweep(_checked_points(data, (algorithm,), c), algorithm, c, clusterer_id, dists)
+
+
 def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
     """``cluster_sweep`` of every algorithm, clusterer id = position in ``algorithms``.
 
-    Two or more linkages share one condensed distance matrix, built for the
-    first of them and dropped after the last.
+    The points are checked for c distinct rows once.  Two or more linkages
+    share one condensed distance matrix, built for the first of them and
+    dropped after the last.
     """
+    pts = _checked_points(data, algorithms, c)
     linkages = [i for i, algo in enumerate(algorithms) if algo in LINKAGES]
     partitions, dists = [], None
     for i, algo in enumerate(algorithms):
         if len(linkages) > 1 and i == linkages[0]:
-            dists = condensed_distances(data.points_by_id())
-        partitions += cluster_sweep(data, algo, c, clusterer_id=i, dists=dists)
+            dists = condensed_distances(pts)
+        partitions += _sweep(pts, algo, c, i, dists)
         if linkages and i == linkages[-1]:
             dists = None
     return partitions

@@ -296,6 +296,19 @@ class TestTransduce:
         )
         assert code == 2
 
+    def test_fewer_distinct_points_than_clusters_exits_2(self, capsys, tmp_path):
+        points, labels = tmp_path / "points.csv", tmp_path / "labels.csv"
+        points.write_text("0,0\n0,0\n1,1\n2,2\n1,1\n2,2\n")
+        labels.write_text("0,+1\n1,+1\n2,-1\n3,+1\n4,-1\n")
+        code, out, err = run(
+            capsys,
+            ["transduce", "--data", str(points), "--labels", str(labels), "--clusterer",
+             "kmeans", "--clusterer", "agglomerative_single", "--max-clusters", "4"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot form 4 clusters from 3 distinct points" in err
+
     def test_unparseable_data_exits_2(self, capsys, tmp_path):
         junk = tmp_path / "junk.csv"
         junk.write_text("a,b,c\n1,2\n")

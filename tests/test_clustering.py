@@ -197,6 +197,44 @@ class TestKmeans:
         for tau in (6, 9, 12):
             _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_float32_points_match_reference(self, d, kind):
+        # float32 members keep the per-cluster mean, accumulated in float32
+        rng = np.random.default_rng([d, KINDS.index(kind), 32])
+        points = _points(kind, 120, d, rng).astype(np.float32)
+        distinct = len(np.unique(points, axis=0))
+        for tau in sorted({2, 3, 7, min(20, distinct)}):
+            _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+
+    @pytest.mark.parametrize("prune_work", [0, clustering._PRUNE_WORK])
+    def test_negative_zero_coordinate_matches_reference(self, monkeypatch, prune_work):
+        # every member of the first blob holds -0.0 in coordinate 0: the
+        # summed center reads +0.0, where a mean that starts its sum from the
+        # first row gives -0.0
+        monkeypatch.setattr(clustering, "_PRUNE_WORK", prune_work)
+        rng = np.random.default_rng(4)
+        points = np.concatenate([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 6.0])
+        points[:40, 0] = -0.0
+        blob = (np.arange(80) >= 40).astype(np.int64)
+        center = clustering._updated_centers(points, points.T.copy(), blob, np.ones(2, dtype=bool),
+                                             np.bincount(blob), np.zeros((2, 2)))
+        assert center[0, 0] == 0.0 and not np.signbit(center[0, 0])
+        for tau in (2, 3, 5):
+            _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+    def test_argmin_only_where_a_distance_is_nan(self, monkeypatch, bad):
+        # an inf coordinate gives inf - inf = NaN distances once a center holds it
+        points = _blobs(60, 2, np.random.default_rng(11))
+        if bad is not None:
+            points[[3, 40], [0, 1]] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            for tau in (2, 4, 7):
+                got, axes = _argmin_axes(monkeypatch, points, tau)
+                _assert_same(got, _ref_kmeans_labels(points, tau))
+                assert (0 in axes) == (bad is not None)
+
     def test_integer_and_fortran_inputs(self):
         rng = np.random.default_rng(3)
         ints = rng.integers(-5, 6, size=(80, 9))
@@ -230,6 +268,18 @@ class TestAgglomerative:
             _assert_same(got[tau], want[tau])
         _assert_same(got[n], np.arange(n))
 
+    @pytest.mark.parametrize("method", ["single", "complete"])
+    @pytest.mark.parametrize("c", [40, 300])
+    def test_every_level_of_tied_grid_points(self, method, c):
+        # 300 points rounded to a half-unit grid: many equal merge heights
+        # and duplicate points, every level down from c
+        points = _points("grid", 300, 2, np.random.default_rng([c, 3]))
+        got = agglomerative_sweep(points, c, method)
+        want = _ref_agglomerative_sweep(points, c, method)
+        assert list(got) == list(want) == list(range(c, 0, -1))
+        for tau in want:
+            _assert_same(got[tau], want[tau])
+
     def test_oversized_input_rejected_before_allocating(self):
         # 10**6 points would need a 3.64 TiB condensed distance matrix
         points = np.broadcast_to(np.zeros(1), (10 ** 6, 1))
@@ -247,6 +297,30 @@ class TestCanonicalLabels:
         for n in (0, 1, 7, 500):
             labels = rng.integers(-4, 30, size=n) * 3
             _assert_same(canonical_labels(labels), _ref_canonical_labels(labels))
+
+
+class TestCenterUpdate:
+    """The center update against one boolean-mask mean per changed cluster."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32, np.float16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
+    def test_bits_of_the_mask_mean(self, d, dtype):
+        rng = np.random.default_rng([d, np.dtype(dtype).num])
+        for n, tau in ((40, 3), (500, 7), (5000, 20)):
+            if dtype == np.int64:
+                points = rng.integers(-10 ** 6, 10 ** 6, size=(n, d))
+            else:
+                points = (rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)).astype(dtype)
+            labels = rng.permutation(np.arange(n) % tau)
+            changed = rng.random(tau) < 0.7
+            changed[0] = True
+            centers = rng.normal(size=(tau, d))
+            got = clustering._updated_centers(points, np.ascontiguousarray(points.T), labels,
+                                              changed, np.bincount(labels), centers)
+            want = centers.copy()
+            for j in np.flatnonzero(changed):
+                want[j] = points[labels == j].mean(axis=0)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _blobs(n: int, d: int, rng) -> np.ndarray:
@@ -269,6 +343,21 @@ def _counted(monkeypatch, points: np.ndarray, tau: int):
         m.setattr(clustering, "_sq_dists", counting)
         labels = kmeans_labels(points, tau)
     return labels, shapes
+
+
+def _argmin_axes(monkeypatch, points: np.ndarray, tau: int):
+    """``kmeans_labels`` and the ``axis`` of every ``np.argmin`` call it made."""
+    axes = []
+    argmin = np.argmin
+
+    def counting(a, axis=None, **kwargs):
+        axes.append(axis)
+        return argmin(a, axis=axis, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(clustering.np, "argmin", counting)
+        labels = kmeans_labels(points, tau)
+    return labels, axes
 
 
 def test_bounds_kept_only_when_an_iteration_is_large(monkeypatch):
@@ -335,14 +424,17 @@ class TestPrunedKmeans:
                 _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_coordinates_match_reference(self, bad):
-        # NaN distances and NaN or inf centers must never let a point be skipped
+    def test_non_finite_coordinates_match_reference(self, monkeypatch, bad):
+        # NaN distances and NaN or inf centers must never let a point be
+        # skipped, and their columns take the argmin fallback
         rng = np.random.default_rng(11)
         points = _blobs(60, 2, rng)
         points[[3, 40], [0, 1]] = bad
         with np.errstate(invalid="ignore", over="ignore"):
             for tau in (2, 4, 7):
-                _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+                got, axes = _argmin_axes(monkeypatch, points, tau)
+                _assert_same(got, _ref_kmeans_labels(points, tau))
+                assert 0 in axes
 
     def test_no_skip_when_every_distance_overflows(self, monkeypatch):
         # An overflowed squared distance bounds nothing from above, so every

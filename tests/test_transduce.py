@@ -90,10 +90,19 @@ class TestClusterSweep:
             assert np.array_equal(pa.assignment, pb.assignment)
 
     def test_too_many_clusters_rejected(self):
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        data = Dataset(points=pts, ids=np.arange(4))
-        with pytest.raises(ValueError):
-            cluster_sweep(data, "kmeans", c=4)  # only 3 distinct points
+        # six rows, three distinct; five labels, so c = 4 passes the training-size check
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [2.0, 2.0]])
+        data = Dataset(points=pts, ids=np.arange(6))
+        labeled = LabeledSubset(indices=np.arange(5), labels=np.array([1, 1, -1, 1, -1]))
+        message = "cannot form 4 clusters from 3 distinct points"
+        for algo in ALGOS:
+            with pytest.raises(ValueError, match=message):
+                cluster_sweep(data, algo, c=4)
+        with pytest.raises(ValueError, match=message):
+            ensemble_sweep(data, tuple(ALGOS), 4)
+        with pytest.raises(ValueError, match=message):
+            transduce(data, labeled, TransduceConfig(tuple(ALGOS), c=4, delta=0.05))
+        assert len(ensemble_sweep(data, tuple(ALGOS), 3)) == 9
 
     def test_sweep_covers_every_tau(self, two_blob):
         data, _, _ = two_blob
@@ -236,6 +245,19 @@ class TestEnsembleSweep:
         assert len(built) == 1
         assert [(p.tau, p.clusterer_id) for p in got] == [(p.tau, p.clusterer_id) for p in want]
         assert all(np.array_equal(a.assignment, b.assignment) for a, b in zip(got, want))
+
+    def test_one_distinct_point_check(self, two_blob, monkeypatch):
+        checks = []
+        unique = np.unique
+
+        def counting(ar, *args, **kwargs):
+            if kwargs.get("axis") == 0:
+                checks.append(len(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        ensemble_sweep(two_blob[0], tuple(ALGOS), 5)
+        assert checks == [100]
 
     def test_pair_limit_is_checked_before_the_matrix(self, two_blob, monkeypatch):
         monkeypatch.setattr(clustering, "MAX_LINKAGE_PAIRS", 100)
