@@ -108,12 +108,15 @@ class Certificate:
     algorithm: str
     emp_risk: float
     bound: BoundValue
-    bound_name: str
     delta: float
     c: int
     k_ensemble: int
     test_ids: np.ndarray
     predictions: np.ndarray
+
+    @property
+    def bound_name(self) -> str:
+        return self.bound.name
 
 
 @dataclass(frozen=True)
@@ -365,7 +368,6 @@ def select_by_bound(partitions: list[Partition], labeled: LabeledSubset, delta: 
         algorithm=(algorithm_names or {}).get(clusterer_id, ""),
         emp_risk=float(chosen.emp_risk[0]),
         bound=BoundValue(raw=raw, clamped=min(raw, 1.0), name=bound_name),
-        bound_name=bound_name,
         delta=delta,
         c=chosen.c,
         k_ensemble=chosen.k_ensemble,
@@ -380,6 +382,9 @@ def transduce(data: Dataset, labeled: LabeledSubset, config: TransduceConfig) ->
         raise ValueError("cluster budget c must not exceed the training size")
     if labeled.indices.max() >= data.n_total:
         raise ValueError("training ids outside the dataset")
+    if labeled.m == data.n_total:
+        raise ValueError("every point is labelled: "
+                         "transduction needs at least one unlabelled point")
     partitions = ensemble_sweep(data, config.algorithms, config.c)
     return select_by_bound(partitions, labeled, config.delta, config.bound_name,
                            dict(enumerate(config.algorithms)))

@@ -12,7 +12,7 @@ from transbound import cli, clustering
 from transbound.cli import main
 from transbound.hypergeom import epsilon_star
 from transbound.pac_bayes import BoundInputs, det_bound
-from transbound.transduce import BOUND_NAMES
+from transbound.transduce import ALGORITHMS, BOUND_NAMES
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 FEATURES = str(DATA / "two_blob_features.csv")
@@ -308,6 +308,23 @@ class TestTransduce:
         assert code == 2
         assert out == ""
         assert "cannot form 4 clusters from 3 distinct points" in err
+
+    @pytest.mark.parametrize("clusterer", ALGORITHMS)
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_every_id_labelled_exits_2(self, capsys, tmp_path, clusterer, n):
+        # no test point is left to predict; a single point gives linkage no pair
+        points, labels = tmp_path / "points.csv", tmp_path / "labels.csv"
+        np.savetxt(points, np.arange(2.0 * n).reshape(n, 2), delimiter=",")
+        labels.write_text("".join(f"{i},{1 if i % 2 else -1}\n" for i in range(n)))
+        code, out, err = run(
+            capsys,
+            ["transduce", "--data", str(points), "--labels", str(labels), "--clusterer",
+             clusterer, "--max-clusters", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == ("error: every point is labelled: "
+                       "transduction needs at least one unlabelled point\n")
 
     def test_unparseable_data_exits_2(self, capsys, tmp_path):
         junk = tmp_path / "junk.csv"

@@ -7,7 +7,6 @@ The fast kernels must reproduce them exactly, not within a tolerance,
 because the clustering prior is only well defined on a deterministic sweep.
 """
 
-from fractions import Fraction
 import math
 
 import numpy as np
@@ -37,19 +36,15 @@ def _ref_canonical_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ref_kmeans_labels(points: np.ndarray, tau: int, evals: list | None = None,
-                       repairs: list | None = None) -> np.ndarray:
+def _ref_kmeans_labels(points: np.ndarray, tau: int, repairs: list | None = None) -> np.ndarray:
     """Lloyd's algorithm with farthest-first seeding, fully deterministic.
 
-    Appends to ``evals`` the number of point-center distances each step
-    computes, and to ``repairs`` the Lloyd iteration (0 for the first) of
-    each empty-cluster repair.
+    Appends to ``repairs`` the Lloyd iteration (0 for the first) of each
+    empty-cluster repair.
     """
     n = len(points)
     if tau == 1:
         return np.zeros(n, dtype=np.int64)
-    evals = [] if evals is None else evals
-    evals += [n] * (tau + 1)  # the centroid and every seed
 
     centroid = points.mean(axis=0)
     first = int(np.argmin(((points - centroid) ** 2).sum(axis=1)))
@@ -64,7 +59,6 @@ def _ref_kmeans_labels(points: np.ndarray, tau: int, evals: list | None = None,
     labels = np.zeros(n, dtype=np.int64)
     for it in range(KMEANS_MAX_ITER):
         dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        evals.append(dists.size)
         labels = np.argmin(dists, axis=1).astype(np.int64)
         for j in range(tau):
             if not (labels == j).any():
@@ -138,6 +132,27 @@ def _points(kind: str, n: int, d: int, rng) -> np.ndarray:
     return base[rng.integers(0, len(base), size=n)]
 
 
+def _blobs(n: int, d: int, rng) -> np.ndarray:
+    """n points around 6 unit-variance centres drawn from [-8, 8]^d."""
+    centres = rng.uniform(-8.0, 8.0, size=(6, d))
+    return centres[rng.integers(0, 6, size=n)] + rng.normal(size=(n, d))
+
+
+def _argmin_axes(monkeypatch, points: np.ndarray, tau: int):
+    """``kmeans_labels`` and the ``axis`` of every ``np.argmin`` call it made."""
+    axes = []
+    argmin = np.argmin
+
+    def counting(a, axis=None, **kwargs):
+        axes.append(axis)
+        return argmin(a, axis=axis, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(clustering.np, "argmin", counting)
+        labels = kmeans_labels(points, tau)
+    return labels, axes
+
+
 DIMS = (1, 2, 3, 7, 8, 9, 16, 17)
 KINDS = ("gauss", "grid", "dup")
 
@@ -156,7 +171,7 @@ class TestSummationOrder:
                            for k in range(5)])
         assert np.array_equal(got.view(np.int64), scalar.view(np.int64))
         assert np.array_equal(got.T.view(np.int64), diff2.sum(axis=2).view(np.int64))
-        own = np.arange(40) % 5  # each point against one center, as the pruned k-means asks
+        own = np.arange(40) % 5  # each point against one center
         paired = clustering._sq_dists(points.T, centers[own].T)
         assert np.array_equal(paired.view(np.int64), scalar[own, np.arange(40)].view(np.int64))
 
@@ -170,14 +185,21 @@ class TestSummationOrder:
 
 
 class TestKmeans:
+    """k-means against the reference.
+
+    Scales 1e-170 and 1e-160 make every squared distance subnormal or zero;
+    at 1e153 and 1e154 the squared distances straddle the float maximum, and
+    at 1e300 every squared difference overflows.
+    """
+
     @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_reference(self, d, kind):
-        rng = np.random.default_rng([d, KINDS.index(kind)])
-        points = _points(kind, 120, d, rng)
-        distinct = len(np.unique(points, axis=0))
-        for tau in sorted({1, 2, 3, 7, min(20, distinct)}):
-            _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+        for seed in ([d, KINDS.index(kind)], [d, KINDS.index(kind), 2]):
+            points = _points(kind, 120, d, np.random.default_rng(seed))
+            distinct = len(np.unique(points, axis=0))
+            for tau in sorted({1, 2, 3, 7, min(20, distinct)}):
+                _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
 
     def test_empty_cluster_repair(self):
         # tau = 3 exceeds the 2 distinct points, so farthest-first seeding
@@ -197,6 +219,18 @@ class TestKmeans:
         for tau in (6, 9, 12):
             _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
 
+    @pytest.mark.parametrize("seed,tau", [(0, 7), (332, 6), (16, 7)])
+    def test_repair_after_the_first_iteration_matches_reference(self, seed, tau):
+        # 40 copies of 4 points, more clusters than points: clusters empty in
+        # later Lloyd iterations too; at seed 16 the cluster a repair takes a
+        # point from would otherwise keep a stale mean
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(4, 2))[rng.integers(0, 4, size=40)]
+        repairs = []
+        want = _ref_kmeans_labels(points, tau, repairs=repairs)
+        assert max(repairs) >= 1
+        _assert_same(kmeans_labels(points, tau), want)
+
     @pytest.mark.parametrize("d", [1, 2, 8])
     @pytest.mark.parametrize("kind", KINDS)
     def test_float32_points_match_reference(self, d, kind):
@@ -207,12 +241,10 @@ class TestKmeans:
         for tau in sorted({2, 3, 7, min(20, distinct)}):
             _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
 
-    @pytest.mark.parametrize("prune_work", [0, clustering._PRUNE_WORK])
-    def test_negative_zero_coordinate_matches_reference(self, monkeypatch, prune_work):
+    def test_negative_zero_coordinate_matches_reference(self):
         # every member of the first blob holds -0.0 in coordinate 0: the
         # summed center reads +0.0, where a mean that starts its sum from the
         # first row gives -0.0
-        monkeypatch.setattr(clustering, "_PRUNE_WORK", prune_work)
         rng = np.random.default_rng(4)
         points = np.concatenate([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 6.0])
         points[:40, 0] = -0.0
@@ -235,12 +267,28 @@ class TestKmeans:
                 _assert_same(got, _ref_kmeans_labels(points, tau))
                 assert (0 in axes) == (bad is not None)
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e153, 1e154, 1e300])
+    def test_extreme_scales_match_reference(self, d, scale):
+        rng = np.random.default_rng([d, round(math.log10(scale)) + 400])
+        points = _blobs(150, d, rng) * scale
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for tau in (2, 5, 12):
+                _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+
     def test_integer_and_fortran_inputs(self):
         rng = np.random.default_rng(3)
         ints = rng.integers(-5, 6, size=(80, 9))
         for points in (ints, np.asfortranarray(ints.astype(float))):
             for tau in (2, 5, 11):
                 _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_blobs_sweep_matches_reference(self, d):
+        # the transduce sweep: tau = 1..20 over 2000 Gaussian-blob points
+        points = _blobs(2000, d, np.random.default_rng([d, 2000]))
+        for tau in range(1, 21):
+            _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
 
 
 class TestAgglomerative:
@@ -279,6 +327,13 @@ class TestAgglomerative:
         assert list(got) == list(want) == list(range(c, 0, -1))
         for tau in want:
             _assert_same(got[tau], want[tau])
+
+    @pytest.mark.parametrize("method", ["single", "complete"])
+    def test_one_point(self, method):
+        # no pair to merge: the one level puts the point in cluster 0
+        got = agglomerative_sweep(np.zeros((1, 3)), 5, method)
+        assert list(got) == [1]
+        _assert_same(got[1], np.zeros(1, dtype=np.int64))
 
     def test_oversized_input_rejected_before_allocating(self):
         # 10**6 points would need a 3.64 TiB condensed distance matrix
@@ -321,212 +376,3 @@ class TestCenterUpdate:
             for j in np.flatnonzero(changed):
                 want[j] = points[labels == j].mean(axis=0)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def _blobs(n: int, d: int, rng) -> np.ndarray:
-    """n points around 6 unit-variance centres drawn from [-8, 8]^d."""
-    centres = rng.uniform(-8.0, 8.0, size=(6, d))
-    return centres[rng.integers(0, 6, size=n)] + rng.normal(size=(n, d))
-
-
-def _counted(monkeypatch, points: np.ndarray, tau: int):
-    """``kmeans_labels`` and the shapes of the distance arrays it computed."""
-    shapes = []
-    sq_dists = clustering._sq_dists
-
-    def counting(a, b):
-        out = sq_dists(a, b)
-        shapes.append(out.shape)
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(clustering, "_sq_dists", counting)
-        labels = kmeans_labels(points, tau)
-    return labels, shapes
-
-
-def _argmin_axes(monkeypatch, points: np.ndarray, tau: int):
-    """``kmeans_labels`` and the ``axis`` of every ``np.argmin`` call it made."""
-    axes = []
-    argmin = np.argmin
-
-    def counting(a, axis=None, **kwargs):
-        axes.append(axis)
-        return argmin(a, axis=axis, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(clustering.np, "argmin", counting)
-        labels = kmeans_labels(points, tau)
-    return labels, axes
-
-
-def test_bounds_kept_only_when_an_iteration_is_large(monkeypatch):
-    # n * tau * d against _PRUNE_WORK: every iteration computes every column
-    # below it, some iterations fewer above it
-    points = _blobs(2000, 8, np.random.default_rng(8))
-    for tau, pruned in ((5, False), (12, True)):
-        assert (2000 * tau * 8 >= clustering._PRUNE_WORK) == pruned
-        got, shapes = _counted(monkeypatch, points, tau)
-        _assert_same(got, _ref_kmeans_labels(points, tau))
-        columns = [s[1] for s in shapes if len(s) == 2]
-        assert (min(columns) < 2000) == pruned
-
-
-class TestPrunedKmeans:
-    """Pruning skips distances, never changes a label.
-
-    Every test here keeps bounds whatever the input size.  Scales 1e-170 and
-    1e-160 make every squared distance subnormal or zero; at 1e153 and 1e154
-    the squared distances straddle the float maximum, and at 1e300 every
-    squared difference overflows.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _prune_every_input(self, monkeypatch):
-        monkeypatch.setattr(clustering, "_PRUNE_WORK", 0)
-
-    @pytest.mark.parametrize("d", DIMS)
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_matches_reference(self, d, kind):
-        rng = np.random.default_rng([d, KINDS.index(kind), 2])
-        points = _points(kind, 120, d, rng)
-        distinct = len(np.unique(points, axis=0))
-        for tau in sorted({2, 3, 7, min(20, distinct)}):
-            _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
-
-    def test_repair_and_integer_inputs_match_reference(self):
-        rng = np.random.default_rng(7)
-        dup = rng.normal(size=(5, 2))[rng.integers(0, 5, size=60)]
-        ints = rng.integers(-5, 6, size=(80, 9))
-        for points, taus in ((dup, (6, 9, 12)), (ints, (2, 5, 11))):
-            for tau in taus:
-                _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
-
-    @pytest.mark.parametrize("seed,tau", [(0, 7), (332, 6)])
-    def test_repair_after_the_first_iteration_matches_reference(self, seed, tau):
-        # 40 copies of 4 points, more clusters than points: clusters empty in
-        # later Lloyd iterations too, while bounds are kept, so a repaired
-        # point carries bounds made for the cluster it left
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(4, 2))[rng.integers(0, 4, size=40)]
-        repairs = []
-        want = _ref_kmeans_labels(points, tau, repairs=repairs)
-        assert max(repairs) >= 1
-        _assert_same(kmeans_labels(points, tau), want)
-
-    @pytest.mark.parametrize("d", [1, 2, 8])
-    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e153, 1e154, 1e300])
-    def test_extreme_scales_match_reference(self, d, scale):
-        rng = np.random.default_rng([d, round(math.log10(scale)) + 400])
-        points = _blobs(150, d, rng) * scale
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for tau in (2, 5, 12):
-                _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_coordinates_match_reference(self, monkeypatch, bad):
-        # NaN distances and NaN or inf centers must never let a point be
-        # skipped, and their columns take the argmin fallback
-        rng = np.random.default_rng(11)
-        points = _blobs(60, 2, rng)
-        points[[3, 40], [0, 1]] = bad
-        with np.errstate(invalid="ignore", over="ignore"):
-            for tau in (2, 4, 7):
-                got, axes = _argmin_axes(monkeypatch, points, tau)
-                _assert_same(got, _ref_kmeans_labels(points, tau))
-                assert 0 in axes
-
-    def test_no_skip_when_every_distance_overflows(self, monkeypatch):
-        # An overflowed squared distance bounds nothing from above, so every
-        # iteration after the first computes every point's column (the first
-        # reuses the seeding's rows).  At the subnormal scales no bound is
-        # made either, but the absolute KMEANS_TOL ends Lloyd's iterations
-        # after the first.
-        points = _blobs(150, 2, np.random.default_rng(5)) * 1e300
-        evals = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = _ref_kmeans_labels(points, 5, evals)
-            got, shapes = _counted(monkeypatch, points, 5)
-        _assert_same(got, want)
-        assert len(evals) >= 8  # a second iteration ran
-        assert sum(math.prod(s) for s in shapes if len(s) == 2) == sum(evals[7:])
-
-    @pytest.mark.parametrize("d", [2, 8])
-    def test_blobs_match_reference_with_under_half_the_distances(self, d, monkeypatch):
-        points = _blobs(2000, d, np.random.default_rng([d, 2000]))
-        pruned = unpruned = 0
-        for tau in range(1, 21):
-            evals = []
-            want = _ref_kmeans_labels(points, tau, evals)
-            got, shapes = _counted(monkeypatch, points, tau)
-            _assert_same(got, want)
-            pruned += sum(math.prod(s) for s in shapes)
-            unpruned += sum(evals)
-        assert pruned < unpruned / 2
-        assert _counted(monkeypatch, points, 20)[1] == shapes  # the count is deterministic
-
-
-def _exact_sq(x, c) -> Fraction:
-    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x.tolist(), c.tolist()))
-
-
-class TestPruningBounds:
-    """The rounding behind k-means pruning, checked in exact rational arithmetic."""
-
-    def test_up_and_down_round_outward(self):
-        rng = np.random.default_rng(17)
-        special = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.0, -1.0, 1e308, -1e308]
-        drawn = (rng.normal(size=400) * 10.0 ** rng.uniform(-300, 300, size=400)).tolist()
-        values = special + drawn
-        a = np.array(values)
-        b = np.array(values[1:] + values[:1])
-        with np.errstate(over="ignore"):
-            sums = a + b, a - b
-        for total, exact in zip(sums, ([Fraction(x) + Fraction(y) for x, y in zip(a, b)],
-                                       [Fraction(x) - Fraction(y) for x, y in zip(a, b)])):
-            finite = np.isfinite(total)
-            up, down = clustering._up(total), clustering._down(total)
-            for u, dn, e, ok in zip(up.tolist(), down.tolist(), exact, finite):
-                if ok:
-                    assert Fraction(dn) < e < Fraction(u)
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 17])
-    def test_distance_bounds_hold(self, d):
-        # ub >= (1 + rho/2) * distance and 0 <= lb <= distance, compared as squares;
-        # rho must exceed twice the relative error gamma for ub < lb to order the
-        # computed distances
-        rho = clustering._margin(d)
-        k2 = (1 + Fraction(rho) / 2) ** 2
-        gamma = Fraction((d + 2), 2 ** 53 - (d + 2))  # relative error of a normal squared distance
-        assert (1 + Fraction(rho) / 2) ** 2 * (1 - gamma) > (1 + gamma) * (1 + Fraction(1, 2 ** 70))
-        rng = np.random.default_rng(d)
-        for scale in (1e-170, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e153, 1e154):
-            x = rng.normal(size=(60, d)) * scale * 10.0 ** rng.uniform(-2, 2, size=d)
-            c = x[rng.integers(0, 60, size=60)] + rng.normal(size=(60, d)) * scale
-            with np.errstate(over="ignore", under="ignore"):
-                sq = clustering._sq_dists(x.T, c.T)
-            ub = clustering._dist_above(sq, rho)
-            lb = clustering._dist_below(sq, rho)
-            for i in range(60):
-                exact = _exact_sq(x[i], c[i])
-                assert 0.0 <= lb[i] and Fraction(lb[i]) ** 2 <= exact
-                if np.isfinite(ub[i]):
-                    assert k2 * exact <= Fraction(ub[i]) ** 2
-                    assert abs(Fraction(sq[i]) - exact) <= gamma * exact + d * Fraction(2) ** -1075
-                else:
-                    assert not sq[i] >= clustering._SQ_TINY or sq[i] == np.inf
-
-    @pytest.mark.parametrize("d", [1, 2, 8])
-    def test_shift_bound_holds(self, d):
-        rho = clustering._margin(d)
-        k2 = (1 + Fraction(rho) / 2) ** 2
-        rng = np.random.default_rng([d, 3])
-        for scale in (1e-300, 1e-160, 1.0, 1e150, 1e154):
-            old = rng.normal(size=(40, d)) * scale
-            new = old + rng.normal(size=(40, d)) * scale * 10.0 ** rng.uniform(-12, 0, size=(40, 1))
-            with np.errstate(over="ignore", under="ignore"):
-                shift = np.sqrt(((new - old) ** 2).sum(axis=1))
-            step = clustering._shift_above(shift, rho)
-            for j in range(40):
-                if np.isfinite(step[j]):
-                    assert k2 * _exact_sq(new[j], old[j]) <= Fraction(step[j]) ** 2

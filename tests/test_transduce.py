@@ -176,6 +176,7 @@ class TestSelectByBound:
         assert cert.chosen_tau == 2
         assert cert.emp_risk == 0.0
         assert cert.bound.raw == pytest.approx(expected, rel=1e-12)
+        assert cert.bound_name == cert.bound.name == bound_name
 
     def test_two_blob_vapnik_and_direct(self, two_blob):
         data, labeled, truth = two_blob
@@ -507,6 +508,18 @@ class TestTransduce:
         data, labeled, _ = two_blob
         with pytest.raises(ValueError):
             transduce(data, labeled, TransduceConfig(("kmeans",), c=51, delta=0.05))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_every_id_labelled_rejected_before_any_sweep(self, monkeypatch, n):
+        def no_sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(transduce_module, "ensemble_sweep", no_sweep)
+        data = Dataset(points=np.arange(2.0 * n).reshape(n, 2), ids=np.arange(n))
+        labeled = LabeledSubset(indices=np.arange(n), labels=np.ones(n, dtype=np.int64))
+        for algo in ALGOS:
+            with pytest.raises(ValueError, match="at least one unlabelled point"):
+                transduce(data, labeled, TransduceConfig((algo,), c=1, delta=0.05))
 
     def test_singleton_training_clusters_zero_risk(self):
         # every training point isolated: the hypothesis reproduces its label
