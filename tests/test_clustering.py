@@ -195,11 +195,11 @@ class TestKmeans:
     @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_reference(self, d, kind):
-        for seed in ([d, KINDS.index(kind)], [d, KINDS.index(kind), 2]):
-            points = _points(kind, 120, d, np.random.default_rng(seed))
-            distinct = len(np.unique(points, axis=0))
-            for tau in sorted({1, 2, 3, 7, min(20, distinct)}):
-                _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+        rng = np.random.default_rng([d, KINDS.index(kind)])
+        points = _points(kind, 120, d, rng)
+        distinct = len(np.unique(points, axis=0))
+        for tau in sorted({1, 2, 3, 7, min(20, distinct)}):
+            _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
 
     def test_empty_cluster_repair(self):
         # tau = 3 exceeds the 2 distinct points, so farthest-first seeding
@@ -241,11 +241,12 @@ class TestKmeans:
         for tau in sorted({2, 3, 7, min(20, distinct)}):
             _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
 
-    def test_negative_zero_coordinate_matches_reference(self):
+    @pytest.mark.parametrize("seed", [0, 100_000])
+    def test_negative_zero_coordinate_matches_reference(self, seed):
         # every member of the first blob holds -0.0 in coordinate 0: the
         # summed center reads +0.0, where a mean that starts its sum from the
         # first row gives -0.0
-        rng = np.random.default_rng(4)
+        rng = np.random.default_rng(seed)
         points = np.concatenate([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 6.0])
         points[:40, 0] = -0.0
         blob = (np.arange(80) >= 40).astype(np.int64)
@@ -289,6 +290,65 @@ class TestKmeans:
         points = _blobs(2000, d, np.random.default_rng([d, 2000]))
         for tau in range(1, 21):
             _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+
+
+class TestPrunedKmeans:
+    """Inputs that once ran k-means with its distance pruning forced on.
+
+    The pruning is gone; every iteration computes every distance, and these
+    inputs still check the labels against the reference.
+    """
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reference(self, d, kind):
+        rng = np.random.default_rng([d, KINDS.index(kind), 2])
+        points = _points(kind, 120, d, rng)
+        distinct = len(np.unique(points, axis=0))
+        for tau in sorted({2, 3, 7, min(20, distinct)}):
+            _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+
+    def test_repair_and_integer_inputs_match_reference(self):
+        rng = np.random.default_rng(7)
+        dup = rng.normal(size=(5, 2))[rng.integers(0, 5, size=60)]
+        ints = rng.integers(-5, 6, size=(80, 9))
+        for points, taus in ((dup, (6, 9, 12)), (ints, (2, 5, 11))):
+            for tau in taus:
+                _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_match_reference(self, monkeypatch, bad):
+        # non-finite values in several points and coordinates, d = 8: NaN
+        # distances and NaN or inf centers take the argmin fallback
+        points = _blobs(150, 8, np.random.default_rng(12))
+        points[[3, 40, 41, 97], [0, 1, 5, 7]] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            for tau in (2, 5, 12):
+                got, axes = _argmin_axes(monkeypatch, points, tau)
+                _assert_same(got, _ref_kmeans_labels(points, tau))
+                assert 0 in axes
+
+    def test_no_skip_when_every_distance_overflows(self, monkeypatch):
+        # at 1e300 every squared difference overflows; Lloyd's iterations go
+        # on past the first (which reuses the seeding's rows), and each later
+        # one computes every point against every center
+        points = _blobs(150, 2, np.random.default_rng(5)) * 1e300
+        shapes = []
+        sq_dists = clustering._sq_dists
+
+        def recording(a, b):
+            out = sq_dists(a, b)
+            shapes.append(out.shape)
+            return out
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _ref_kmeans_labels(points, 5)
+            with monkeypatch.context() as m:
+                m.setattr(clustering, "_sq_dists", recording)
+                got = kmeans_labels(points, 5)
+        _assert_same(got, want)
+        iterations = [s for s in shapes if len(s) == 2]
+        assert iterations and all(s == (5, 150) for s in iterations)
 
 
 class TestAgglomerative:
