@@ -132,11 +132,9 @@ def _reduction_complexity(kl_value, m: int, delta: float):
     return kl_value + math.log(m / delta)
 
 
-def _direct_complexity(kl_value, m: int, u: int, delta: float, population_term: bool = True):
-    # the 7 ln(m+u+1) slack comes from the counting bound behind this route;
-    # tests zero it to compare the two routes' sqrt factors structurally
-    extra = 7.0 * math.log(m + u + 1.0) if population_term else 0.0
-    return kl_value + math.log(m / delta) + extra
+def _direct_complexity(kl_value, m: int, u: int, delta: float):
+    # the 7 ln(m+u+1) slack comes from the counting bound behind this route
+    return kl_value + math.log(m / delta) + 7.0 * math.log(m + u + 1.0)
 
 
 def _finish(raw, name: str, loss_bound: float) -> BoundValue:

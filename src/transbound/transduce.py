@@ -166,16 +166,14 @@ def _sweep(pts: np.ndarray, algorithm: str, c: int, clusterer_id: int,
     ]
 
 
-def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0,
-                  dists: np.ndarray | None = None) -> list[Partition]:
+def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) -> list[Partition]:
     """Partitions of the full sample into tau = 1..c clusters.
 
     Deterministic given (data, algorithm, c): none of the built-in algorithms
     consumes randomness.  Points are addressed by id, so presentation order
-    of the dataset rows is irrelevant.  A linkage reuses ``dists``, the
-    ``condensed_distances`` of the points by id, when given.
+    of the dataset rows is irrelevant.
     """
-    return _sweep(_checked_points(data, (algorithm,), c), algorithm, c, clusterer_id, dists)
+    return _sweep(_checked_points(data, (algorithm,), c), algorithm, c, clusterer_id, None)
 
 
 def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:

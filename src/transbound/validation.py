@@ -10,13 +10,14 @@ run over [0, b) bit for bit.
 
 Trial t's split is defined by ``sample_split``: numpy's
 ``Generator(PCG64(seed)).choice(n_total, m, replace=False)``, sorted.  The
-Monte-Carlo runs draw every trial's split at once through ``_split_masks``,
-an array kernel that replays the numpy components that call uses --
-``SeedSequence.generate_state``, PCG64 seeding and its XSL-RR output,
-``next_uint32``, Lemire's bounded draw with rejection, and ``choice``'s
-Floyd set or tail Fisher-Yates shuffle -- so its masks equal
-``sample_split``'s bit for bit; ``tests/test_validation.py::TestSplitKernel``
-pins that equality.
+Monte-Carlo runs draw the splits through ``_split_masks``.  Where ``choice``
+uses Floyd's algorithm, an array kernel replays its draws for every trial
+at once -- ``SeedSequence.generate_state``, PCG64 seeding and its XSL-RR
+output, ``next_uint32`` and Lemire's bounded draw.  A trial where numpy
+would reject a Lemire draw, and every trial of a shape where ``choice``
+shuffles the tail of arange(n_total), takes its split from ``sample_split``
+itself.  So the masks equal ``sample_split``'s bit for bit;
+``tests/test_validation.py::TestSplitKernel`` pins that equality.
 """
 
 from dataclasses import dataclass
@@ -184,7 +185,10 @@ class _Streams:
     """One PCG64 uint32 stream per trial, all advanced together.
 
     ``hi:lo`` is the 128-bit state before the output that holds the next
-    word, and ``half`` is 1 where that output's low half was already used.
+    word, and ``half``, shared by every stream, is 1 if that output's low
+    half was already used.  ``rejected`` flags the streams where a Lemire
+    draw would have been rejected; numpy draws again there, so their later
+    words no longer line up with numpy's.
     """
 
     def __init__(self, seeds: np.ndarray):
@@ -196,7 +200,8 @@ class _Streams:
         self.inc_jumps = {}
         # state = 0; step; state += s; step -- the first step leaves inc
         self.hi, self.lo = self._step(0, *_add128(self.inc_hi, self.inc_lo, s_hi, s_lo))
-        self.half = np.zeros(len(seeds), dtype=np.intp)
+        self.half = 0
+        self.rejected = np.zeros(len(seeds), dtype=bool)
 
     def _step(self, r, hi, lo, rows=slice(None)):
         """States 2**r LCG steps after ``hi:lo`` (whose rows are ``rows`` of the streams)."""
@@ -208,12 +213,13 @@ class _Streams:
             add_hi, add_lo = add_hi[:, None], add_lo[:, None]
         return _add128(*_mul128(hi, lo, a_hi, a_lo), add_hi, add_lo)
 
-    def words(self, rows: np.ndarray, count: int) -> np.ndarray:
+    def words(self, rows: slice, count: int) -> np.ndarray:
         """The next ``count`` uint32 words of each stream in ``rows``, (rows, count)."""
-        outputs = (count + 2) // 2
-        hi = np.empty((len(rows), outputs), dtype=_U64)
+        first = self._step(0, self.hi[rows], self.lo[rows], rows)
+        hi = np.empty((len(first[0]), (self.half + count + 1) // 2), dtype=_U64)
         lo = np.empty_like(hi)
-        hi[:, 0], lo[:, 0] = self._step(0, self.hi[rows], self.lo[rows], rows)
+        hi[:, 0], lo[:, 0] = first
+        outputs = hi.shape[1]
         filled, r = 1, 0
         while filled < outputs:  # the next columns are the first ones jumped 2**r = filled steps
             width = min(filled, outputs - filled)
@@ -223,55 +229,33 @@ class _Streams:
         v, rot = hi ^ lo, hi >> _U64(58)  # XSL-RR
         out = v >> rot | v << ((_U64(64) - rot) & _U64(63))
         w = out.astype("<u8", copy=False).view("<u4")  # low half, then high half
-        half = self.half[rows] == 1
-        if not half.any():
-            return w[:, :count]
-        shifted = w[:, :count].copy()
-        shifted[half] = w[half, 1:count + 1]
-        return shifted
+        return w[:, self.half:self.half + count]
 
-    def advance(self, used: np.ndarray) -> None:
+    def advance(self, used: int) -> None:
         """Move every stream past ``used`` words."""
-        pos = self.half + used
-        steps = pos // 2
-        for r in range(int(steps.max()).bit_length()):
-            take = (steps >> r & 1).astype(bool)
-            hi, lo = self._step(r, self.hi, self.lo)
-            self.hi, self.lo = np.where(take, hi, self.hi), np.where(take, lo, self.lo)
-        self.half = pos % 2
+        steps, self.half = divmod(self.half + used, 2)
+        for r in range(steps.bit_length()):
+            if steps >> r & 1:
+                self.hi, self.lo = self._step(r, self.hi, self.lo)
 
     def bounded(self, bounds: np.ndarray) -> np.ndarray:
         """Lemire draws in [0, bounds[i]) for step i, (steps, trials); ``bounds`` <= 2**32.
 
-        A draw whose low product word falls below (2**32 - bound) % bound is
-        rejected and redrawn from the stream's next word.  Rows go in groups
-        of about ``_WORD_CELLS`` words.
+        Each step takes one word.  A draw whose low product word falls below
+        (2**32 - bound) % bound would be rejected; it flags its stream in
+        ``rejected`` and stays in range.  Rows go in groups of about
+        ``_WORD_CELLS`` words.
         """
-        trials, steps = len(self.half), len(bounds)
+        trials, steps = len(self.rejected), len(bounds)
         threshold = (_U64(1 << 32) - bounds) % bounds
         draws = np.empty((steps, trials), dtype=np.intp)
-        used = np.full(trials, steps)
         group = max(1, _WORD_CELLS // steps)
         for start in range(0, trials, group):
-            rows, spare = np.arange(start, min(start + group, trials)), _SPARE_WORDS
-            while rows.size:  # rows whose rejections outran the spare words go again
-                w = self.words(rows, steps + spare)
-                p = w[:, :steps] * bounds
-                reject = (p & _LO32) < threshold
-                bad = np.flatnonzero(reject.any(axis=1))
-                wb, reject = w[bad], reject[bad]
-                pos = np.broadcast_to(np.arange(steps), (bad.size, steps))
-                while reject.any():  # skip each row's first rejected word, redraw from there on
-                    first = np.where(reject.any(axis=1), reject.argmax(axis=1), steps)
-                    pos = pos + (np.arange(steps) >= first[:, None])
-                    clipped = np.minimum(pos, w.shape[1] - 1)
-                    p[bad] = np.take_along_axis(wb, clipped, axis=1) * bounds
-                    reject = ((p[bad] & _LO32) < threshold) & (pos < w.shape[1])
-                used[rows[bad]] = pos[:, -1] + 1
-                ok = used[rows] <= w.shape[1]
-                draws[:, rows[ok]] = (p[ok] >> _SHIFT32).T
-                rows, spare = rows[~ok], 2 * spare + 2
-        self.advance(used)
+            rows = slice(start, start + group)
+            p = self.words(rows, steps) * bounds
+            self.rejected[rows] |= ((p & _LO32) < threshold).any(axis=1)
+            draws[:, rows] = (p >> _SHIFT32).T
+        self.advance(steps)
         return draws
 
 
@@ -281,42 +265,46 @@ _FLOYD_MAX_N, _TAIL_FRACTION = 10_000, 50
 _CHUNK_CELLS = 1 << 17  # trials x steps of draws per pass
 _WORD_CELLS = 1 << 15   # trials x words generated at once; 1 << 16 raised the
                         # mc_validity benchmark's peak RSS by 2 MB
-_TAIL_CELLS = 1 << 22   # trials x n_total of index arrays in the tail shuffle
 _STEP_BLOCK = 1024      # draws per trial and pass
-_SPARE_WORDS = 2        # words per trial and pass beyond one per draw, for rejections
 
 
 def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     """Boolean training masks of trials offset .. offset + trials - 1, (trials, n_total).
 
     Row t marks ``sample_split(sampler, offset + t)``, which defines the
-    split; the kernel replays that call's numpy draws for all trials at once
-    (``tests/test_validation.py::TestSplitKernel`` pins the equality).  Trial
-    indices and seeds are uint64, wrapping as ``splitmix64``'s do.  Trials go
-    in chunks and draws in passes of at most ``_STEP_BLOCK`` steps, so the
-    working memory beside the masks stays near ``_CHUNK_CELLS`` draws and
-    ``_WORD_CELLS`` random words, plus ``_TAIL_CELLS`` int32 positions in the
-    tail shuffle.
+    split.  Where numpy uses Floyd's algorithm, the kernel replays that
+    call's draws for all trials at once
+    (``tests/test_validation.py::TestSplitKernel`` pins the equality); a
+    trial where numpy would reject a Lemire draw, and every trial of a
+    tail-shuffle shape, takes its row from ``sample_split`` itself.  Trial
+    indices and seeds are uint64, wrapping as ``splitmix64``'s do.  Trials
+    go in chunks and draws in passes of at most ``_STEP_BLOCK`` steps, so
+    the working memory beside the masks stays near ``_CHUNK_CELLS`` draws
+    and ``_WORD_CELLS`` random words.
     """
     n, m = sampler.n_total, sampler.m
     if n >= 1 << 31:
         raise ValueError("split kernel needs n_total < 2**31")
+    masks = np.zeros((trials, n), dtype=bool)
+    if n > _FLOYD_MAX_N and m > n // _TAIL_FRACTION:
+        for t in range(trials):
+            masks[t, sample_split(sampler, offset + t)] = True
+        return masks
+
     index = _U64((offset + 1) & _MASK) + np.arange(trials, dtype=_U64)
     z = _U64(sampler.master_seed & _MASK) + index * _U64(_GOLDEN)
     z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
     z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
     seeds = z ^ (z >> _U64(31))
-
-    masks = np.zeros((trials, n), dtype=bool)
-    tail = n > _FLOYD_MAX_N and m > n // _TAIL_FRACTION
     block = min(m, _STEP_BLOCK)
     chunk = max(1, _CHUNK_CELLS // block)
-    if tail:
-        chunk = max(1, min(chunk, _TAIL_CELLS // n))
     for start in range(0, trials, chunk):
         rows = masks[start:start + chunk]
         streams = _Streams(seeds[start:start + chunk])
-        (_tail_shuffle if tail else _floyd)(streams, rows, n, m, block)
+        _floyd(streams, rows, n, m, block)
+        for t in np.flatnonzero(streams.rejected).tolist():
+            rows[t] = False
+            rows[t, sample_split(sampler, offset + start + t)] = True
     return masks
 
 
@@ -330,23 +318,6 @@ def _floyd(streams: _Streams, masks: np.ndarray, n: int, m: int, block: int) -> 
         drawn += base
         for v, j in zip(drawn, js[:, None] + base):
             flat[np.where(flat[v], j, v)] = True
-
-
-def _tail_shuffle(streams: _Streams, masks: np.ndarray, n: int, m: int, block: int) -> None:
-    """Fisher-Yates over arange(n) for i = n-1 down to n-m; the set is idx[n-m:]."""
-    rows = len(masks)
-    idx = np.repeat(np.arange(n, dtype=np.int32), rows)  # position-major: idx[p * rows + t]
-    cols = np.arange(rows)
-    for hi in range(n, n - m, -block):
-        iis = np.arange(hi - 1, max(hi - block, n - m) - 1, -1)
-        swap = streams.bounded((iis + 1).astype(_U64))
-        swap *= rows
-        swap += cols
-        chosen = np.empty(swap.shape, dtype=np.int32)
-        for s, (i, j) in enumerate(zip(iis.tolist(), swap)):
-            chosen[s] = idx[j]
-            idx[j] = idx[i * rows:(i + 1) * rows].copy()  # a copy skips numpy's overlap check
-        masks[cols, chosen] = True
 
 
 @dataclass(frozen=True)
@@ -482,10 +453,9 @@ def mc_concentration(population, m: int, eps_grid, trials: int, seed: int,
     mean = ones / n
     pop = PopulationSummary(n_total=n, mean=mean, binary=True)
 
-    # masks in chunks of trials (the tail shuffle's own chunk size): only each
-    # trial's count of ones outlives its chunk
+    # masks in chunks of trials: only each trial's count of ones outlives its chunk
     sampler = SplitSampler(n_total=n, m=m, master_seed=seed)
-    chunk = max(1, _TAIL_CELLS // n)
+    chunk = max(1, _RISK_CELLS // n)
     counts = np.concatenate([
         _split_masks(sampler, min(chunk, trials - start), trial_offset + start)[:, population == 1]
         .sum(axis=1) for start in range(0, trials, chunk)])
@@ -586,9 +556,10 @@ def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> F
     )
 
 
-# trials x n_total mask cells converted to the count dtype per product in
-# ``_risks`` (16 MB as float32).  Converting all the masks at once would hold
-# a float copy of every mask, 4 or 8 bytes per cell, next to the masks.
+# trials x n_total mask cells held per step: converted to the count dtype per
+# product in ``_risks`` (16 MB as float32), since converting all the masks at
+# once would hold a float copy of every mask, 4 or 8 bytes per cell, next to
+# the masks; and drawn per chunk of ``mc_concentration``'s trials.
 _RISK_CELLS = 1 << 22
 
 

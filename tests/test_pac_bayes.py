@@ -264,13 +264,13 @@ class TestRealizableRates:
 class TestSqrtFactorStructure:
     def test_route_factor_ratio(self):
         # the sqrt complexity term carries (m+u)/u on the reduction route and
-        # sqrt((m+u)/u) on the direct route once the counting slack is zeroed
+        # sqrt((m+u)/u) on the direct route once the counting slack is taken off
         m, u, delta, d, r = 200, 50, 0.05, 1.3, 0.21
         k = _reduction_complexity(d, m, delta)
         red_sqrt = (m + u) / u * math.sqrt(2 * r * k / (m - 1))
-        t = _direct_complexity(d, m, u, delta, population_term=False)
+        t = _direct_complexity(d, m, u, delta) - 7.0 * math.log(m + u + 1.0)
         dir_sqrt = math.sqrt(2 * r * (m + u) / u * t / (m - 1))
-        assert k == t  # slack zeroed, complexities align
+        assert t == pytest.approx(k, rel=1e-12)  # slack off, complexities align
         assert red_sqrt / dir_sqrt == pytest.approx(math.sqrt((m + u) / u), rel=1e-12)
 
 

@@ -147,20 +147,40 @@ class TestSplitKernel:
         assert splitmix64(master, 0) == trial_seed
         assert_kernel_matches_loop(SplitSampler(n_total=25, m=9, master_seed=master), 3)
 
-    @pytest.mark.parametrize("spare", [0, 2])
-    def test_lemire_rejections(self, monkeypatch, spare):
-        # about 25 rejected draws are expected over these 10 trials; with no
-        # spare words every rejecting trial draws its pass again
-        monkeypatch.setattr(validation, "_SPARE_WORDS", spare)
-        s = SplitSampler(n_total=4_000_000, m=5000, master_seed=3)
-        assert sum(lemire_rejections(s, t) for t in range(10)) >= 1
+    @pytest.mark.parametrize("seed", [pytest.param(6, id="0"), pytest.param(10, id="2")])
+    def test_lemire_rejections(self, monkeypatch, seed):
+        # 8 of these 10 trials reject a draw; exactly those come from sample_split
+        s = SplitSampler(n_total=4_000_000, m=5000, master_seed=seed)
+        rejecting = [t for t in range(10) if lemire_rejections(s, t) > 0]
+        assert 0 < len(rejecting) < 10
+        called = []
+
+        def recording(sampler, trial_index):
+            called.append(trial_index)
+            return sample_split(sampler, trial_index)
+
+        monkeypatch.setattr(validation, "sample_split", recording)
         assert_kernel_matches_loop(s, 10)
+        assert called == rejecting
+
+    def test_tail_shapes_call_sample_split(self, monkeypatch):
+        def no_kernel(seeds):
+            raise AssertionError("tail shapes take no kernel streams")
+
+        monkeypatch.setattr(validation, "_Streams", no_kernel)
+        assert_kernel_matches_loop(SplitSampler(n_total=10_001, m=201, master_seed=17), 12)
+
+    def test_floyd_without_rejections_skips_sample_split(self, monkeypatch):
+        def no_fallback(sampler, trial_index):
+            raise AssertionError("no trial of this shape rejects a draw")
+
+        monkeypatch.setattr(validation, "sample_split", no_fallback)
+        assert_kernel_matches_loop(SplitSampler(n_total=40, m=20, master_seed=17), 300)
 
     @pytest.mark.parametrize("n, m", [(40, 20), (300, 299), (10_001, 300)])
     def test_many_chunks_and_odd_passes(self, monkeypatch, n, m):
         # small chunks and odd passes leave streams mid-output between passes
         monkeypatch.setattr(validation, "_CHUNK_CELLS", 64)
-        monkeypatch.setattr(validation, "_TAIL_CELLS", 3 * n)
         monkeypatch.setattr(validation, "_STEP_BLOCK", 7)
         assert_kernel_matches_loop(SplitSampler(n_total=n, m=m, master_seed=8), 11, 5)
 
