@@ -38,10 +38,6 @@ class PopulationSummary:
             if abs(k - round(k)) > 1e-9:
                 raise ValueError("binary population mean must be k/N for integer k")
 
-    @property
-    def ones_count(self) -> int:
-        return int(round(self.mean * self.n_total))
-
 
 @dataclass(frozen=True)
 class DeviationQuery:
@@ -53,8 +49,8 @@ class DeviationQuery:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("sample size must be >= 1")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not self.eps >= 0:
+            raise ValueError(f"eps must be a nonnegative number, got {self.eps}")
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ run over [0, b) bit for bit.
 Trial t's split is defined by ``sample_split``: numpy's
 ``Generator(PCG64(seed)).choice(n_total, m, replace=False)``, sorted.  The
 Monte-Carlo runs draw the splits through ``_split_masks``.  Where ``choice``
-uses Floyd's algorithm, an array kernel replays its draws for every trial
-at once -- ``SeedSequence.generate_state``, PCG64 seeding and its XSL-RR
-output, ``next_uint32`` and Lemire's bounded draw.  A trial where numpy
-would reject a Lemire draw, and every trial of a shape where ``choice``
-shuffles the tail of arange(n_total), takes its split from ``sample_split``
-itself.  So the masks equal ``sample_split``'s bit for bit;
+uses Floyd's algorithm with at most ``_KERNEL_MAX_M`` draws, an array kernel
+replays its draws for every trial at once -- ``SeedSequence.generate_state``,
+PCG64 seeding and its XSL-RR output, ``next_uint32`` and Lemire's bounded
+draw.  A trial where numpy would reject a Lemire draw, and every trial of
+any other shape, takes its split from ``sample_split`` itself.  So the
+masks equal ``sample_split``'s bit for bit;
 ``tests/test_validation.py::TestSplitKernel`` pins that equality.
 """
 
@@ -181,112 +181,72 @@ def _jump_table(doublings: int) -> list:
 _JUMPS = _jump_table(64)
 
 
-class _Streams:
-    """One PCG64 uint32 stream per trial, all advanced together.
+def _pcg_words(seeds: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` next_uint32 words of each seed's PCG64, (seeds, count).
 
-    ``hi:lo`` is the 128-bit state before the output that holds the next
-    word, and ``half``, shared by every stream, is 1 if that output's low
-    half was already used.  ``rejected`` flags the streams where a Lemire
-    draw would have been rejected; numpy draws again there, so their later
-    words no longer line up with numpy's.
+    numpy seeds PCG64 from SeedSequence's words (state s, then increment
+    seed) as state = 0; step; state += s; step, and each 64-bit output steps
+    the LCG, then gives XSL-RR of the new state: its low word, then its high
+    word.  Outputs 2**r .. 2**(r+1) - 1 are outputs 0 .. 2**r - 1 jumped
+    2**r steps ahead.
     """
+    w = _seed_sequence_words(seeds)
+    s_hi, s_lo = w[0] | w[1] << _SHIFT32, w[2] | w[3] << _SHIFT32
+    i_hi, i_lo = w[4] | w[5] << _SHIFT32, w[6] | w[7] << _SHIFT32
+    one = _U64(1)
+    inc_hi, inc_lo = (i_hi << one | i_lo >> _U64(63))[:, None], (i_lo << one | one)[:, None]
 
-    def __init__(self, seeds: np.ndarray):
-        w = _seed_sequence_words(seeds)
-        s_hi, s_lo = w[0] | w[1] << _SHIFT32, w[2] | w[3] << _SHIFT32
-        i_hi, i_lo = w[4] | w[5] << _SHIFT32, w[6] | w[7] << _SHIFT32
-        one = _U64(1)
-        self.inc_hi, self.inc_lo = i_hi << one | i_lo >> _U64(63), i_lo << one | one
-        self.inc_jumps = {}
-        # state = 0; step; state += s; step -- the first step leaves inc
-        self.hi, self.lo = self._step(0, *_add128(self.inc_hi, self.inc_lo, s_hi, s_lo))
-        self.half = 0
-        self.rejected = np.zeros(len(seeds), dtype=bool)
-
-    def _step(self, r, hi, lo, rows=slice(None)):
-        """States 2**r LCG steps after ``hi:lo`` (whose rows are ``rows`` of the streams)."""
+    def jump(r, hi, lo):
+        """States 2**r LCG steps after ``hi:lo``: A hi:lo + C inc."""
         a_hi, a_lo, c_hi, c_lo = _JUMPS[r]
-        if r not in self.inc_jumps:  # C * inc depends only on the stream and r
-            self.inc_jumps[r] = _mul128(self.inc_hi, self.inc_lo, c_hi, c_lo)
-        add_hi, add_lo = (x[rows] for x in self.inc_jumps[r])
-        if hi.ndim == 2:
-            add_hi, add_lo = add_hi[:, None], add_lo[:, None]
-        return _add128(*_mul128(hi, lo, a_hi, a_lo), add_hi, add_lo)
+        return _add128(*_mul128(hi, lo, a_hi, a_lo), *_mul128(inc_hi, inc_lo, c_hi, c_lo))
 
-    def words(self, rows: slice, count: int) -> np.ndarray:
-        """The next ``count`` uint32 words of each stream in ``rows``, (rows, count)."""
-        first = self._step(0, self.hi[rows], self.lo[rows], rows)
-        hi = np.empty((len(first[0]), (self.half + count + 1) // 2), dtype=_U64)
-        lo = np.empty_like(hi)
-        hi[:, 0], lo[:, 0] = first
-        outputs = hi.shape[1]
-        filled, r = 1, 0
-        while filled < outputs:  # the next columns are the first ones jumped 2**r = filled steps
-            width = min(filled, outputs - filled)
-            hi[:, filled:filled + width], lo[:, filled:filled + width] = self._step(
-                r, hi[:, :width], lo[:, :width], rows)
-            filled, r = filled + width, r + 1
-        v, rot = hi ^ lo, hi >> _U64(58)  # XSL-RR
-        out = v >> rot | v << ((_U64(64) - rot) & _U64(63))
-        w = out.astype("<u8", copy=False).view("<u4")  # low half, then high half
-        return w[:, self.half:self.half + count]
-
-    def advance(self, used: int) -> None:
-        """Move every stream past ``used`` words."""
-        steps, self.half = divmod(self.half + used, 2)
-        for r in range(steps.bit_length()):
-            if steps >> r & 1:
-                self.hi, self.lo = self._step(r, self.hi, self.lo)
-
-    def bounded(self, bounds: np.ndarray) -> np.ndarray:
-        """Lemire draws in [0, bounds[i]) for step i, (steps, trials); ``bounds`` <= 2**32.
-
-        Each step takes one word.  A draw whose low product word falls below
-        (2**32 - bound) % bound would be rejected; it flags its stream in
-        ``rejected`` and stays in range.  Rows go in groups of about
-        ``_WORD_CELLS`` words.
-        """
-        trials, steps = len(self.rejected), len(bounds)
-        threshold = (_U64(1 << 32) - bounds) % bounds
-        draws = np.empty((steps, trials), dtype=np.intp)
-        group = max(1, _WORD_CELLS // steps)
-        for start in range(0, trials, group):
-            rows = slice(start, start + group)
-            p = self.words(rows, steps) * bounds
-            self.rejected[rows] |= ((p & _LO32) < threshold).any(axis=1)
-            draws[:, rows] = (p >> _SHIFT32).T
-        self.advance(steps)
-        return draws
+    hi = np.empty((len(seeds), (count + 1) // 2), dtype=_U64)
+    lo = np.empty_like(hi)
+    # the first step leaves inc; output 0 comes two steps after adding s
+    hi[:, :1], lo[:, :1] = jump(1, *_add128(inc_hi, inc_lo, s_hi[:, None], s_lo[:, None]))
+    filled, r = 1, 0
+    while filled < hi.shape[1]:
+        width = min(filled, hi.shape[1] - filled)
+        hi[:, filled:filled + width], lo[:, filled:filled + width] = jump(
+            r, hi[:, :width], lo[:, :width])
+        filled, r = filled + width, r + 1
+    lo ^= hi  # XSL-RR: the halves' xor, rotated right by the top 6 bits
+    hi >>= _U64(58)
+    out = lo >> hi | lo << ((_U64(64) - hi) & _U64(63))
+    return out.astype("<u8", copy=False).view("<u4")[:, :count]
 
 
 # Generator.choice(n, m, replace=False) uses Floyd's algorithm unless
 # n > 10000 and m > n // 50, where it shuffles the tail of arange(n).
 _FLOYD_MAX_N, _TAIL_FRACTION = 10_000, 50
-_CHUNK_CELLS = 1 << 17  # trials x steps of draws per pass
-_WORD_CELLS = 1 << 15   # trials x words generated at once; 1 << 16 raised the
-                        # mc_validity benchmark's peak RSS by 2 MB
-_STEP_BLOCK = 1024      # draws per trial and pass
+# The kernel loops over a chunk's m draws in Python, so its cost per trial
+# grows as m**2 / _CHUNK_CELLS.  Kernel over loop time was 0.83-0.89 at
+# m = 1000, 0.94-1.05 at m = 1100-1400 and 1.0-1.6 at m = 2000 (n = 2m + 1,
+# 10**4 and 5 * 10**4; BENCH_15.json); with 1 << 16 cells per chunk the
+# crossover fell to m = 800.
+_KERNEL_MAX_M = 1000
+_CHUNK_CELLS = 1 << 17  # trials x draws per chunk
 
 
 def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     """Boolean training masks of trials offset .. offset + trials - 1, (trials, n_total).
 
     Row t marks ``sample_split(sampler, offset + t)``, which defines the
-    split.  Where numpy uses Floyd's algorithm, the kernel replays that
-    call's draws for all trials at once
-    (``tests/test_validation.py::TestSplitKernel`` pins the equality); a
-    trial where numpy would reject a Lemire draw, and every trial of a
-    tail-shuffle shape, takes its row from ``sample_split`` itself.  Trial
-    indices and seeds are uint64, wrapping as ``splitmix64``'s do.  Trials
-    go in chunks and draws in passes of at most ``_STEP_BLOCK`` steps, so
-    the working memory beside the masks stays near ``_CHUNK_CELLS`` draws
-    and ``_WORD_CELLS`` random words.
+    split.  Where numpy uses Floyd's algorithm with at most
+    ``_KERNEL_MAX_M`` draws, the kernel replays that call's draws for all
+    trials at once (``tests/test_validation.py::TestSplitKernel`` pins the
+    equality); a trial where numpy would reject a Lemire draw, and every
+    trial of any other shape, takes its row from ``sample_split`` itself.
+    Trial indices and seeds are uint64, wrapping as ``splitmix64``'s do.
+    Trials go in chunks, so the working memory beside the masks stays near
+    ``_CHUNK_CELLS`` draws.
     """
     n, m = sampler.n_total, sampler.m
     if n >= 1 << 31:
         raise ValueError("split kernel needs n_total < 2**31")
     masks = np.zeros((trials, n), dtype=bool)
-    if n > _FLOYD_MAX_N and m > n // _TAIL_FRACTION:
+    if m > _KERNEL_MAX_M or (n > _FLOYD_MAX_N and m > n // _TAIL_FRACTION):
         for t in range(trials):
             masks[t, sample_split(sampler, offset + t)] = True
         return masks
@@ -296,28 +256,33 @@ def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
     z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
     seeds = z ^ (z >> _U64(31))
-    block = min(m, _STEP_BLOCK)
-    chunk = max(1, _CHUNK_CELLS // block)
+    chunk = max(1, _CHUNK_CELLS // m)
     for start in range(0, trials, chunk):
         rows = masks[start:start + chunk]
-        streams = _Streams(seeds[start:start + chunk])
-        _floyd(streams, rows, n, m, block)
-        for t in np.flatnonzero(streams.rejected).tolist():
+        for t in _floyd(seeds[start:start + chunk], rows, n, m).tolist():
             rows[t] = False
             rows[t, sample_split(sampler, offset + start + t)] = True
     return masks
 
 
-def _floyd(streams: _Streams, masks: np.ndarray, n: int, m: int, block: int) -> None:
-    """Floyd's sampling: step j draws v in [0, j] and adds v, or j if v is taken."""
-    flat = masks.reshape(-1)
+def _floyd(seeds: np.ndarray, masks: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Floyd's sampling, one mask row per seed; returns the rows numpy would redraw.
+
+    Step j draws v in [0, j] and adds v, or j if v is taken.  The draw is
+    Lemire's, the high word of word * (j + 1).  numpy rejects it and draws
+    again when the low word falls below 2**32 mod (j + 1); such a trial's
+    row is returned, its later draws no longer numpy's.
+    """
+    bounds = np.arange(n - m + 1, n + 1, dtype=_U64)
+    p = _pcg_words(seeds, m) * bounds
+    rejected = ((p & _LO32) < (_U64(1 << 32) - bounds) % bounds).any(axis=1)
     base = np.arange(len(masks)) * n
-    for lo in range(n - m, n, block):
-        js = np.arange(lo, min(lo + block, n))
-        drawn = streams.bounded((js + 1).astype(_U64))
-        drawn += base
-        for v, j in zip(drawn, js[:, None] + base):
-            flat[np.where(flat[v], j, v)] = True
+    drawn = (p >> _SHIFT32).T.astype(np.intp, order="C")
+    drawn += base
+    flat = masks.reshape(-1)
+    for v, j in zip(drawn, np.arange(n - m, n)[:, None] + base):
+        flat[np.where(flat[v], j, v)] = True
+    return np.flatnonzero(rejected)
 
 
 @dataclass(frozen=True)

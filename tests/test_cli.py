@@ -196,6 +196,8 @@ class TestBadValues:
         (["mc-concentration", "--population-size", "100000000000", "--ones", "3", "--m", "5",
           "--trials", "1000"], "100000000000"),
         (["prior-sweep", "--p-grid", "0,0.5", "--m", "5", "--u", "5"], "got 0.0"),
+        (["mc-concentration", "--population-size", "40", "--ones", "10", "--m", "20",
+          "--eps-grid", "0.1,nan", "--trials", "1000"], "eps"),
     ])
     def test_exit_2_naming_the_value(self, capsys, argv, named):
         code, out, err = run(capsys, argv)

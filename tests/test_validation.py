@@ -149,8 +149,8 @@ class TestSplitKernel:
 
     @pytest.mark.parametrize("seed", [pytest.param(6, id="0"), pytest.param(10, id="2")])
     def test_lemire_rejections(self, monkeypatch, seed):
-        # 8 of these 10 trials reject a draw; exactly those come from sample_split
-        s = SplitSampler(n_total=4_000_000, m=5000, master_seed=seed)
+        # 3 and 4 of these 10 trials reject a draw; exactly those come from sample_split
+        s = SplitSampler(n_total=4_000_000, m=1000, master_seed=seed)
         rejecting = [t for t in range(10) if lemire_rejections(s, t) > 0]
         assert 0 < len(rejecting) < 10
         called = []
@@ -164,11 +164,25 @@ class TestSplitKernel:
         assert called == rejecting
 
     def test_tail_shapes_call_sample_split(self, monkeypatch):
-        def no_kernel(seeds):
-            raise AssertionError("tail shapes take no kernel streams")
+        def no_kernel(seeds, count):
+            raise AssertionError("tail shapes take no kernel words")
 
-        monkeypatch.setattr(validation, "_Streams", no_kernel)
+        monkeypatch.setattr(validation, "_pcg_words", no_kernel)
         assert_kernel_matches_loop(SplitSampler(n_total=10_001, m=201, master_seed=17), 12)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_kernel_draw_limit(self, monkeypatch, extra):
+        # Floyd shapes on both sides of the limit: the kernel's words only up to it
+        m = validation._KERNEL_MAX_M + extra
+        pcg_words, counts = validation._pcg_words, []
+
+        def recording(seeds, count):
+            counts.append(count)
+            return pcg_words(seeds, count)
+
+        monkeypatch.setattr(validation, "_pcg_words", recording)
+        assert_kernel_matches_loop(SplitSampler(n_total=2 * m + 1, m=m, master_seed=3), 40)
+        assert counts == ([] if extra else [m])
 
     def test_floyd_without_rejections_skips_sample_split(self, monkeypatch):
         def no_fallback(sampler, trial_index):
@@ -179,9 +193,8 @@ class TestSplitKernel:
 
     @pytest.mark.parametrize("n, m", [(40, 20), (300, 299), (10_001, 300)])
     def test_many_chunks_and_odd_passes(self, monkeypatch, n, m):
-        # small chunks and odd passes leave streams mid-output between passes
+        # chunks of 3 trials (the last one short) or of 1, odd and even words per trial
         monkeypatch.setattr(validation, "_CHUNK_CELLS", 64)
-        monkeypatch.setattr(validation, "_STEP_BLOCK", 7)
         assert_kernel_matches_loop(SplitSampler(n_total=n, m=m, master_seed=8), 11, 5)
 
     @pytest.mark.parametrize("offset", [0, 2**63 - 3])
