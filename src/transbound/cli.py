@@ -14,11 +14,13 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from .hypergeom import epsilon_star
 from .pac_bayes import EVAL_BOUNDS, evaluate_bound
+from .records import _check_choice, _check_nonnegative
 from .transduce import (
     ALGORITHMS,
     BOUND_NAMES,
@@ -56,8 +58,7 @@ def _resolve_u(rule: str, m: int) -> int:
         u = math.ceil(math.sqrt(m))
     elif rule.startswith("multiple:"):
         alpha = float(rule.split(":", 1)[1])
-        if not math.isfinite(alpha):
-            raise ValueError(f"u-rule {rule!r} needs a finite multiple")
+        _check_nonnegative(f"u-rule {rule!r}", alpha)
         u = int(round(alpha * m))
     elif rule.startswith("const:"):
         u = int(rule.split(":", 1)[1])
@@ -79,8 +80,7 @@ def _csv_floats(text: str) -> list[float]:
 def cmd_curve(args) -> int:
     names = [tok for tok in args.bounds.split(",") if tok != ""]
     for name in names:
-        if name not in EVAL_BOUNDS:
-            raise ValueError(f"unknown bound {name!r}; choose from {', '.join(EVAL_BOUNDS)}")
+        _check_choice("bound", name, EVAL_BOUNDS)
     m_grid = _csv_ints(args.m_grid)
     if sorted(set(m_grid)) != m_grid:
         raise ValueError("m-grid must be strictly increasing")
@@ -130,7 +130,9 @@ def cmd_epsilon_star(args) -> int:
 
 
 def _load_points(path: str) -> np.ndarray:
-    pts = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    with warnings.catch_warnings():  # an empty file gets the message below instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        pts = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     if pts.size == 0:
         raise ValueError(f"no points in {path}")
     return pts
@@ -206,8 +208,6 @@ def cmd_transduce(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.trials < 1:
-        raise ValueError("need at least one trial")
     if args.scenario == "clustering":
         if not args.data or not args.labels:
             raise ValueError("clustering scenario needs --data and --labels (full target)")
@@ -236,7 +236,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mc_concentration(args) -> int:
-    if args.trials < 1:
+    if args.trials < 1:  # else check_mc_cells passes any population size
         raise ValueError("need at least one trial")
     if args.population_size < 1:
         raise ValueError("population-size must be positive")

@@ -32,6 +32,8 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
+from .records import _check_choice
+
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-9
 # Largest condensed distance matrix agglomerative_sweep builds: 2**27 float64
@@ -215,8 +217,7 @@ def agglomerative_sweep(points: np.ndarray, c: int, method: str,
     appears where lo did.  ``dists`` is the points' ``condensed_distances``
     if already built; ``linkage`` does not modify it.
     """
-    if method not in ("single", "complete"):
-        raise ValueError(f"unknown linkage {method!r}")
+    _check_choice("linkage", method, ("single", "complete"))
     n = len(points)
     if n == 1:
         return {1: np.zeros(1, dtype=np.int64)}

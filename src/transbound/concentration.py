@@ -14,10 +14,12 @@ bound.
 from dataclasses import dataclass
 import math
 
+from .records import _check_choice, _check_nonnegative, _check_unit
+
 
 @dataclass(frozen=True)
 class PopulationSummary:
-    """Finite population described by its size, mean and loss range."""
+    """Finite population described by its size, mean and finite positive loss range."""
 
     n_total: int
     mean: float
@@ -27,10 +29,10 @@ class PopulationSummary:
     def __post_init__(self):
         if self.n_total < 1:
             raise ValueError("population size must be >= 1")
-        if self.loss_bound <= 0:
-            raise ValueError("loss bound must be positive")
+        if not 0.0 < self.loss_bound < math.inf:
+            raise ValueError(f"loss_bound must be positive and finite, got {self.loss_bound}")
         if not 0.0 <= self.mean <= self.loss_bound:
-            raise ValueError("population mean must lie in [0, loss_bound]")
+            raise ValueError(f"mean must lie in [0, loss_bound], got {self.mean}")
         if self.binary:
             if self.loss_bound != 1.0:
                 raise ValueError("binary populations have loss bound 1")
@@ -41,7 +43,7 @@ class PopulationSummary:
 
 @dataclass(frozen=True)
 class DeviationQuery:
-    """Sample size and deviation threshold for one tail query."""
+    """Sample size and deviation threshold for one tail query; ``eps`` is finite and >= 0."""
 
     m: int
     eps: float
@@ -49,8 +51,7 @@ class DeviationQuery:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("sample size must be >= 1")
-        if not self.eps >= 0:
-            raise ValueError(f"eps must be a nonnegative number, got {self.eps}")
+        _check_nonnegative("eps", self.eps)
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,7 @@ class TailBound:
 
 def binary_entropy(nu: float) -> float:
     """Entropy -nu*ln(nu) - (1-nu)*ln(1-nu) with the 0*ln(0) = 0 convention."""
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError("entropy argument must lie in [0, 1]")
+    _check_unit("nu", nu)
     if nu in (0.0, 1.0):
         return 0.0
     return -nu * math.log(nu) - (1.0 - nu) * math.log(1.0 - nu)
@@ -78,8 +78,8 @@ def binary_entropy(nu: float) -> float:
 
 def kl_binary(nu: float, mu: float) -> float:
     """Divergence nu*ln(nu/mu) + (1-nu)*ln((1-nu)/(1-mu)); +inf on a zero denominator."""
-    if not 0.0 <= nu <= 1.0 or not 0.0 <= mu <= 1.0:
-        raise ValueError("divergence arguments must lie in [0, 1]")
+    _check_unit("nu", nu)
+    _check_unit("mu", mu)
     if nu > 0.0 and mu == 0.0:
         return math.inf
     if nu < 1.0 and mu == 1.0:
@@ -108,10 +108,9 @@ def hoeffding_bound(pop: PopulationSummary, q: DeviationQuery, form: str = "kl")
     """
     if q.m > pop.n_total:
         raise ValueError("sample size exceeds population size")
+    _check_choice("form", form, ("kl", "squared"))
     if form == "squared":
         return _clamped(-2.0 * q.m * q.eps * q.eps / (pop.loss_bound ** 2))
-    if form != "kl":
-        raise ValueError(f"unknown form {form!r}")
     ratio = pop.mean / pop.loss_bound
     if q.eps > 1.0 - ratio:
         return _clamped(0.0, valid=False)

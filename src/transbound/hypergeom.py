@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .records import BoundValue
+from .records import BoundValue, _check_choice, _check_nonnegative, _check_probability, _check_unit
 
 VARIANTS = ("relative", "absolute")
 
@@ -93,10 +93,8 @@ class EpsilonStar:
     achieving_k: int
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.value < 0:
-            raise ValueError("epsilon* must be nonnegative")
+        _check_choice("variant", self.variant, VARIANTS)
+        _check_nonnegative("epsilon*", self.value)
 
 
 def log_binomial(n: int, r: int) -> float:
@@ -150,9 +148,8 @@ def hypergeom_pmf(r: int, spec: HypergeomSpec) -> float:
 
 
 def deviation_tail(eps: float, spec: HypergeomSpec) -> float:
-    """Exact Pr{R(test) - R(train) > eps} over uniform without-replacement splits."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    """Exact Pr{R(test) - R(train) > eps}, finite eps >= 0, over uniform random splits."""
+    _check_nonnegative("eps", eps)
     k = np.array([[spec.k]], dtype=np.int64)
     neg, log_tail, keep = _pairs(spec.m, spec.u, k, _gammaln_factorial)
     neg, log_tail = neg[keep], log_tail[keep]
@@ -283,16 +280,14 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
 
 
 def gamma(eps: float, m: int, u: int, variant: str = "absolute") -> float:
-    """Worst case over k of the exact deviation tail.
+    """Worst case over k of the exact deviation tail at a finite eps >= 0.
 
     ``absolute`` maximises Pr{deviation > eps} itself; ``relative`` scales the
     threshold by sqrt(k/(m+u)) before taking the tail, which is the form the
     relative-deviation bound inverts.  k = 0 contributes 0 either way.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_nonnegative("eps", eps)
+    _check_choice("variant", variant, VARIANTS)
     neg, log_tail, _ = _envelopes(m, u, VARIANTS)[variant]
     j = int(np.searchsorted(neg, -eps, side="left"))
     return math.exp(log_tail[j - 1]) if j else 0.0
@@ -317,10 +312,8 @@ def epsilon_star(prior_mass: float, delta: float, m: int, u: int,
     """
     if not 0.0 < prior_mass <= 1.0:
         raise ValueError(f"prior_mass must be in (0, 1], got {prior_mass}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_probability("delta", delta)
+    _check_choice("variant", variant, VARIANTS)
     return _epsilon_star(_log_inverse(prior_mass), delta, _envelopes(m, u, VARIANTS)[variant],
                          variant, prior_mass)
 
@@ -347,8 +340,7 @@ def vapnik_bound(emp_risk: float, eps_star: EpsilonStar, m: int, u: int) -> Boun
     Relative variant: R + e^2 u / (2(m+u)) + e * sqrt(R + (e u / (2(m+u)))^2)
     with e = eps_star.value; absolute variant: R + e.
     """
-    if not 0.0 <= emp_risk <= 1.0:
-        raise ValueError("emp_risk must be in [0, 1]")
+    _check_unit("emp_risk", emp_risk)
     e = eps_star.value
     if eps_star.variant == "absolute":
         raw = emp_risk + e

@@ -21,8 +21,8 @@ import math
 import numpy as np
 from scipy.special import rel_entr
 
-from .hypergeom import _log_inverse, epsilon_star, vapnik_bound
-from .records import BoundValue
+from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, vapnik_bound
+from .records import BoundValue, _check_choice, _check_nonnegative, _check_probability, _check_unit
 
 EVAL_BOUNDS = ("vapnik_relative", "vapnik_absolute", "serfling", "det_reduction", "det_direct",
                "gibbs_reduction", "gibbs_direct")
@@ -53,7 +53,7 @@ class BoundInputs:
     Exactly one of ``prior_mass`` (deterministic bounds) and ``kl_value``
     (Gibbs bounds) must be given.  ``m`` >= 2 is enforced by the variants
     that divide by m - 1, not here, because the Serfling-type bound is
-    valid for m = 1.
+    valid for m = 1.  Every float must be finite.
     """
 
     m: int
@@ -65,20 +65,18 @@ class BoundInputs:
     loss_bound: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1 or self.u < 1:
-            raise ValueError("m and u must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+        HypergeomSpec(self.m, self.u, 0)  # validates m and u
+        _check_probability("delta", self.delta)
         if not 0.0 < self.loss_bound < math.inf:
-            raise ValueError(f"loss bound must be positive and finite, got {self.loss_bound}")
+            raise ValueError(f"loss_bound must be positive and finite, got {self.loss_bound}")
         if not 0.0 <= self.emp_risk <= self.loss_bound:
-            raise ValueError("emp_risk must lie in [0, loss_bound]")
+            raise ValueError(f"emp_risk must lie in [0, loss_bound], got {self.emp_risk}")
         if (self.prior_mass is None) == (self.kl_value is None):
             raise ValueError("exactly one of prior_mass and kl_value must be set")
         if self.prior_mass is not None and not 0.0 < self.prior_mass <= 1.0:
-            raise ValueError("prior_mass must be in (0, 1]")
-        if self.kl_value is not None and not 0.0 <= self.kl_value < math.inf:
-            raise ValueError(f"kl_value must be nonnegative and finite, got {self.kl_value}")
+            raise ValueError(f"prior_mass must be in (0, 1], got {self.prior_mass}")
+        if self.kl_value is not None:
+            _check_nonnegative("kl_value", self.kl_value)
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,9 @@ class GibbsEnsemble:
 
 
 def full_to_test(full_excess: float, m: int, u: int) -> float:
-    """Convert a bound excess over the full-sample risk into one over the test risk."""
+    """Convert a finite bound excess over the full-sample risk into one over the test risk."""
+    if not math.isfinite(full_excess):
+        raise ValueError(f"full_excess must be finite, got {full_excess}")
     if u < 1:
         raise ValueError("u must be positive")
     return (m + u) / u * full_excess
@@ -109,15 +109,15 @@ def full_to_test(full_excess: float, m: int, u: int) -> float:
 
 def risk_mix(r_m: float, r_u: float, m: int, u: int) -> float:
     """Full-sample risk as the exact convex mixture of train and test risks."""
-    if not (0.0 <= r_m <= 1.0 and 0.0 <= r_u <= 1.0):
-        raise ValueError("risks must lie in [0, 1]")
+    _check_unit("r_m", r_m)
+    _check_unit("r_u", r_u)
     return (m * r_m + u * r_u) / (m + u)
 
 
 def invert_self_bounding(a: float, b: float) -> float:
-    """Upper bound a + b + sqrt(ab) for any z satisfying z <= a + sqrt(z b)."""
-    if a < 0 or b < 0:
-        raise ValueError("arguments must be nonnegative")
+    """Upper bound a + b + sqrt(ab) for any z satisfying z <= a + sqrt(z b), a and b finite >= 0."""
+    _check_nonnegative("a", a)
+    _check_nonnegative("b", b)
     return a + b + math.sqrt(a * b)
 
 
@@ -213,8 +213,7 @@ def evaluate_bound(name: str, m: int, u: int, delta: float, emp_risk: float,
     charge ``kl_value``.  ``loss_bound`` scales ``serfling`` only: the
     binary-loss bounds reject any other value and ``vapnik_*`` ignores it.
     """
-    if name not in EVAL_BOUNDS:
-        raise ValueError(f"unknown bound {name!r}; choose from {', '.join(EVAL_BOUNDS)}")
+    _check_choice("bound", name, EVAL_BOUNDS)
     family, _, variant = name.partition("_")
     if family == "vapnik":
         star = epsilon_star(prior_mass, delta, m, u, variant)
@@ -245,8 +244,8 @@ def graepel_inductive_bound(emp_risk: float, m: int, s: int, delta: float) -> Bo
     """
     if not 0 <= s < m:
         raise ValueError("need 0 <= s < m")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_unit("emp_risk", emp_risk)
+    _check_probability("delta", delta)
     s_term = 0.0 if s == 0 else s * math.log(2.0 * math.e * m / s)
     raw = m / (m - s) * emp_risk + math.sqrt(
         (s_term + math.log(1.0 / delta) + 2.0 * math.log(m)) / (2.0 * (m - s))

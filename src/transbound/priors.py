@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .hypergeom import log_binomial
-from .records import BoundValue
+from .hypergeom import HypergeomSpec, log_binomial
+from .records import BoundValue, _check_choice, _check_probability, _check_unit
 
 _LN2 = math.log(2.0)
 
@@ -34,8 +34,7 @@ class CompressionPrior:
     max_tau: int | None = None
 
     def __post_init__(self):
-        if self.m < 1 or self.u < 1:
-            raise ValueError("m and u must be positive")
+        HypergeomSpec(self.m, self.u, 0)  # validates m and u
         tau = self.m if self.max_tau is None else self.max_tau
         object.__setattr__(self, "max_tau", tau)
         if not 1 <= tau <= self.m:
@@ -62,8 +61,7 @@ class ClusteringPrior:
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("cluster budget c must be >= 1")
-        if self.k_ensemble < 1:
-            raise ValueError("ensemble size must be >= 1")
+        clustering_complexity(1, self.c, self.k_ensemble)  # validates k_ensemble
 
     def log_inverse_mass(self, tau: int) -> float:
         """ln(1/p(h)) for a hypothesis constant on tau clusters."""
@@ -88,10 +86,8 @@ def compression_complexity(s: int, m: int, u: int, variant: str = "relaxed") -> 
 def _serfling_bound(emp_risk: float, complexity: float, m: int, u: int, delta: float,
                     denom: float, name: str) -> BoundValue:
     """R + sqrt((m+u)/u (u+1)/u (complexity + ln(1/delta)) / denom), binary loss."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if not 0.0 <= emp_risk <= 1.0:
-        raise ValueError("emp_risk must lie in [0, 1]")
+    _check_probability("delta", delta)
+    _check_unit("emp_risk", emp_risk)
     comp = complexity + math.log(1.0 / delta)
     raw = emp_risk + math.sqrt((m + u) / u * (u + 1) / u * comp / denom)
     return BoundValue(raw=raw, clamped=min(raw, 1.0), name=name)
@@ -105,8 +101,7 @@ def compression_bound(emp_risk: float, s: int, m: int, u: int, delta: float,
     the Serfling-type bound verbatim, dividing by 2m, and is tighter by
     exactly sqrt(2).
     """
-    if variant not in ("printed", "derived"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_choice("variant", variant, ("printed", "derived"))
     return _serfling_bound(emp_risk, compression_complexity(s, m, u, "relaxed"), m, u, delta,
                            float(m) if variant == "printed" else 2.0 * m,
                            f"compression_{variant}")

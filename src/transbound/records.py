@@ -1,4 +1,7 @@
-"""Shared result record for every explicit risk bound."""
+"""Shared result record for every explicit risk bound, and the shared argument checks.
+
+Each ``_check_*`` raises a ValueError naming the argument and its value.  Its test reads
+``not lo <= x <= hi``, which NaN fails, and no range admits an infinity: both are input errors."""
 
 from dataclasses import dataclass
 import math
@@ -25,3 +28,23 @@ class BoundValue:
             raise ValueError(f"{self.name} bound is not a number for these inputs")
         if self.clamped > 1.0 + 1e-12:
             raise ValueError(f"clamped bound {self.clamped} exceeds 1")
+
+
+def _check_probability(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _check_choice(name: str, value: str, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(choices)}")

@@ -20,7 +20,7 @@ from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
 from .hypergeom import _envelopes, _epsilon_star
 from .pac_bayes import det_raw
 from .priors import ClusteringPrior, clustering_bound
-from .records import BoundValue
+from .records import BoundValue, _check_choice, _check_probability
 
 ALGORITHMS = ("kmeans", "agglomerative_single", "agglomerative_complete")
 LINKAGES = ALGORITHMS[1:]
@@ -130,21 +130,17 @@ class TransduceConfig:
         if not self.algorithms:
             raise ValueError("need at least one clustering algorithm")
         for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown clustering algorithm {a!r}")
-        if self.bound_name not in BOUND_NAMES:
-            raise ValueError(f"unknown bound {self.bound_name!r}")
+            _check_choice("clustering algorithm", a, ALGORITHMS)
+        _check_choice("bound", self.bound_name, BOUND_NAMES)
         if self.c < 1:
             raise ValueError("c must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+        _check_probability("delta", self.delta)
 
 
 def _checked_points(data: Dataset, algorithms, c: int) -> np.ndarray:
     """The points by id, once every algorithm is known and c rows are distinct."""
     for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown clustering algorithm {algo!r}")
+        _check_choice("clustering algorithm", algo, ALGORITHMS)
     pts = data.points_by_id()
     distinct = len(np.unique(pts, axis=0))
     if c > distinct:
@@ -296,10 +292,8 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     smaller clusterer id, and a NaN bound never wins.  Labels are then
     computed for the winners only.
     """
-    if bound_name not in BOUND_NAMES:
-        raise ValueError(f"unknown bound {bound_name!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_choice("bound", bound_name, BOUND_NAMES)
+    _check_probability("delta", delta)
     if not partitions:
         raise ValueError("need at least one partition")
     masks = np.asarray(masks, dtype=bool)

@@ -35,6 +35,7 @@ from .concentration import (
 )
 from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, hypergeom_pmf
 from .pac_bayes import det_raw, gibbs_raw, kl_divergence
+from .records import _check_choice, _check_probability
 from .transduce import (
     ALGORITHMS,
     BOUND_NAMES,
@@ -472,8 +473,7 @@ class FiniteHypothesisInstance:
             raise ValueError("errors must be a 0/1 matrix")
         if p.shape != (e.shape[0],) or abs(p.sum() - 1.0) > 1e-12 or (p <= 0).any():
             raise ValueError("prior must be a positive distribution over hypotheses")
-        if not 1 <= self.m < e.shape[1]:
-            raise ValueError("need 1 <= m < n_total")
+        SplitSampler(n_total=e.shape[1], m=self.m, master_seed=0)  # validates m
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,24 +492,24 @@ class ClusteringInstance:
         object.__setattr__(self, "target", t)
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         object.__setattr__(self, "clusterers", tuple(self.clusterers))
-        if not self.clusterers or not set(self.clusterers) <= set(ALGORITHMS):
-            raise ValueError(f"clusterers must be a nonempty choice from {ALGORITHMS}")
+        if not self.clusterers:
+            raise ValueError("need at least one clustering algorithm")
+        for algo in self.clusterers:
+            _check_choice("clustering algorithm", algo, ALGORITHMS)
         if not np.isin(t, (-1, 1)).all():
             raise ValueError("target labels must be +-1")
         if len(t) != len(self.points):
             raise ValueError("one target label per point required")
         if not 1 <= self.c <= self.m < len(t):
             raise ValueError("need 1 <= c <= m < n_total")
-        if self.bound_name not in BOUND_NAMES:
-            raise ValueError(f"unknown clustering bound {self.bound_name!r}")
+        _check_choice("clustering bound", self.bound_name, BOUND_NAMES)
 
 
 def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> FiniteHypothesisInstance:
     """Random +-1 labelings against a random target, uniform prior."""
     if n_hyp < 1:
         raise ValueError("need at least one hypothesis")
-    if not 1 <= m < n_total:
-        raise ValueError("need 1 <= m < n_total")
+    SplitSampler(n_total=n_total, m=m, master_seed=seed)  # validates m
     check_mc_cells(n_hyp, n_total, "hypotheses x n_total")
     rng = np.random.Generator(np.random.PCG64(splitmix64(seed, 0)))
     target = rng.choice([-1, 1], size=n_total)
@@ -610,12 +610,10 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     event is controlled by the inversion.  All other scenarios use strict
     exceedance of the stated bound.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
+    _check_choice("scenario", scenario, SCENARIOS)
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_probability("delta", delta)
 
     if scenario == "clustering":
         n = len(instance.target)
@@ -630,10 +628,8 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     if scenario in ("vapnik_absolute", "vapnik_relative"):
         variant = scenario.removeprefix("vapnik_")
         violations, boundary = _vapnik_violations(instance, masks, delta, variant)
-    elif scenario == "serfling":
-        violations = _det_bound_violations(instance, masks, delta, "serfling")
-    elif scenario == "direct":
-        violations = _det_bound_violations(instance, masks, delta, "direct")
+    elif scenario in ("serfling", "direct"):
+        violations = _det_bound_violations(instance, masks, delta, scenario)
     elif scenario in ("gibbs_reduction", "gibbs_direct"):
         violations = _gibbs_violations(instance, masks, delta, scenario.removeprefix("gibbs_"))
     else:

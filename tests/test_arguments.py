@@ -1,0 +1,122 @@
+"""Non-finite scalar arguments at the public entry points: each is a ValueError naming it.
+
+One table lists every public function or record that takes float arguments,
+with a strategy for each valid argument and the float arguments it reads.
+The test puts NaN, +inf or -inf into one read argument at a time, the others
+drawn valid, and expects a ValueError whose message starts with that
+argument's name.
+"""
+
+import functools
+import math
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from transbound.concentration import (
+    DeviationQuery,
+    PopulationSummary,
+    binary_entropy,
+    kl_binary,
+)
+from transbound.hypergeom import (
+    EpsilonStar,
+    HypergeomSpec,
+    deviation_tail,
+    epsilon_star,
+    gamma,
+    vapnik_bound,
+)
+from transbound.pac_bayes import (
+    EVAL_BOUNDS,
+    BoundInputs,
+    evaluate_bound,
+    full_to_test,
+    graepel_inductive_bound,
+    invert_self_bounding,
+    risk_mix,
+)
+from transbound.priors import clustering_bound, compression_bound
+
+SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+PROB = st.floats(0.01, 0.99)
+UNIT = st.floats(0.0, 1.0)
+MASS = st.floats(0.01, 1.0)
+SMALL = st.floats(0.0, 5.0)
+LOSS = st.floats(1.0, 5.0)
+
+
+# name: (callable, {argument: strategy of valid values}, float arguments it reads)
+TABLE = {
+    "deviation_tail": (deviation_tail,
+                       {"eps": SMALL, "spec": st.just(HypergeomSpec(m=5, u=5, k=3))},
+                       ("eps",)),
+    "gamma": (gamma, {"eps": SMALL, "m": st.just(20), "u": st.just(20)}, ("eps",)),
+    "epsilon_star": (epsilon_star,
+                     {"prior_mass": MASS, "delta": PROB, "m": st.just(20), "u": st.just(20)},
+                     ("prior_mass", "delta")),
+    "vapnik_bound": (vapnik_bound,
+                     {"emp_risk": UNIT, "m": st.just(20), "u": st.just(20),
+                      "eps_star": st.just(EpsilonStar(value=0.2, variant="absolute",
+                                                      achieving_k=3))},
+                     ("emp_risk",)),
+    "full_to_test": (full_to_test, {"full_excess": SMALL, "m": st.just(10), "u": st.just(5)},
+                     ("full_excess",)),
+    "risk_mix": (risk_mix, {"r_m": UNIT, "r_u": UNIT, "m": st.just(10), "u": st.just(5)},
+                 ("r_m", "r_u")),
+    "invert_self_bounding": (invert_self_bounding, {"a": SMALL, "b": SMALL}, ("a", "b")),
+    "graepel_inductive_bound": (graepel_inductive_bound,
+                                {"emp_risk": UNIT, "m": st.just(100), "s": st.just(10),
+                                 "delta": PROB},
+                                ("emp_risk", "delta")),
+    "clustering_bound": (clustering_bound,
+                         {"emp_risk": UNIT, "tau": st.just(2), "c": st.just(5), "m": st.just(20),
+                          "u": st.just(20), "delta": PROB},
+                         ("emp_risk", "delta")),
+    "compression_bound": (compression_bound,
+                          {"emp_risk": UNIT, "s": st.just(3), "m": st.just(20), "u": st.just(20),
+                           "delta": PROB},
+                          ("emp_risk", "delta")),
+    "binary_entropy": (binary_entropy, {"nu": UNIT}, ("nu",)),
+    "kl_binary": (kl_binary, {"nu": UNIT, "mu": UNIT}, ("nu", "mu")),
+    "DeviationQuery": (DeviationQuery, {"m": st.just(5), "eps": SMALL}, ("eps",)),
+    "PopulationSummary": (PopulationSummary,
+                          {"n_total": st.just(10), "mean": UNIT, "loss_bound": LOSS},
+                          ("mean", "loss_bound")),
+    "BoundInputs-prior_mass": (BoundInputs,
+                               {"m": st.just(10), "u": st.just(10), "delta": PROB, "emp_risk": UNIT,
+                                "prior_mass": MASS, "loss_bound": LOSS},
+                               ("delta", "emp_risk", "prior_mass", "loss_bound")),
+    "BoundInputs-kl_value": (BoundInputs,
+                             {"m": st.just(10), "u": st.just(10), "delta": PROB, "emp_risk": UNIT,
+                              "kl_value": SMALL, "loss_bound": LOSS},
+                             ("delta", "emp_risk", "kl_value", "loss_bound")),
+}
+
+# evaluate_bound reads kl_value only for gibbs_*, prior_mass only for the others,
+# and loss_bound for all but vapnik_*
+for _name in EVAL_BOUNDS:
+    _reads = ("delta", "emp_risk",
+              "kl_value" if _name.startswith("gibbs") else "prior_mass")
+    if not _name.startswith("vapnik"):
+        _reads += ("loss_bound",)
+    TABLE[f"evaluate_bound-{_name}"] = (
+        functools.partial(evaluate_bound, _name),
+        {"m": st.just(20), "u": st.just(20), "delta": PROB, "emp_risk": UNIT, "prior_mass": MASS,
+         "kl_value": SMALL, "loss_bound": st.just(1.0)},
+        _reads)
+
+CASES = [(case, arg) for case, (_, _, reads) in TABLE.items() for arg in reads]
+
+
+@pytest.mark.parametrize("case,arg", CASES, ids=[f"{c}-{a}" for c, a in CASES])
+@SETTINGS
+@given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_argument_is_named(case, arg, data, bad):
+    func, strategies, _ = TABLE[case]
+    kwargs = data.draw(st.fixed_dictionaries(strategies))
+    kwargs[arg] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(arg)} "):
+        func(**kwargs)

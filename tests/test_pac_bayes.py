@@ -362,6 +362,12 @@ class TestGraepel:
         with pytest.raises(ValueError):
             graepel_inductive_bound(0.1, 100, 100, 0.05)
 
+    @pytest.mark.parametrize("emp_risk", [-1.0, 2.0, math.nan])
+    def test_emp_risk_outside_unit_interval(self, emp_risk):
+        # -1.0 once gave a raw bound of -0.31 and 2.0 one of 3.44
+        with pytest.raises(ValueError, match="^emp_risk "):
+            graepel_inductive_bound(emp_risk, 10, 2, 0.05)
+
 
 class TestArrayFormulas:
     """The scalar bounds are the array formulas at one point, bit for bit."""
