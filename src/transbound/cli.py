@@ -20,7 +20,7 @@ import numpy as np
 
 from .hypergeom import epsilon_star
 from .pac_bayes import EVAL_BOUNDS, evaluate_bound
-from .records import _check_choice, _check_nonnegative
+from .records import _check_choice, _check_nonnegative, _check_size
 from .transduce import (
     ALGORITHMS,
     BOUND_NAMES,
@@ -238,8 +238,7 @@ def cmd_validate(args) -> int:
 def cmd_mc_concentration(args) -> int:
     if args.trials < 1:  # else check_mc_cells passes any population size
         raise ValueError("need at least one trial")
-    if args.population_size < 1:
-        raise ValueError("population-size must be positive")
+    _check_size("population-size", args.population_size)
     check_mc_cells(args.trials, args.population_size, "trials x population-size")
     pop = np.zeros(args.population_size, dtype=np.int64)
     if not 0 <= args.ones <= args.population_size:
@@ -264,6 +263,13 @@ def cmd_mc_concentration(args) -> int:
         rows,
     )
     return 0
+
+
+def _check_float_flags(args) -> None:
+    """Refuse a NaN or infinite float flag, whether or not the command reads it."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,6 +367,7 @@ def main(argv=None) -> int:
     if hasattr(args, "clusterer") and args.clusterer is None:
         args.clusterer = ["kmeans"]
     try:
+        _check_float_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ bound.
 from dataclasses import dataclass
 import math
 
-from .records import _check_choice, _check_nonnegative, _check_unit
+from .records import _check_choice, _check_nonnegative, _check_size, _check_unit
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class PopulationSummary:
     binary: bool = False
 
     def __post_init__(self):
-        if self.n_total < 1:
-            raise ValueError("population size must be >= 1")
+        _check_size("n_total", self.n_total)
         if not 0.0 < self.loss_bound < math.inf:
             raise ValueError(f"loss_bound must be positive and finite, got {self.loss_bound}")
         if not 0.0 <= self.mean <= self.loss_bound:
@@ -49,8 +48,7 @@ class DeviationQuery:
     eps: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("sample size must be >= 1")
+        _check_size("m", self.m)
         _check_nonnegative("eps", self.eps)
 
 

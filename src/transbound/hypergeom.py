@@ -20,7 +20,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .records import BoundValue, _check_choice, _check_nonnegative, _check_probability, _check_unit
+from .records import (BoundValue, _check_choice, _check_nonnegative, _check_probability,
+                      _check_size, _check_unit)
 
 VARIANTS = ("relative", "absolute")
 
@@ -70,8 +71,8 @@ class HypergeomSpec:
     k: int
 
     def __post_init__(self):
-        if self.m < 1 or self.u < 1:
-            raise ValueError("m and u must be positive integers")
+        _check_size("m", self.m)
+        _check_size("u", self.u)
         if not 0 <= self.k <= self.m + self.u:
             raise ValueError(f"k={self.k} outside 0..{self.m + self.u}")
 

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, vapnik_bound
-from .records import BoundValue, _check_choice, _check_nonnegative, _check_probability, _check_unit
+from .records import (BoundValue, _check_choice, _check_nonnegative, _check_probability,
+                      _check_size, _check_unit)
 
 EVAL_BOUNDS = ("vapnik_relative", "vapnik_absolute", "serfling", "det_reduction", "det_direct",
                "gibbs_reduction", "gibbs_direct")
@@ -102,8 +103,8 @@ def full_to_test(full_excess: float, m: int, u: int) -> float:
     """Convert a finite bound excess over the full-sample risk into one over the test risk."""
     if not math.isfinite(full_excess):
         raise ValueError(f"full_excess must be finite, got {full_excess}")
-    if u < 1:
-        raise ValueError("u must be positive")
+    _check_size("m", m)
+    _check_size("u", u)
     return (m + u) / u * full_excess
 
 
@@ -111,6 +112,8 @@ def risk_mix(r_m: float, r_u: float, m: int, u: int) -> float:
     """Full-sample risk as the exact convex mixture of train and test risks."""
     _check_unit("r_m", r_m)
     _check_unit("r_u", r_u)
+    _check_size("m", m)
+    _check_size("u", u)
     return (m * r_m + u * r_u) / (m + u)
 
 

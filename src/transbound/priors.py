@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .hypergeom import HypergeomSpec, log_binomial
-from .records import BoundValue, _check_choice, _check_probability, _check_unit
+from .records import BoundValue, _check_choice, _check_probability, _check_size, _check_unit
 
 _LN2 = math.log(2.0)
 
@@ -88,6 +88,8 @@ def _serfling_bound(emp_risk: float, complexity: float, m: int, u: int, delta: f
     """R + sqrt((m+u)/u (u+1)/u (complexity + ln(1/delta)) / denom), binary loss."""
     _check_probability("delta", delta)
     _check_unit("emp_risk", emp_risk)
+    _check_size("m", m)
+    _check_size("u", u)
     comp = complexity + math.log(1.0 / delta)
     raw = emp_risk + math.sqrt((m + u) / u * (u + 1) / u * comp / denom)
     return BoundValue(raw=raw, clamped=min(raw, 1.0), name=name)

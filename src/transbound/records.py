@@ -45,6 +45,11 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
+def _check_size(name: str, value: int) -> None:
+    if not value >= 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
 def _check_choice(name: str, value: str, choices: tuple) -> None:
     if value not in choices:
         raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(choices)}")

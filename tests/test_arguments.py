@@ -4,7 +4,8 @@ One table lists every public function or record that takes float arguments,
 with a strategy for each valid argument and the float arguments it reads.
 The test puts NaN, +inf or -inf into one read argument at a time, the others
 drawn valid, and expects a ValueError whose message starts with that
-argument's name.
+argument's name.  A second table gives sizes m or u below 1, which must also
+raise a ValueError naming the size.
 """
 
 import functools
@@ -120,3 +121,19 @@ def test_non_finite_argument_is_named(case, arg, data, bad):
     kwargs[arg] = bad
     with pytest.raises(ValueError, match=f"^{re.escape(arg)} "):
         func(**kwargs)
+
+
+# name: (callable, arguments with a size below 1, the size argument named)
+BAD_SIZES = {
+    "risk_mix": (risk_mix, (0.1, 0.2, 0, 0), "m"),
+    "full_to_test": (full_to_test, (0.1, -5, 5), "m"),
+    "clustering_bound": (clustering_bound, (0.1, 2, 5, 20, 0, 0.05), "u"),
+    "compression_bound": (compression_bound, (0.1, 3, 20, 0, 0.05), "u"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIZES)
+def test_size_below_one_is_named(case):
+    func, args, named = BAD_SIZES[case]
+    with pytest.raises(ValueError, match=f"^{named} must be a positive integer"):
+        func(*args)

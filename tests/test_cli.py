@@ -198,6 +198,18 @@ class TestBadValues:
         (["prior-sweep", "--p-grid", "0,0.5", "--m", "5", "--u", "5"], "got 0.0"),
         (["mc-concentration", "--population-size", "40", "--ones", "10", "--m", "20",
           "--eps-grid", "0.1,nan", "--trials", "1000"], "eps"),
+        # float flags the chosen bound does not read
+        (["eval", "--bound", "serfling", "--m", "10", "--u", "10", "--kl", "nan"], "--kl"),
+        (["eval", "--bound", "serfling", "--m", "10", "--u", "10", "--kl", "inf"], "--kl"),
+        (["curve", "--bounds", "serfling", "--m-grid", "10", "--kl=-inf"], "--kl"),
+        (["eval", "--bound", "gibbs_direct", "--m", "10", "--u", "10", "--prior-mass", "nan"],
+         "--prior-mass"),
+        (["curve", "--bounds", "gibbs_reduction", "--m-grid", "10", "--prior-mass=-inf"],
+         "--prior-mass"),
+        (["eval", "--bound", "vapnik_absolute", "--m", "10", "--u", "10", "--loss-bound", "nan"],
+         "--loss-bound"),
+        (["eval", "--bound", "vapnik_relative", "--m", "10", "--u", "10", "--loss-bound=-inf"],
+         "--loss-bound"),
     ])
     def test_exit_2_naming_the_value(self, capsys, argv, named):
         code, out, err = run(capsys, argv)

@@ -1,7 +1,12 @@
 """Cluster-then-label pipeline: determinism, vote rules, bound selection."""
 
+import errno
 import importlib
 import math
+import multiprocessing
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -265,6 +270,101 @@ class TestEnsembleSweep:
         monkeypatch.setattr(clustering, "pdist", lambda pts: pytest.fail("pdist was built"))
         with pytest.raises(ValueError, match="pairwise distances"):
             ensemble_sweep(two_blob[0], ("agglomerative_single", "agglomerative_complete"), 3)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the worker is forked on Linux only")
+class TestKmeansWorker:
+    """The k-means sweeps in a forked worker, with the size threshold patched down."""
+
+    ENSEMBLE = ("agglomerative_complete", "kmeans", "agglomerative_single", "kmeans")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The k-means calls made in this process: none when the worker ran them."""
+        monkeypatch.setattr(transduce_module, "_FORK_MIN_N", 0)
+        made = []
+
+        def counted(pts, tau):
+            made.append(tau)
+            return clustering.kmeans_labels(pts, tau)
+
+        monkeypatch.setattr(transduce_module, "kmeans_labels", counted)
+        return made
+
+    def _in_process(self, data, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return ensemble_sweep(data, self.ENSEMBLE, 9)
+
+    @staticmethod
+    def _same(got, want):
+        assert [(p.tau, p.clusterer_id) for p in got] == [(p.tau, p.clusterer_id) for p in want]
+        assert all(np.array_equal(a.assignment, b.assignment) for a, b in zip(got, want))
+
+    def test_worker_partitions_equal_the_in_process_ones(self, two_blob, monkeypatch, calls):
+        data = two_blob[0]
+        want = self._in_process(data, monkeypatch)
+        assert len(calls) == 2 * 9
+        calls.clear()
+        got = ensemble_sweep(data, self.ENSEMBLE, 9)
+        assert calls == []
+        self._same(got, want)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller(self, two_blob, monkeypatch, calls):
+        def failing(pts, tau):
+            raise ValueError(f"k-means failed in process {os.getpid()}")
+
+        monkeypatch.setattr(transduce_module, "kmeans_labels", failing)
+        with pytest.raises(ValueError, match="k-means failed in process") as err:
+            ensemble_sweep(two_blob[0], self.ENSEMBLE, 9)
+        assert str(err.value) != f"k-means failed in process {os.getpid()}"
+        assert "in failing" in str(err.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_error_stops_the_worker(self, two_blob, monkeypatch, calls):
+        def no_distances(pts):
+            raise ValueError("no distances")
+
+        monkeypatch.setattr(transduce_module, "kmeans_labels", lambda pts, tau: time.sleep(30))
+        monkeypatch.setattr(transduce_module, "condensed_distances", no_distances)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="no distances"):
+            ensemble_sweep(two_blob[0], self.ENSEMBLE, 9)
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+
+    def test_failed_fork_sweeps_in_process(self, two_blob, monkeypatch, calls):
+        data = two_blob[0]
+        want = self._in_process(data, monkeypatch)
+        calls.clear()
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        got = ensemble_sweep(data, self.ENSEMBLE, 9)
+        assert len(calls) == 2 * 9
+        self._same(got, want)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_sweeps_in_process(self, two_blob, monkeypatch, calls):
+        data = two_blob[0]
+        want = self._in_process(data, monkeypatch)
+        calls.clear()
+        caller = os.getpid()
+
+        def dies_in_worker(pts, tau):
+            if os.getpid() != caller:
+                os._exit(1)
+            calls.append(tau)
+            return clustering.kmeans_labels(pts, tau)
+
+        monkeypatch.setattr(transduce_module, "kmeans_labels", dies_in_worker)
+        got = ensemble_sweep(data, self.ENSEMBLE, 9)
+        assert len(calls) == 2 * 9
+        self._same(got, want)
+        assert multiprocessing.active_children() == []
 
 
 class TestLabelAndSelect:
