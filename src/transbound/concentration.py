@@ -14,7 +14,8 @@ bound.
 from dataclasses import dataclass
 import math
 
-from .records import _check_choice, _check_nonnegative, _check_size, _check_unit
+from .records import (_check_choice, _check_nonnegative, _check_positive, _check_sample,
+                      _check_size, _check_unit)
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class PopulationSummary:
 
     def __post_init__(self):
         _check_size("n_total", self.n_total)
-        if not 0.0 < self.loss_bound < math.inf:
-            raise ValueError(f"loss_bound must be positive and finite, got {self.loss_bound}")
+        _check_positive("loss_bound", self.loss_bound)
         if not 0.0 <= self.mean <= self.loss_bound:
             raise ValueError(f"mean must lie in [0, loss_bound], got {self.mean}")
         if self.binary:
@@ -104,8 +104,7 @@ def hoeffding_bound(pop: PopulationSummary, q: DeviationQuery, form: str = "kl")
     range the result is flagged invalid and reported as 1.  ``squared`` form:
     exp{-2 m eps^2 / B^2}.
     """
-    if q.m > pop.n_total:
-        raise ValueError("sample size exceeds population size")
+    _check_sample(q.m, pop.n_total)
     _check_choice("form", form, ("kl", "squared"))
     if form == "squared":
         return _clamped(-2.0 * q.m * q.eps * q.eps / (pop.loss_bound ** 2))
@@ -119,8 +118,7 @@ def hoeffding_bound(pop: PopulationSummary, q: DeviationQuery, form: str = "kl")
 def serfling_bound(pop: PopulationSummary, q: DeviationQuery) -> TailBound:
     """Without-replacement bound exp{-(2 m eps^2 / B^2) * N/(N - m + 1)}."""
     n = pop.n_total
-    if q.m > n:
-        raise ValueError("sample size exceeds population size")
+    _check_sample(q.m, n)
     exponent = -(2.0 * q.m * q.eps * q.eps / (pop.loss_bound ** 2)) * (n / (n - q.m + 1.0))
     return _clamped(exponent)
 
@@ -136,8 +134,7 @@ def direct_binary_bound(pop: PopulationSummary, q: DeviationQuery) -> TailBound:
     if not pop.binary:
         raise ValueError("counting bound requires a binary population")
     n = pop.n_total
-    if q.m > n:
-        raise ValueError("sample size exceeds population size")
+    _check_sample(q.m, n)
     c = pop.mean
     beta = q.m / n
     if beta == 1.0:

@@ -20,8 +20,9 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .records import (BoundValue, _check_choice, _check_nonnegative, _check_probability,
-                      _check_size, _check_unit)
+from ._fork import forked, second_cpu
+from .records import (BoundValue, _check_choice, _check_mass, _check_nonnegative,
+                      _check_probability, _check_size, _check_unit)
 
 VARIANTS = ("relative", "absolute")
 
@@ -31,15 +32,20 @@ _LGAMMA_SAFE_N = 20000
 
 # Largest m*u whose worst-case-tail envelope is built.  The build works
 # through about m*u/2 deviation pairs, block by block, so its time grows as
-# m*u while its memory stays small.  One pass builds both variants: it took
-# 0.20 s at m = u = 2000, 2.6 s at 7000 and 6.0 s at (m, u) = (500, 99 500),
-# where the absolute variant alone took 0.15 s, 1.9 s and 4.1 s (one cold
-# build per process, time.perf_counter, a 2-vCPU x86-64 machine in a quiet
-# phase; other tenants slowed it up to 2x at times); both variants at 7000
-# peaked at 109 MB resident for the whole process.  Skewed shapes build
-# more slowly per pair, (250, 199 750) 1.14 times as long as (500, 99 500),
-# so the cap keeps a cold build within about 7 s, and within 3 s only for
-# m near u.
+# m*u while its memory stays small.  One pass builds both variants, on two
+# CPUs from ``_FORK_MIN_MU`` up.  One cold build per fresh process, medians
+# of 3, two CPUs against one (``taskset -c 0``), time.perf_counter on a
+# 2-vCPU x86-64 machine shared with other tenants:
+#   (m, u)            both variants     absolute alone
+#   (7000, 7000)      2.3 s / 4.4 s     1.7 s / 3.1 s
+#   (500, 99 500)     5.3 s / 10.5 s    3.9 s / 6.8 s
+#   (250, 199 750)    6.4 s / 11.8 s
+# Skewed shapes build more slowly per pair, so the cap keeps a cold build
+# within about 6.5 s on two CPUs and 12 s on one, and within 2.5 s and 4.5 s
+# for m near u.  These ran in a slow phase of the machine: in a quiet one,
+# one CPU built both variants at 7000 in 2.6 s and at (500, 99 500) in 6.0 s.
+# Both variants at 7000 peaked at 96 MB resident in the caller and 86 MB in
+# the worker, 105 MB on one CPU.
 MAX_ENVELOPE_MU = 50_000_000
 
 # Largest m + u whose envelope is built.  The log-pmf error grows with n (as
@@ -52,10 +58,25 @@ MAX_ENVELOPE_MU = 50_000_000
 MAX_ENVELOPE_N = 200_000
 
 # Fewest rows of k per block of the envelope build (a row holds at most
-# m*u/(m+u) + 1 cells).  Building both variants at m = u = 2000, 32 rows
-# took about 20 % longer than 64 (0.24 s against 0.20 s), and 128 rows
-# raised the tracemalloc peak from 7.3 MB to 18.9 MB.
+# m*u/(m+u) + 1 cells).  Building both variants at m = u = 2000 on two CPUs
+# took 0.243 s with 32 rows, 0.205 s with 64 and 0.212 s with 128 (medians
+# of 9 cold builds in one process), and 128 rows raised the caller's
+# tracemalloc peak from 5.3 MB to 8.5 MB.
 _BLOCK_ROWS = 64
+
+# Smallest m*u at which ``_envelopes`` builds the upper k-range in a forked
+# worker while the caller builds the lower one.  Starting, reaping and
+# copy-on-write cost the fork 5-15 ms, and at m*u = 2.5e5 and 3.6e5 the
+# forked build was slower.  Both variants cold, in-process against forked,
+# medians of 15-21 alternating calls in one process (ms, 2 vCPUs):
+#   (m, u)  (250, 62)  (500, 500)  (1000, 250)  (600, 600)  (650, 650)
+#           4.2 / 11   32 / 52     33 / 52      44 / 62     48 / 40
+#   (m, u)  (700, 700) (1000, 500) (250, 2000)  (1000, 1000) (2000, 500) (2000, 2000)
+#           59 / 46    58 / 47     63 / 50      102 / 70     111 / 72     396 / 218
+# While another tenant held the second vCPU, both processes ran at half
+# speed: at (1000, 1000) the caller's lower range took 83-119 ms beside the
+# worker against 39-55 ms alone, and forking gained nothing.
+_FORK_MIN_MU = 500_000
 
 # Cells per row segment that ``_merge`` tests at once, against its floor at
 # the segment's first cell, before the exact test of each cell left.
@@ -192,6 +213,8 @@ def _change_points(neg, log_tail, ks, n: int):
     does not matter.  Change points are pairs themselves: those of a set, with
     more pairs added, reduce to the change points of the set with them added.
     """
+    if not len(neg):  # a k-range without a positive-deviation pair
+        return neg, log_tail, ks
     order = np.argsort(neg)
     neg, log_tail, ks = neg[order], log_tail[order], ks[order]
     best = np.maximum.accumulate(log_tail)
@@ -235,6 +258,50 @@ def _merge(kept, neg, log_tail, keep, k, n: int):
     return _change_points(*map(np.concatenate, zip(kept, block)), n)
 
 
+def _build(m: int, u: int, variants: tuple[str, ...], k_first: int, k_last: int, table):
+    """Change points of each of ``variants`` over the pairs with k_first <= k <= k_last.
+
+    One pass over blocks of ascending k computes each block's pairs once
+    (``_pairs``, from ``table[j] = ln j!``) and merges them into every
+    variant's change points (``_merge``), so memory stays
+    O(_BLOCK_ROWS * min(m, u) + change points).  ``relative`` scales the
+    deviation by sqrt((m+u)/k), which keeps the same cells and L.
+    """
+    n = m + u
+    width = m * u // n + 1  # no row's positive-deviation prefix is longer
+    empty = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+    kept = dict.fromkeys(variants, empty)
+    k0 = k_first
+    while k0 <= k_last:
+        # A block has at least as many cells as any variant keeps points, so
+        # merging them in costs no more than the block itself.
+        rows = max(_BLOCK_ROWS, max(len(e[0]) for e in kept.values()) // width)
+        k = np.arange(k0, min(k0 + rows, k_last + 1), dtype=np.int64)[:, None]
+        neg, log_tail, keep = _pairs(m, u, k, table.__getitem__)
+        for variant, env in kept.items():
+            scaled = neg * np.sqrt(n / k) if variant == "relative" else neg
+            kept[variant] = _merge(env, scaled, log_tail, keep, k, n)
+        k0 += rows
+    return kept
+
+
+def _split_k(m: int, u: int) -> int:
+    """First k of the upper range: the k that halves the estimated cost of ``_build``.
+
+    Row k costs its positive-deviation cells plus, for merging into the
+    change points kept so far, 0.7 - 0.3 k/(m+u) row widths: the lower rows
+    keep more change points.  The two weights were fitted to the k that
+    balanced the two ranges' measured build times on ten shapes from
+    (1000, 1000) to (20 000, 500) and (200, 50 000), and place it within
+    2.2 % of m + u on each (halving the cells alone missed by up to 14 %).
+    """
+    n = m + u
+    k = np.arange(1, n + 1, dtype=np.int64)
+    cells = -(-k * m // n) - np.maximum(k - u, 0)  # ceil(k*m/n) - max(k-u, 0), as in _pairs
+    cost = np.cumsum(cells + (m * u // n + 1) * (0.7 - 0.3 * k / n))
+    return int(np.searchsorted(cost, cost[-1] / 2)) + 1
+
+
 @lru_cache(maxsize=16)
 def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
     """The worst-case-over-k tail of each of ``variants``, as a step function of the threshold.
@@ -243,13 +310,19 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
     its cumulative log-tail L, the log of Pr{deviation > eps} for eps just
     below d.  The worst case at eps is the largest L over pairs with
     d > eps.  Only its change points are kept, as arrays (-d ascending, L,
-    smallest k attaining L), keyed by variant.  One pass over blocks of
-    ascending k computes each block's pairs once (``_pairs``) and merges
-    them into every variant's change points (``_merge``), so memory stays
-    O(_BLOCK_ROWS * min(m, u) + change points).  ``relative`` scales the
-    deviation by sqrt((m+u)/k), which keeps the same cells and L.  Steps
+    smallest k attaining L), keyed by variant, built by ``_build``.  Steps
     whose tails underflow (exp(L) = 0) are kept for ``epsilon_star``'s
     log-space rule.
+
+    Where m*u is at least ``_FORK_MIN_MU`` and a ``second_cpu`` is usable,
+    a forked worker builds the k from ``_split_k`` up while the caller builds
+    the k below, and one ``_change_points`` call merges each variant's two
+    sets of change points: those of the union are those of the parts'
+    change points together, so the bits are those of one build.  Fork is
+    safe here: the worker runs NumPy's elementwise kernels and sorts,
+    pickling and one pipe write, so it makes no BLAS call and takes no lock
+    another thread of the caller could hold.  If the worker cannot start or
+    dies, the caller builds the upper range too.
 
     L sums ``gammaln`` table values, whose cancellation grows with n, so the
     log-tails are held to an absolute error of 1e-9 (measured at
@@ -263,21 +336,16 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
         raise ValueError(f"m={m}, u={u} is too large for the exact worst-case tail: m*u = "
                          f"{m * u} (limit {MAX_ENVELOPE_MU}), m+u = {n} (limit {MAX_ENVELOPE_N})")
     table = gammaln(np.arange(1, n + 2, dtype=np.float64))  # table[j] = ln j!
-    width = m * u // n + 1  # no row's positive-deviation prefix is longer
-    empty = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
-    kept = dict.fromkeys(variants, empty)
-    k0 = 1
-    while k0 <= n:
-        # A block has at least as many cells as any variant keeps points, so
-        # merging them in costs no more than the block itself.
-        rows = max(_BLOCK_ROWS, max(len(e[0]) for e in kept.values()) // width)
-        k = np.arange(k0, min(k0 + rows, n + 1), dtype=np.int64)[:, None]
-        neg, log_tail, keep = _pairs(m, u, k, table.__getitem__)
-        for variant, env in kept.items():
-            scaled = neg * np.sqrt(n / k) if variant == "relative" else neg
-            kept[variant] = _merge(env, scaled, log_tail, keep, k, n)
-        k0 += rows
-    return kept
+    if m * u < _FORK_MIN_MU or not second_cpu():
+        return _build(m, u, variants, 1, n, table)
+    split = _split_k(m, u)
+    with forked(_build, m, u, variants, split, n, table) as worker:
+        lower = _build(m, u, variants, 1, split - 1, table)
+        upper = worker() if worker else None
+    if upper is None:
+        upper = _build(m, u, variants, split, n, table)
+    return {v: _change_points(*map(np.concatenate, zip(lower[v], upper[v])), n)
+            for v in variants}
 
 
 def gamma(eps: float, m: int, u: int, variant: str = "absolute") -> float:
@@ -311,8 +379,7 @@ def epsilon_star(prior_mass: float, delta: float, m: int, u: int,
     with it (tails that underflow read as 0 and name no ``achieving_k``);
     below that, L itself is compared with ln(delta) - ln(1/prior_mass).
     """
-    if not 0.0 < prior_mass <= 1.0:
-        raise ValueError(f"prior_mass must be in (0, 1], got {prior_mass}")
+    _check_mass("prior_mass", prior_mass)
     _check_probability("delta", delta)
     _check_choice("variant", variant, VARIANTS)
     return _epsilon_star(_log_inverse(prior_mass), delta, _envelopes(m, u, VARIANTS)[variant],

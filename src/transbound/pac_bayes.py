@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, vapnik_bound
-from .records import (BoundValue, _check_choice, _check_nonnegative, _check_probability,
-                      _check_size, _check_unit)
+from .records import (BoundValue, _check_choice, _check_mass, _check_nonnegative,
+                      _check_positive, _check_probability, _check_size, _check_unit)
 
 EVAL_BOUNDS = ("vapnik_relative", "vapnik_absolute", "serfling", "det_reduction", "det_direct",
                "gibbs_reduction", "gibbs_direct")
@@ -68,14 +68,13 @@ class BoundInputs:
     def __post_init__(self):
         HypergeomSpec(self.m, self.u, 0)  # validates m and u
         _check_probability("delta", self.delta)
-        if not 0.0 < self.loss_bound < math.inf:
-            raise ValueError(f"loss_bound must be positive and finite, got {self.loss_bound}")
+        _check_positive("loss_bound", self.loss_bound)
         if not 0.0 <= self.emp_risk <= self.loss_bound:
             raise ValueError(f"emp_risk must lie in [0, loss_bound], got {self.emp_risk}")
         if (self.prior_mass is None) == (self.kl_value is None):
             raise ValueError("exactly one of prior_mass and kl_value must be set")
-        if self.prior_mass is not None and not 0.0 < self.prior_mass <= 1.0:
-            raise ValueError(f"prior_mass must be in (0, 1], got {self.prior_mass}")
+        if self.prior_mass is not None:
+            _check_mass("prior_mass", self.prior_mass)
         if self.kl_value is not None:
             _check_nonnegative("kl_value", self.kl_value)
 

@@ -40,6 +40,16 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _check_mass(name: str, value: float) -> None:
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_nonnegative(name: str, value: float) -> None:
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
@@ -48,6 +58,11 @@ def _check_nonnegative(name: str, value: float) -> None:
 def _check_size(name: str, value: int) -> None:
     if not value >= 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
+def _check_sample(m: int, n_total: int) -> None:
+    if not m <= n_total:
+        raise ValueError(f"m must not exceed the population size {n_total}, got {m}")
 
 
 def _check_choice(name: str, value: str, choices: tuple) -> None:

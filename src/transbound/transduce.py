@@ -13,13 +13,11 @@ random choice of the training subset.
 import contextlib
 from dataclasses import dataclass
 import functools
-import os
-import sys
-import traceback
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
+from ._fork import forked, second_cpu
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
 from .hypergeom import _envelopes, _epsilon_star
 from .pac_bayes import det_raw
@@ -181,54 +179,6 @@ def _kmeans_sweeps(pts: np.ndarray, c: int, ids: list[int]) -> list[list[Partiti
     return [_sweep(pts, "kmeans", c, i, None) for i in ids]
 
 
-def _send_result(conn, func, args) -> None:
-    """Body of a forked worker: send ``func(*args)``, or the exception it raised and where."""
-    try:
-        error, result = None, func(*args)
-    except Exception as exc:  # raised again in the caller, chained to this traceback
-        error, result = (exc, traceback.format_exc()), None
-    conn.send((error, result))
-
-
-@contextlib.contextmanager
-def _forked(func, *args):
-    """Run ``func(*args)`` in a forked process; yield a call that waits for its result.
-
-    The call raises what ``func`` raised, from a RuntimeError holding the
-    worker's traceback, and returns None if the worker died without
-    sending.  If the fork fails (OSError: no pid or memory), None is yielded
-    instead of the call.  The worker is stopped and reaped on exit, on every
-    path.
-    """
-    import multiprocessing  # here, on the only path that forks, not in every command's start
-
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_send_result, args=(sender, func, args))
-    try:
-        worker.start()
-    except OSError:
-        worker = None
-    sender.close()
-
-    def result():
-        try:
-            error, out = receiver.recv()
-        except EOFError:
-            return None
-        if error:
-            raise error[0] from RuntimeError(f"in the forked worker:\n{error[1]}")
-        return out
-
-    try:
-        yield result if worker else None
-    finally:
-        if worker:  # stopped before its pipe closes, so a send cannot fail loudly
-            worker.terminate()
-            worker.join()
-        receiver.close()
-
-
 # Smallest n at which ensemble_sweep runs the k-means sweeps in a forked
 # worker while the caller runs the linkage sweeps.  Starting and reaping the
 # worker takes about 3.4 ms, and while both run each pays for the pages the
@@ -242,19 +192,15 @@ def _forked(func, *args):
 _FORK_MIN_N = 1500
 
 
-def _fork_pays(n: int) -> bool:
-    """True on Linux, with two or more usable CPUs and n at least ``_FORK_MIN_N``."""
-    return n >= _FORK_MIN_N and sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
-
-
 def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
     """``cluster_sweep`` of every algorithm, clusterer id = position in ``algorithms``.
 
     The points are checked for c distinct rows once.  Two or more linkages
     share one condensed distance matrix, dropped after the last of them.
-    Where the ensemble holds k-means and a linkage and ``_fork_pays``, the
-    k-means sweeps run in one worker, forked before the distance matrix is
-    built, while the caller runs the linkage sweeps.  Fork is safe here: the
+    Where the ensemble holds k-means and a linkage, n is at least
+    ``_FORK_MIN_N`` and a ``second_cpu`` is usable, the k-means sweeps run in
+    one worker, forked before the distance matrix is built, while the caller
+    runs the linkage sweeps.  Fork is safe here: the
     worker runs NumPy's elementwise kernels, pickling and one pipe write, so
     it makes no BLAS call and takes no lock another thread of the caller
     could hold.  If the worker cannot start or dies, the k-means sweeps run
@@ -264,14 +210,14 @@ def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
     pts = _checked_points(data, algorithms, c)
     kmeans = [i for i, algo in enumerate(algorithms) if algo == "kmeans"]
     linkages = [i for i, algo in enumerate(algorithms) if algo in LINKAGES]
-    fork = kmeans and linkages and _fork_pays(len(pts))
+    fork = kmeans and linkages and len(pts) >= _FORK_MIN_N and second_cpu()
     sweeps = {}
-    with _forked(_kmeans_sweeps, pts, c, kmeans) if fork else contextlib.nullcontext() as forked:
+    with forked(_kmeans_sweeps, pts, c, kmeans) if fork else contextlib.nullcontext() as worker:
         dists = condensed_distances(pts) if len(linkages) > 1 else None
         for i in linkages:
             sweeps[i] = _sweep(pts, algorithms[i], c, i, dists)
         del dists
-        by_kmeans = forked() if forked else None
+        by_kmeans = worker() if worker else None
     sweeps.update(zip(kmeans, by_kmeans or _kmeans_sweeps(pts, c, kmeans)))
     return [p for i in range(len(algorithms)) for p in sweeps[i]]
 

@@ -5,7 +5,9 @@ with a strategy for each valid argument and the float arguments it reads.
 The test puts NaN, +inf or -inf into one read argument at a time, the others
 drawn valid, and expects a ValueError whose message starts with that
 argument's name.  A second table gives sizes m or u below 1, which must also
-raise a ValueError naming the size.
+raise a ValueError naming the size, and a third finite values outside an
+argument's range, each rule's message coming from its one checker in
+``records``.
 """
 
 import functools
@@ -19,7 +21,10 @@ from transbound.concentration import (
     DeviationQuery,
     PopulationSummary,
     binary_entropy,
+    direct_binary_bound,
+    hoeffding_bound,
     kl_binary,
+    serfling_bound,
 )
 from transbound.hypergeom import (
     EpsilonStar,
@@ -137,3 +142,40 @@ def test_size_below_one_is_named(case):
     func, args, named = BAD_SIZES[case]
     with pytest.raises(ValueError, match=f"^{named} must be a positive integer"):
         func(*args)
+
+
+_POP = PopulationSummary(n_total=10, mean=0.3, binary=True)
+_OVERSIZED = DeviationQuery(m=11, eps=0.1)
+_BOUND_INPUTS = {"m": 10, "u": 10, "delta": 0.05, "emp_risk": 0.1}
+
+# name: (callable, keyword arguments with one out of its range, the message's start)
+OUT_OF_RANGE = {
+    "epsilon_star-zero_mass": (epsilon_star, {"prior_mass": 0.0, "delta": 0.05, "m": 20, "u": 20},
+                               "prior_mass must be in (0, 1], got 0.0"),
+    "epsilon_star-mass_above_one": (epsilon_star,
+                                    {"prior_mass": 1.5, "delta": 0.05, "m": 20, "u": 20},
+                                    "prior_mass must be in (0, 1], got 1.5"),
+    "BoundInputs-zero_mass": (BoundInputs, {**_BOUND_INPUTS, "prior_mass": 0.0},
+                              "prior_mass must be in (0, 1], got 0.0"),
+    "BoundInputs-mass_above_one": (BoundInputs, {**_BOUND_INPUTS, "prior_mass": 1.5},
+                                   "prior_mass must be in (0, 1], got 1.5"),
+    "BoundInputs-zero_loss_bound": (BoundInputs,
+                                    {**_BOUND_INPUTS, "prior_mass": 0.5, "loss_bound": 0.0},
+                                    "loss_bound must be positive and finite, got 0.0"),
+    "PopulationSummary-negative_loss_bound": (PopulationSummary,
+                                              {"n_total": 10, "mean": 0.0, "loss_bound": -1.0},
+                                              "loss_bound must be positive and finite, got -1.0"),
+    "hoeffding_bound": (hoeffding_bound, {"pop": _POP, "q": _OVERSIZED},
+                        "m must not exceed the population size 10, got 11"),
+    "serfling_bound": (serfling_bound, {"pop": _POP, "q": _OVERSIZED},
+                       "m must not exceed the population size 10, got 11"),
+    "direct_binary_bound": (direct_binary_bound, {"pop": _POP, "q": _OVERSIZED},
+                            "m must not exceed the population size 10, got 11"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_argument_is_named(case):
+    func, kwargs, message = OUT_OF_RANGE[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(**kwargs)

@@ -1,8 +1,12 @@
 """Exact-tail machinery checked against brute-force split enumeration."""
 
+import errno
 import functools
 import itertools
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 import warnings
 from bisect import bisect_right
@@ -404,9 +408,11 @@ class TestEnvelopeBlocks:
         hypergeom._envelopes.cache_clear()
 
     @pytest.mark.parametrize("variant", ["absolute", "relative"])
-    def test_cold_build_memory(self, variant):
+    def test_cold_build_memory(self, variant, monkeypatch):
         # the single sort peaked at 31-34 MB per variant here; one pass over
-        # blocks of k builds the variant alone, or both variants, in a few MB
+        # blocks of k builds the variant alone, or both variants, in a few MB;
+        # one usable CPU keeps the whole build in this process, where it is traced
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         for variants in ((variant,), hypergeom.VARIANTS):
             hypergeom._envelopes.cache_clear()
             tracemalloc.start()
@@ -436,6 +442,102 @@ class TestEnvelopeBlocks:
                 got = hypergeom._log_pmf(table.__getitem__, n, m, k, r)
                 worst = max(worst, abs(float(mpmath.mpf(float(got)) - want)))
         assert worst <= 2.5e-10
+
+
+class TestEnvelopeWorker:
+    """The upper k-range built in a forked worker, with the m*u threshold patched down."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (k_first, k_last) ranges built in this process: not the worker's."""
+        monkeypatch.setattr(hypergeom, "_FORK_MIN_MU", 0)
+        made = []
+
+        def counted(m, u, variants, k_first, k_last, table, build=hypergeom._build):
+            made.append((k_first, k_last))
+            return build(m, u, variants, k_first, k_last, table)
+
+        monkeypatch.setattr(hypergeom, "_build", counted)
+        hypergeom._envelopes.cache_clear()
+        yield made
+        hypergeom._envelopes.cache_clear()
+
+    @staticmethod
+    def _both_ranges(m, u):
+        """The two k-ranges, both built in this process."""
+        split = hypergeom._split_k(m, u)
+        return [(1, split - 1), (split, m + u)]
+
+    @staticmethod
+    def _check(m, u, variants=hypergeom.VARIANTS):
+        hypergeom._envelopes.cache_clear()
+        got = hypergeom._envelopes(m, u, variants)
+        assert all(_same_bits(got[v], _ref_envelope(m, u, v)) for v in variants)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("m,u", [(1, 1), (1, 7), (7, 1), (2, 300), (97, 131), (250, 250),
+                                     (1000, 1000)])
+    def test_equals_the_single_sort_build(self, m, u, builds):
+        # each variant alone, as transduce asks for it, and both in one pass
+        split = hypergeom._split_k(m, u)
+        for variants in (("absolute",), ("relative",), hypergeom.VARIANTS):
+            builds.clear()
+            self._check(m, u, variants)
+            assert builds == [(1, split - 1)]
+
+    def test_a_range_without_positive_deviations_keeps_nothing(self):
+        # at (1, 1) only k = 1 has a pair with d > 0
+        table = gammaln(np.arange(1, 4, dtype=np.float64))
+        for env in hypergeom._build(1, 1, hypergeom.VARIANTS, 2, 2, table).values():
+            assert [len(a) for a in env] == [0, 0, 0]
+
+    def test_one_usable_cpu_builds_in_process(self, builds, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        self._check(97, 131)
+        assert builds == [(1, 228)]
+
+    def test_failed_fork_builds_in_process(self, builds, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self._check(250, 250)
+        assert builds == self._both_ranges(250, 250)
+
+    def test_daemonic_process_builds_in_process(self, builds, monkeypatch):
+        # a multiprocessing pool worker is daemonic and may not start a child
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        self._check(250, 250)
+        assert builds == self._both_ranges(250, 250)
+
+    def test_dead_worker_builds_in_process(self, builds, monkeypatch):
+        caller = os.getpid()
+
+        def dies_in_worker(m, u, variants, k_first, k_last, table, build=hypergeom._build):
+            if os.getpid() != caller:
+                os._exit(1)
+            return build(m, u, variants, k_first, k_last, table)
+
+        monkeypatch.setattr(hypergeom, "_build", dies_in_worker)
+        self._check(250, 250)
+        assert builds == self._both_ranges(250, 250)
+
+    def test_caller_error_stops_the_worker(self, builds, monkeypatch):
+        caller = os.getpid()
+
+        def stalls_in_worker(*args):
+            if os.getpid() != caller:
+                time.sleep(30)
+            raise ValueError("no lower range")
+
+        monkeypatch.setattr(hypergeom, "_build", stalls_in_worker)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="no lower range"):
+            hypergeom._envelopes(250, 250, hypergeom.VARIANTS)
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
 
 
 def test_one_pair_pass_serves_both_variants(envelope_work, monkeypatch):
