@@ -52,9 +52,14 @@ MAX_ENVELOPE_MU = 50_000_000
 # about n ln n ulps): against 40-digit arithmetic, the largest over sampled
 # (k, r) was 4.1e-11 at m = u = 5000, 2.2e-10 at (m, u) = (1000, 49 000),
 # 3.7e-10 at (10, 99 990), 7.0e-10 at (10, 199 990) and 3.6e-9 at (10, 10**6),
-# so the cap holds it below 1e-9.  An envelope keeps about one change point
-# per k (24 bytes each; 16 shapes cached, both variants each); with m <= 10
-# a build of both variants at the cap took 0.7-0.8 s on the machine above.
+# so the cap holds it below 1e-9.  An envelope keeps 24 bytes per change
+# point, and the count per k depends on the shape: absolute and relative kept
+# 0.85 and 4.3 per k at m = u = 2000, 0.86 and 6.8 at 7000, and 1.0-1.1 each
+# at (250, 199 750) and (100, 199 900).  A cached shape holds both variants:
+# 0.5 MB at 2000, 2.6 MB at 7000 and at most 10.1 MB (at (250, 199 750)) of
+# the shapes measured, so the 16-shape cache stays near or below 160 MB.
+# With m <= 10 a build of both variants at the cap took 0.7-0.8 s on the
+# machine above.
 MAX_ENVELOPE_N = 200_000
 
 # Fewest rows of k per block of the envelope build (a row holds at most

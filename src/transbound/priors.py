@@ -17,8 +17,6 @@ in both the published form and the tighter form the mass actually implies.
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .hypergeom import HypergeomSpec, log_binomial
 from .records import BoundValue, _check_choice, _check_probability, _check_size, _check_unit
 
@@ -132,26 +130,3 @@ def clustering_bound(emp_risk: float, tau: int, c: int, m: int, u: int, delta: f
     """Test-risk bound for the cluster-then-label hypothesis on tau clusters."""
     return _serfling_bound(emp_risk, clustering_complexity(tau, c, k_ensemble, variant),
                            m, u, delta, 2.0 * m, f"clustering_{variant}")
-
-
-def compression_mixture_log_total(m: int, u: int) -> float:
-    """ln of the compression mixture's total mass, all terms kept in log space.
-
-    Sums |H_tau| * p(h) over tau, with |H_tau| = 2^tau C(m+u, tau) and p(h)
-    the mass ``CompressionPrior.log_mass`` gives a size-tau hypothesis; the
-    result should be ln 1 = 0 up to rounding.
-    """
-    prior = CompressionPrior(m=m, u=u)
-    terms = [prior.log_subprior_size(tau) + prior.log_mass(tau) for tau in range(1, m + 1)]
-    return float(np.logaddexp.reduce(terms))
-
-
-def clustering_mixture_total(c: int) -> float:
-    """Total mass of the clustering prior: sum of 2^tau * exp(-``log_inverse_mass(tau)``).
-
-    Each term is exp(tau ln 2 - ``log_inverse_mass(tau)``), so 2^tau is never
-    a float and no c overflows; a prior that charges other than tau ln 2 per
-    cluster moves the total away from 1.
-    """
-    prior = ClusteringPrior(c=c)
-    return sum(math.exp(tau * _LN2 - prior.log_inverse_mass(tau)) for tau in range(1, c + 1))

@@ -1,10 +1,13 @@
 """Shared result record for every explicit risk bound, and the shared argument checks.
 
 Each ``_check_*`` raises a ValueError naming the argument and its value.  Its test reads
-``not lo <= x <= hi``, which NaN fails, and no range admits an infinity: both are input errors."""
+``not lo <= x <= hi``, which NaN fails, and no range admits an infinity: both are input errors.
+``_check_labels`` tests membership in a set of labels, which NaN fails too."""
 
 from dataclasses import dataclass
 import math
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -68,3 +71,16 @@ def _check_sample(m: int, n_total: int) -> None:
 def _check_choice(name: str, value: str, choices: tuple) -> None:
     if value not in choices:
         raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
+
+
+def _check_labels(name: str, values, allowed: tuple) -> np.ndarray:
+    """``values`` as an int64 array, each entry one of ``allowed``.
+
+    The entries are checked before the cast, which would truncate 0.5 to 0 or
+    1.7 to 1 and so pass a fractional entry as a label."""
+    raw = np.asarray(values)
+    bad = ~np.isin(raw, allowed)
+    if bad.any():
+        raise ValueError(f"{name} must hold only {' and '.join(map(str, allowed))}, "
+                         f"got {raw[bad].flat[0]}")
+    return raw.astype(np.int64)

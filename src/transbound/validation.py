@@ -35,7 +35,7 @@ from .concentration import (
 )
 from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, hypergeom_pmf
 from .pac_bayes import det_raw, gibbs_raw, kl_divergence
-from .records import _check_choice, _check_probability
+from .records import _check_choice, _check_labels, _check_probability
 from .transduce import (
     ALGORITHMS,
     BOUND_NAMES,
@@ -126,6 +126,9 @@ _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # mix_entropy, 16 calls
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)   # generate_state, 8 words
 _MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64's multiplier as its high word, its low word and the low word's 32-bit halves
+_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & _MASK)
+_MULT_B0, _MULT_B1 = _U64(_PCG_MULT & 0xFFFFFFFF), _U64(_PCG_MULT >> 32 & 0xFFFFFFFF)
 
 
 def _seed_sequence_words(seeds: np.ndarray) -> list:
@@ -155,79 +158,22 @@ def _seed_sequence_words(seeds: np.ndarray) -> list:
     return words
 
 
-def _mul128(ah, al, bh, bl):
-    """Low 128 bits of (ah:al) * (bh:bl), each half a uint64 array."""
-    a0, a1 = al & _LO32, al >> _SHIFT32
-    b0, b1 = bl & _LO32, bl >> _SHIFT32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
-    hi = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32) + ah * bl + al * bh
-    return hi, al * bl
-
-
-def _add128(ah, al, bh, bl):
-    lo = al + bl
-    return ah + bh + (lo < al), lo
-
-
-def _jump_table(doublings: int) -> list:
-    """(A, C) for 2**r LCG steps, r < doublings: 2**r steps map x to A x + C inc (mod 2**128)."""
-    out, a, c = [], _PCG_MULT, 1
-    for _ in range(doublings):
-        out.append(tuple(_U64(v >> shift & _MASK) for v in (a, c) for shift in (64, 0)))
-        a, c = a * a & (1 << 128) - 1, c * (a + 1) & (1 << 128) - 1
-    return out
-
-
-_JUMPS = _jump_table(64)
-
-
-def _pcg_words(seeds: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` next_uint32 words of each seed's PCG64, (seeds, count).
-
-    numpy seeds PCG64 from SeedSequence's words (state s, then increment
-    seed) as state = 0; step; state += s; step, and each 64-bit output steps
-    the LCG, then gives XSL-RR of the new state: its low word, then its high
-    word.  Outputs 2**r .. 2**(r+1) - 1 are outputs 0 .. 2**r - 1 jumped
-    2**r steps ahead.
-    """
-    w = _seed_sequence_words(seeds)
-    s_hi, s_lo = w[0] | w[1] << _SHIFT32, w[2] | w[3] << _SHIFT32
-    i_hi, i_lo = w[4] | w[5] << _SHIFT32, w[6] | w[7] << _SHIFT32
-    one = _U64(1)
-    inc_hi, inc_lo = (i_hi << one | i_lo >> _U64(63))[:, None], (i_lo << one | one)[:, None]
-
-    def jump(r, hi, lo):
-        """States 2**r LCG steps after ``hi:lo``: A hi:lo + C inc."""
-        a_hi, a_lo, c_hi, c_lo = _JUMPS[r]
-        return _add128(*_mul128(hi, lo, a_hi, a_lo), *_mul128(inc_hi, inc_lo, c_hi, c_lo))
-
-    hi = np.empty((len(seeds), (count + 1) // 2), dtype=_U64)
-    lo = np.empty_like(hi)
-    # the first step leaves inc; output 0 comes two steps after adding s
-    hi[:, :1], lo[:, :1] = jump(1, *_add128(inc_hi, inc_lo, s_hi[:, None], s_lo[:, None]))
-    filled, r = 1, 0
-    while filled < hi.shape[1]:
-        width = min(filled, hi.shape[1] - filled)
-        hi[:, filled:filled + width], lo[:, filled:filled + width] = jump(
-            r, hi[:, :width], lo[:, :width])
-        filled, r = filled + width, r + 1
-    lo ^= hi  # XSL-RR: the halves' xor, rotated right by the top 6 bits
-    hi >>= _U64(58)
-    out = lo >> hi | lo << ((_U64(64) - hi) & _U64(63))
-    return out.astype("<u8", copy=False).view("<u4")[:, :count]
-
-
 # Generator.choice(n, m, replace=False) uses Floyd's algorithm unless
 # n > 10000 and m > n // 50, where it shuffles the tail of arange(n).
 _FLOYD_MAX_N, _TAIL_FRACTION = 10_000, 50
-# The kernel loops over a chunk's m draws in Python, so its cost per trial
-# grows as m**2 / _CHUNK_CELLS.  Kernel over loop time was 0.83-0.89 at
-# m = 1000, 0.94-1.05 at m = 1100-1400 and 1.0-1.6 at m = 2000 (n = 2m + 1,
-# 10**4 and 5 * 10**4; BENCH_15.json); with 1 << 16 cells per chunk the
-# crossover fell to m = 800.
+# The kernel makes about 25 numpy calls per draw, each over a whole chunk of
+# trials, so it pays off once a chunk holds enough trials.  Kernel over loop
+# CPU time (n = 2m + 1, medians of 5 on one CPU of a shared x86-64 machine):
+#   trials   m = 500   m = 1000   m = 2000
+#   300      1.06      1.37       1.91
+#   1000     0.45      0.70       1.01
+#   10**4    0.37      0.49       0.74
+# At m = 2000 the kernel needs 1000 trials to break even, so the limit stays.
+# Chunks of 8192 to 32 768 trials drew 10**4 or 4 * 10**4 masks at (n, m) =
+# (40, 20) and (100, 50) within 10 % of each other; 4096 took 1.1-1.2 times
+# as long.
 _KERNEL_MAX_M = 1000
-_CHUNK_CELLS = 1 << 17  # trials x draws per chunk
+_CHUNK_TRIALS = 1 << 14  # trials per chunk
 
 
 def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
@@ -240,8 +186,8 @@ def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     equality); a trial where numpy would reject a Lemire draw, and every
     trial of any other shape, takes its row from ``sample_split`` itself.
     Trial indices and seeds are uint64, wrapping as ``splitmix64``'s do.
-    Trials go in chunks, so the working memory beside the masks stays near
-    ``_CHUNK_CELLS`` draws.
+    Trials go in chunks of at most ``_CHUNK_TRIALS``, and the kernel's
+    working memory beside the masks grows with the chunk, not with m.
     """
     n, m = sampler.n_total, sampler.m
     if n >= 1 << 31:
@@ -257,7 +203,8 @@ def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
     z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
     seeds = z ^ (z >> _U64(31))
-    chunk = max(1, _CHUNK_CELLS // m)
+    # chunks of equal size: a short last chunk would pay each pass's calls for few trials
+    chunk = max(1, -(-trials // max(1, -(-trials // _CHUNK_TRIALS))))
     for start in range(0, trials, chunk):
         rows = masks[start:start + chunk]
         for t in _floyd(seeds[start:start + chunk], rows, n, m).tolist():
@@ -269,20 +216,84 @@ def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
 def _floyd(seeds: np.ndarray, masks: np.ndarray, n: int, m: int) -> np.ndarray:
     """Floyd's sampling, one mask row per seed; returns the rows numpy would redraw.
 
-    Step j draws v in [0, j] and adds v, or j if v is taken.  The draw is
-    Lemire's, the high word of word * (j + 1).  numpy rejects it and draws
-    again when the low word falls below 2**32 mod (j + 1); such a trial's
-    row is returned, its later draws no longer numpy's.
+    numpy seeds PCG64 from SeedSequence's words (state s, then increment
+    seed) as state = 0; step; state += s; step, so the state is inc + s,
+    stepped once.  Each 64-bit output steps the LCG, state * MULT + inc
+    (mod 2**128), then gives XSL-RR of the new state: its low word, then its
+    high word.  The loop keeps each trial's state in two uint64 vectors and
+    steps it in place, so its memory grows with the trials, not with m.
+
+    Floyd's step j draws v in [0, j] and adds v, or j if v is taken.  The
+    draw is Lemire's, the high word of word * (j + 1).  numpy rejects it and
+    draws again when the low word falls below 2**32 mod (j + 1); such a
+    trial's row is returned, its later draws no longer numpy's.
     """
-    bounds = np.arange(n - m + 1, n + 1, dtype=_U64)
-    p = _pcg_words(seeds, m) * bounds
-    rejected = ((p & _LO32) < (_U64(1 << 32) - bounds) % bounds).any(axis=1)
-    base = np.arange(len(masks)) * n
-    drawn = (p >> _SHIFT32).T.astype(np.intp, order="C")
-    drawn += base
+    w = _seed_sequence_words(seeds)
+    s_hi, s_lo = w[0] | w[1] << _SHIFT32, w[2] | w[3] << _SHIFT32
+    i_hi, i_lo = w[4] | w[5] << _SHIFT32, w[6] | w[7] << _SHIFT32
+    one = _U64(1)
+    inc_hi, inc_lo = i_hi << one | i_lo >> _U64(63), i_lo << one | one
+    inc0, inc1 = inc_lo & _LO32, inc_lo >> _SHIFT32
+    lo = s_lo + inc_lo  # state = inc + s
+    hi = s_hi + inc_hi + (lo < inc_lo)
+    a0, a1, t, x = (np.empty_like(lo) for _ in range(4))
+    flag, rejected = np.empty(len(lo), dtype=bool), np.zeros(len(lo), dtype=bool)
+    drawn = a1.view(np.int64)  # a draw is below 2**31
+    row = np.arange(len(lo), dtype=np.int64) * np.int64(n)
+    j = row + np.int64(n - m)
     flat = masks.reshape(-1)
-    for v, j in zip(drawn, np.arange(n - m, n)[:, None] + base):
-        flat[np.where(flat[v], j, v)] = True
+
+    for first in range(-2, m, 2):
+        # state = state * MULT + inc (mod 2**128).  t becomes the high word of
+        # lo * MULT_LO + inc_lo, summed in 32-bit halves that cannot overflow
+        np.bitwise_and(lo, _LO32, out=a0)
+        np.right_shift(lo, _SHIFT32, out=a1)
+        np.multiply(a0, _MULT_B0, out=t)
+        t += inc0
+        t >>= _SHIFT32
+        np.multiply(a1, _MULT_B0, out=x)
+        t += x
+        t += inc1
+        a0 *= _MULT_B1
+        np.bitwise_and(t, _LO32, out=x)
+        x += a0
+        x >>= _SHIFT32
+        t >>= _SHIFT32
+        t += x
+        a1 *= _MULT_B1
+        t += a1
+        hi *= _MULT_LO
+        hi += t
+        np.multiply(lo, _MULT_HI, out=t)
+        hi += t
+        hi += inc_hi
+        lo *= _MULT_LO
+        lo += inc_lo
+        if first < 0:
+            continue  # the step before output 0
+        np.bitwise_xor(hi, lo, out=x)  # XSL-RR: hi ^ lo rotated right by hi's top 6 bits
+        np.right_shift(hi, _U64(58), out=t)
+        np.right_shift(x, t, out=a0)
+        np.subtract(_U64(64), t, out=t)
+        t &= _U64(63)
+        x <<= t
+        x |= a0
+        for k in range(first, min(first + 2, m)):  # the output's low word, then its high word
+            if k == first:
+                np.bitwise_and(x, _LO32, out=a1)
+            else:
+                np.right_shift(x, _SHIFT32, out=a1)
+            bound = _U64(n - m + k + 1)
+            a1 *= bound
+            np.bitwise_and(a1, _LO32, out=t)
+            np.less(t, (_U64(1 << 32) - bound) % bound, out=flag)
+            rejected |= flag
+            a1 >>= _SHIFT32
+            drawn += row
+            np.take(flat, drawn, out=flag)
+            np.copyto(drawn, j, where=flag)
+            flat[drawn] = True
+            j += np.int64(1)
     return np.flatnonzero(rejected)
 
 
@@ -383,14 +394,12 @@ def check_unbiasedness(errors, m: int) -> UnbiasednessReport:
     given 0/1 error vector and compares the average training error with the
     population error rate as exact rationals.
     """
-    errors = [int(e) for e in errors]
+    errors = _check_labels("errors", errors, (0, 1)).tolist()
     n = len(errors)
     if not 0 < m <= n:
         raise ValueError("need 1 <= m <= n")
     if n > 25:
         raise ValueError("exhaustive check limited to n <= 25; use mc_concentration")
-    if any(e not in (0, 1) for e in errors):
-        raise ValueError("errors must be a 0/1 vector")
     dist = _exhaustive_error_distribution(errors, m)
     n_subsets = sum(dist)
     total_errors = sum(t * c for t, c in enumerate(dist))
@@ -408,9 +417,7 @@ def mc_concentration(population, m: int, eps_grid, trials: int, seed: int,
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful tolerance")
-    population = np.asarray(population, dtype=np.int64)
-    if not np.isin(population, (0, 1)).all():
-        raise ValueError("population must be a 0/1 vector")
+    population = _check_labels("population", population, (0, 1))
     n = len(population)
     if n == 0:
         raise ValueError("population must be nonempty")
@@ -465,11 +472,11 @@ class FiniteHypothesisInstance:
     m: int
 
     def __post_init__(self):
-        e = np.asarray(self.errors, dtype=np.int64)
+        e = _check_labels("errors", self.errors, (0, 1))
         p = np.asarray(self.prior, dtype=float)
         object.__setattr__(self, "errors", e)
         object.__setattr__(self, "prior", p)
-        if e.ndim != 2 or not np.isin(e, (0, 1)).all():
+        if e.ndim != 2:
             raise ValueError("errors must be a 0/1 matrix")
         if p.shape != (e.shape[0],) or abs(p.sum() - 1.0) > 1e-12 or (p <= 0).any():
             raise ValueError("prior must be a positive distribution over hypotheses")
@@ -488,7 +495,7 @@ class ClusteringInstance:
     bound_name: str = "serfling_printed"
 
     def __post_init__(self):
-        t = np.asarray(self.target, dtype=np.int64)
+        t = _check_labels("target", self.target, (-1, 1))
         object.__setattr__(self, "target", t)
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         object.__setattr__(self, "clusterers", tuple(self.clusterers))
@@ -496,8 +503,6 @@ class ClusteringInstance:
             raise ValueError("need at least one clustering algorithm")
         for algo in self.clusterers:
             _check_choice("clustering algorithm", algo, ALGORITHMS)
-        if not np.isin(t, (-1, 1)).all():
-            raise ValueError("target labels must be +-1")
         if len(t) != len(self.points):
             raise ValueError("one target label per point required")
         if not 1 <= self.c <= self.m < len(t):

@@ -1,0 +1,36 @@
+"""Reference totals of the two mixture priors, for the mass-accounting tests.
+
+Each sums the masses a prior hands out over its hypotheses; a prior that
+accounts correctly totals exactly 1.
+"""
+
+import math
+
+import numpy as np
+
+from transbound.priors import ClusteringPrior, CompressionPrior
+
+_LN2 = math.log(2.0)
+
+
+def compression_mixture_log_total(m: int, u: int) -> float:
+    """ln of the compression mixture's total mass, all terms kept in log space.
+
+    Sums |H_tau| * p(h) over tau, with |H_tau| = 2^tau C(m+u, tau) and p(h)
+    the mass ``CompressionPrior.log_mass`` gives a size-tau hypothesis; the
+    result should be ln 1 = 0 up to rounding.
+    """
+    prior = CompressionPrior(m=m, u=u)
+    terms = [prior.log_subprior_size(tau) + prior.log_mass(tau) for tau in range(1, m + 1)]
+    return float(np.logaddexp.reduce(terms))
+
+
+def clustering_mixture_total(c: int) -> float:
+    """Total mass of the clustering prior: sum of 2^tau * exp(-``log_inverse_mass(tau)``).
+
+    Each term is exp(tau ln 2 - ``log_inverse_mass(tau)``), so 2^tau is never
+    a float and no c overflows; a prior that charges other than tau ln 2 per
+    cluster moves the total away from 1.
+    """
+    prior = ClusteringPrior(c=c)
+    return sum(math.exp(tau * _LN2 - prior.log_inverse_mass(tau)) for tau in range(1, c + 1))

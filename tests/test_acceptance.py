@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mixture_totals import clustering_mixture_total, compression_mixture_log_total
 from transbound.cli import main
 from transbound.hypergeom import HypergeomSpec, hypergeom_pmf
 from transbound.concentration import (
@@ -24,11 +25,7 @@ from transbound.concentration import (
     serfling_bound,
 )
 from transbound.pac_bayes import BoundInputs, det_bound, gibbs_bound
-from transbound.priors import (
-    clustering_mixture_total,
-    compression_bound,
-    compression_mixture_log_total,
-)
+from transbound.priors import compression_bound
 from transbound.validation import (
     ClusteringInstance,
     check_unbiasedness,

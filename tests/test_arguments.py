@@ -6,8 +6,8 @@ The test puts NaN, +inf or -inf into one read argument at a time, the others
 drawn valid, and expects a ValueError whose message starts with that
 argument's name.  A second table gives sizes m or u below 1, which must also
 raise a ValueError naming the size, and a third finite values outside an
-argument's range, each rule's message coming from its one checker in
-``records``.
+argument's range, fractional labels among them, each rule's message coming
+from its one checker in ``records``.
 """
 
 import functools
@@ -44,6 +44,12 @@ from transbound.pac_bayes import (
     risk_mix,
 )
 from transbound.priors import clustering_bound, compression_bound
+from transbound.validation import (
+    ClusteringInstance,
+    FiniteHypothesisInstance,
+    check_unbiasedness,
+    mc_concentration,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
@@ -171,6 +177,20 @@ OUT_OF_RANGE = {
                        "m must not exceed the population size 10, got 11"),
     "direct_binary_bound": (direct_binary_bound, {"pop": _POP, "q": _OVERSIZED},
                             "m must not exceed the population size 10, got 11"),
+    # fractional labels, which an int64 cast would truncate to valid ones
+    "mc_concentration-fractional": (mc_concentration,
+                                    {"population": [0.5] * 50 + [1.7] * 50, "m": 50,
+                                     "eps_grid": [0.1], "trials": 1000, "seed": 0},
+                                    "population must hold only 0 and 1, got 0.5"),
+    "FiniteHypothesisInstance-fractional": (FiniteHypothesisInstance,
+                                            {"errors": [[0, 1.2, 0.5, 1]], "prior": [1.0], "m": 2},
+                                            "errors must hold only 0 and 1, got 1.2"),
+    "ClusteringInstance-fractional": (ClusteringInstance,
+                                      {"points": [[0.0], [1.0], [2.0], [3.0]],
+                                       "target": [1.5, -1, 1, -1.9], "m": 2, "c": 1},
+                                      "target must hold only -1 and 1, got 1.5"),
+    "check_unbiasedness-fractional": (check_unbiasedness, {"errors": [1, 0, 0.5], "m": 2},
+                                      "errors must hold only 0 and 1, got 0.5"),
 }
 
 

@@ -4,15 +4,14 @@ import math
 
 import pytest
 
+from mixture_totals import clustering_mixture_total, compression_mixture_log_total
 from transbound.priors import (
     ClusteringPrior,
     CompressionPrior,
     clustering_bound,
     clustering_complexity,
-    clustering_mixture_total,
     compression_bound,
     compression_complexity,
-    compression_mixture_log_total,
 )
 
 

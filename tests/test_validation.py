@@ -4,6 +4,7 @@ import functools
 import importlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,23 +165,23 @@ class TestSplitKernel:
         assert called == rejecting
 
     def test_tail_shapes_call_sample_split(self, monkeypatch):
-        def no_kernel(seeds, count):
+        def no_kernel(seeds, masks, n, m):
             raise AssertionError("tail shapes take no kernel words")
 
-        monkeypatch.setattr(validation, "_pcg_words", no_kernel)
+        monkeypatch.setattr(validation, "_floyd", no_kernel)
         assert_kernel_matches_loop(SplitSampler(n_total=10_001, m=201, master_seed=17), 12)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_kernel_draw_limit(self, monkeypatch, extra):
         # Floyd shapes on both sides of the limit: the kernel's words only up to it
         m = validation._KERNEL_MAX_M + extra
-        pcg_words, counts = validation._pcg_words, []
+        floyd, counts = validation._floyd, []
 
-        def recording(seeds, count):
+        def recording(seeds, masks, n, count):
             counts.append(count)
-            return pcg_words(seeds, count)
+            return floyd(seeds, masks, n, count)
 
-        monkeypatch.setattr(validation, "_pcg_words", recording)
+        monkeypatch.setattr(validation, "_floyd", recording)
         assert_kernel_matches_loop(SplitSampler(n_total=2 * m + 1, m=m, master_seed=3), 40)
         assert counts == ([] if extra else [m])
 
@@ -194,8 +195,25 @@ class TestSplitKernel:
     @pytest.mark.parametrize("n, m", [(40, 20), (300, 299), (10_001, 300)])
     def test_many_chunks_and_odd_passes(self, monkeypatch, n, m):
         # chunks of 3 trials (the last one short) or of 1, odd and even words per trial
-        monkeypatch.setattr(validation, "_CHUNK_CELLS", 64)
-        assert_kernel_matches_loop(SplitSampler(n_total=n, m=m, master_seed=8), 11, 5)
+        for chunk in (3, 1):
+            monkeypatch.setattr(validation, "_CHUNK_TRIALS", chunk)
+            assert_kernel_matches_loop(SplitSampler(n_total=n, m=m, master_seed=8), 11, 5)
+
+    def test_kernel_memory_does_not_grow_with_m(self, monkeypatch):
+        # beside the masks the kernel keeps a few vectors per trial, none per draw
+        def no_fallback(sampler, trial_index):
+            raise AssertionError("no trial of these shapes rejects a draw")
+
+        def peak_beside_masks(n, m, trials=200):
+            tracemalloc.start()
+            try:
+                validation._split_masks(SplitSampler(n_total=n, m=m, master_seed=5), trials, 0)
+                return tracemalloc.get_traced_memory()[1] - trials * n
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(validation, "sample_split", no_fallback)
+        assert peak_beside_masks(2001, 1000) < peak_beside_masks(41, 20) + 4096
 
     @pytest.mark.parametrize("offset", [0, 2**63 - 3])
     def test_partial_runs_stack(self, offset):
