@@ -37,15 +37,12 @@ _LGAMMA_SAFE_N = 20000
 # of 3, two CPUs against one (``taskset -c 0``), time.perf_counter on a
 # 2-vCPU x86-64 machine shared with other tenants:
 #   (m, u)            both variants     absolute alone
-#   (7000, 7000)      2.3 s / 4.4 s     1.7 s / 3.1 s
-#   (500, 99 500)     5.3 s / 10.5 s    3.9 s / 6.8 s
-#   (250, 199 750)    6.4 s / 11.8 s
-# Skewed shapes build more slowly per pair, so the cap keeps a cold build
-# within about 6.5 s on two CPUs and 12 s on one, and within 2.5 s and 4.5 s
-# for m near u.  These ran in a slow phase of the machine: in a quiet one,
-# one CPU built both variants at 7000 in 2.6 s and at (500, 99 500) in 6.0 s.
-# Both variants at 7000 peaked at 96 MB resident in the caller and 86 MB in
-# the worker, 105 MB on one CPU.
+#   (7000, 7000)      2.4 s / 3.9 s     2.2 s / 2.9 s
+#   (500, 99 500)     3.6 s / 7.0 s     2.3 s / 4.6 s
+#   (250, 199 750)    3.6 s / 6.2 s
+# So the cap keeps a cold build within about 4 s on two CPUs and 7 s on one.
+# Both variants at 7000 peaked at 86 MB resident in the caller and 57 MB in
+# the worker, 81 MB on one CPU.
 MAX_ENVELOPE_MU = 50_000_000
 
 # Largest m + u whose envelope is built.  The log-pmf error grows with n (as
@@ -58,29 +55,32 @@ MAX_ENVELOPE_MU = 50_000_000
 # at (250, 199 750) and (100, 199 900).  A cached shape holds both variants:
 # 0.5 MB at 2000, 2.6 MB at 7000 and at most 10.1 MB (at (250, 199 750)) of
 # the shapes measured, so the 16-shape cache stays near or below 160 MB.
-# With m <= 10 a build of both variants at the cap took 0.7-0.8 s on the
+# With m <= 10 a build of both variants at the cap took 0.3-0.4 s on the
 # machine above.
 MAX_ENVELOPE_N = 200_000
 
-# Fewest rows of k per block of the envelope build (a row holds at most
-# m*u/(m+u) + 1 cells).  Building both variants at m = u = 2000 on two CPUs
-# took 0.243 s with 32 rows, 0.205 s with 64 and 0.212 s with 128 (medians
-# of 9 cold builds in one process), and 128 rows raised the caller's
-# tracemalloc peak from 5.3 MB to 8.5 MB.
-_BLOCK_ROWS = 64
+# Pair cells per block of the envelope build: max(1, _BLOCK_CELLS // w) rows
+# of k, for rows at most w = m*u/(m+u) + 1 cells wide.  A merge costs its
+# block and survivors, not the points kept, so memory sets the size (a build
+# peaks near 45 bytes per cell).  Both variants cold on one CPU, medians of 7
+# alternating builds in one process:
+#   cells      (1000, 1000)  (2000, 2000)  (500, 20 000)  tracemalloc peak at 1000 / 2000
+#   50 000     57 ms         238 ms        0.85 s         2.2 / 2.9 MB
+#   100 000    59 ms         224 ms        0.76 s         4.2 / 4.5 MB
+#   200 000    66 ms         217 ms        0.69 s         8.1 / 8.4 MB
+_BLOCK_CELLS = 100_000
 
 # Smallest m*u at which ``_envelopes`` builds the upper k-range in a forked
 # worker while the caller builds the lower one.  Starting, reaping and
-# copy-on-write cost the fork 5-15 ms, and at m*u = 2.5e5 and 3.6e5 the
-# forked build was slower.  Both variants cold, in-process against forked,
-# medians of 15-21 alternating calls in one process (ms, 2 vCPUs):
+# copy-on-write cost the fork 5-15 ms.  Both variants cold, in-process against
+# forked, medians of 15 alternating calls in one process (ms, 2 vCPUs):
 #   (m, u)  (250, 62)  (500, 500)  (1000, 250)  (600, 600)  (650, 650)
-#           4.2 / 11   32 / 52     33 / 52      44 / 62     48 / 40
+#           4.4 / 16   31 / 46     34 / 33      37 / 35     44 / 38
 #   (m, u)  (700, 700) (1000, 500) (250, 2000)  (1000, 1000) (2000, 500) (2000, 2000)
-#           59 / 46    58 / 47     63 / 50      102 / 70     111 / 72     396 / 218
-# While another tenant held the second vCPU, both processes ran at half
-# speed: at (1000, 1000) the caller's lower range took 83-119 ms beside the
-# worker against 39-55 ms alone, and forking gained nothing.
+#           51 / 39    51 / 42     56 / 54      89 / 63      85 / 68      310 / 186
+# Below 5e5 the fork gains at most 12 ms, less than the 20 ms a fork can
+# cost in a long-lived process.  While another tenant held the second vCPU,
+# both processes ran at half speed, and forking gained nothing.
 _FORK_MIN_MU = 500_000
 
 # Cells per row segment that ``_merge`` tests at once, against its floor at
@@ -144,11 +144,17 @@ def log_binomial(n: int, r: int) -> float:
         return float(v)
 
 
-def _log_pmf(log_fact, n: int, m: int, k, r):
-    """ln C(k, r) + ln C(n-k, m-r) - ln C(n, m), given log_fact(j) = ln j!."""
-    return (log_fact(k) - log_fact(r) - log_fact(k - r)
-            + (log_fact(n - k) - log_fact(m - r) - log_fact(n - k - m + r))
-            - (log_fact(n) - log_fact(m) - log_fact(n - m)))
+def _log_pmf(log_fact, n: int, m: int, k, r, k_r=None):
+    """ln C(k, r) + ln C(n-k, m-r) - ln C(n, m), given log_fact(j) = ln j! and k_r = k - r;
+    each term is read where it is used, so arrays of pairs need two temporaries."""
+    k_r = k - r if k_r is None else k_r
+    y = log_fact(n - k) - log_fact(m - r)
+    y -= log_fact(n - m - k_r)  # n-k-m+r
+    x = log_fact(k) - log_fact(r)
+    x -= log_fact(k_r)
+    x += y
+    x -= log_fact(n) - log_fact(m) - log_fact(n - m)
+    return x
 
 
 @lru_cache(maxsize=4096)
@@ -199,14 +205,23 @@ def _pairs(m: int, u: int, k: np.ndarray, log_fact):
     n = m + u
     lo = np.maximum(k - u, 0)
     width = int((-(-k * m // n) - lo).max())  # ceil(k*m/n) - lo pairs in the longest prefix
-    r = lo + np.arange(width, dtype=np.int64)
-    neg = -((k - r) / u - r / m)
+    j = np.arange(width, dtype=np.int64)
+    # Pad cells past a row's support lo <= r <= min(k, m) read its end
+    # instead, so every ln j! read is in the table; their d stays <= 0.
+    if k[-1, 0] <= u:  # r = j on every row: ln r! and ln(m-r)! are one row each
+        r, k_r = j, np.maximum(k - j, 0)
+    elif k[0, 0] > u:  # k-r = u-j on every row: ln(k-r)! and ln(n-k-m+r)! = ln j! too
+        r, k_r = np.minimum(lo + j, m), u - j
+    else:
+        r = np.minimum(lo + j, np.minimum(k, m))
+        k_r = k - r
+    neg = -(k_r / u - r / m)
     # rounding only shortens a prefix: a computed deviation is never positive
     # where the exact one is not
     keep = neg < 0
-    log_pmf = _log_pmf(log_fact, n, m, k, np.where(keep, r, lo))
-    tail = np.logaddexp.accumulate(np.where(keep, log_pmf, -np.inf), axis=1)
-    return neg, tail, keep
+    log_pmf = _log_pmf(log_fact, n, m, k, r, k_r)
+    log_pmf[~keep] = -np.inf
+    return neg, np.logaddexp.accumulate(log_pmf, axis=1, out=log_pmf), keep
 
 
 def _change_points(neg, log_tail, ks, n: int):
@@ -226,9 +241,10 @@ def _change_points(neg, log_tail, ks, n: int):
     # Smallest k with L equal to the running max: a running min of k over
     # the attaining pairs that restarts whenever the max rises, done in one
     # pass by offsetting each level's keys below every earlier level's.
-    level = np.cumsum(np.r_[True, best[1:] > best[:-1]])
-    key = np.where(log_tail == best, ks, n + 1) - level * (n + 1)
-    ks = np.minimum.accumulate(key) + level * (n + 1)
+    level = np.cumsum(np.r_[True, best[1:] > best[:-1]]) * (n + 1)
+    ks = np.where(log_tail == best, ks, n + 1) - level
+    del order, log_tail  # a build peaks in memory around here
+    ks = np.minimum.accumulate(ks, out=ks) + level
 
     ends = np.r_[neg[1:] != neg[:-1], True]
     neg, best, ks = neg[ends], best[ends], ks[ends]
@@ -242,68 +258,82 @@ def _merge(kept, neg, log_tail, keep, k, n: int):
     A cell never shows if its L is no higher than the kept envelope at its
     -d (a kept point of smaller k attains at least as much there) or lower
     than the block's last row at its -d (a cell of that row beats it
-    wherever it counts), so only the other cells are merged.  Along a row
-    -d rises and that floor never falls, so a whole ``_SEGMENT``-cell row
-    segment is first tested against the floor at its first cell, and only
-    the cells it leaves get the exact test.
+    wherever it counts), so only the other cells, the survivors, are merged.
+    Along a row -d rises and that floor never falls, so a whole
+    ``_SEGMENT``-cell row segment is first tested against the floor at its
+    first cell, and only the cells it leaves get the exact test.  A survivor
+    lies above every kept point at or before its -d, so each of the
+    survivors' change points replaces the kept points from its -d up to the
+    next one's whose L is below its own (one of equal L stays: its k is smaller).
     """
     # The floor at -d is the running max over the breakpoints of both step
-    # functions up to -d (both are sorted runs: a stable sort merges them);
-    # the last row's L is taken one float lower, so that a tie keeps the cell.
-    at = np.concatenate((kept[0], neg[-1][keep[-1]]))
-    order = np.argsort(at, kind="stable")
-    at = at[order]
-    floor = np.concatenate((kept[1], np.nextafter(log_tail[-1][keep[-1]], -np.inf)))[order]
+    # functions up to -d: the last row's, inserted among the kept points, with
+    # L taken one float lower, so that a tie keeps the cell.
+    row = neg[-1][keep[-1]]
+    at = np.searchsorted(kept[0], row, side="right")
+    floor = np.insert(kept[1], at, np.nextafter(log_tail[-1][keep[-1]], -np.inf))
+    at = np.insert(kept[0], at, row)
     floor = np.r_[-np.inf, np.maximum.accumulate(floor)]  # floor[i]: at -d in [at[i-1], at[i])
     seg = floor[np.searchsorted(at, neg[:, ::_SEGMENT], side="right")]
     live = keep & (log_tail > np.repeat(seg, _SEGMENT, axis=1)[:, :neg.shape[1]])
-    neg, log_tail, ks = neg[live], log_tail[live], np.broadcast_to(k, live.shape)[live]
-    live = log_tail > floor[np.searchsorted(at, neg, side="right")]
-    block = (neg[live], log_tail[live], ks[live])
-    return _change_points(*map(np.concatenate, zip(kept, block)), n)
+    live[live] = log_tail[live] > floor[np.searchsorted(at, neg[live], side="right")]
+    neg, log_tail, ks = _change_points(neg[live], log_tail[live],
+                                       np.broadcast_to(k, live.shape)[live], n)
+    if not len(neg):
+        return kept
+    start = np.searchsorted(kept[0], neg, side="left")  # first kept point at or after its -d
+    below = np.searchsorted(kept[1], log_tail, side="left")  # kept points with L below its own
+    # every kept point before start has L below the survivor's, so below >= start
+    run = np.minimum(np.r_[start[1:], len(kept[0])], below) - start
+    at = start + run - np.cumsum(run)  # each survivor's place among the kept points left
+    rest = np.ones(len(kept[0]), dtype=bool)
+    rest[np.repeat(at, run) + np.arange(run.sum())] = False
+    return tuple(np.insert(a[rest], at, b) for a, b in zip(kept, (neg, log_tail, ks)))
 
 
 def _build(m: int, u: int, variants: tuple[str, ...], k_first: int, k_last: int, table):
     """Change points of each of ``variants`` over the pairs with k_first <= k <= k_last.
 
-    One pass over blocks of ascending k computes each block's pairs once
-    (``_pairs``, from ``table[j] = ln j!``) and merges them into every
-    variant's change points (``_merge``), so memory stays
-    O(_BLOCK_ROWS * min(m, u) + change points).  ``relative`` scales the
-    deviation by sqrt((m+u)/k), which keeps the same cells and L.
+    One pass over blocks of ascending k, none straddling k = u, computes each
+    block's pairs once (``_pairs``, from ``table[j] = ln j!``) and merges them
+    into every variant's change points (``_merge``), so memory stays
+    O(_BLOCK_CELLS + change points).  ``relative`` scales the deviation by
+    sqrt((m+u)/k), which keeps the same cells and L.
     """
     n = m + u
     width = m * u // n + 1  # no row's positive-deviation prefix is longer
     empty = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
     kept = dict.fromkeys(variants, empty)
     k0 = k_first
+    rows = max(1, _BLOCK_CELLS // width)
     while k0 <= k_last:
-        # A block has at least as many cells as any variant keeps points, so
-        # merging them in costs no more than the block itself.
-        rows = max(_BLOCK_ROWS, max(len(e[0]) for e in kept.values()) // width)
-        k = np.arange(k0, min(k0 + rows, k_last + 1), dtype=np.int64)[:, None]
+        k_end = min(k0 + rows, k_last + 1, u + 1 if k0 <= u else n + 1)
+        k = np.arange(k0, k_end, dtype=np.int64)[:, None]
         neg, log_tail, keep = _pairs(m, u, k, table.__getitem__)
         for variant, env in kept.items():
-            scaled = neg * np.sqrt(n / k) if variant == "relative" else neg
-            kept[variant] = _merge(env, scaled, log_tail, keep, k, n)
-        k0 += rows
+            kept[variant] = _merge(env, neg * np.sqrt(n / k) if variant == "relative" else neg,
+                                   log_tail, keep, k, n)
+        del neg, log_tail, keep  # before the next block's pairs are made
+        k0 = k_end
     return kept
 
 
 def _split_k(m: int, u: int) -> int:
     """First k of the upper range: the k that halves the estimated cost of ``_build``.
 
-    Row k costs its positive-deviation cells plus, for merging into the
-    change points kept so far, 0.7 - 0.3 k/(m+u) row widths: the lower rows
-    keep more change points.  The two weights were fitted to the k that
-    balanced the two ranges' measured build times on ten shapes from
-    (1000, 1000) to (20 000, 500) and (200, 50 000), and place it within
-    2.2 % of m + u on each (halving the cells alone missed by up to 14 %).
+    Row k costs its positive-deviation cells plus 0.55 - 0.25 k/(m+u) row
+    widths, for its pad cells and survivors: weights fitted to the k that
+    balanced the two ranges' one-CPU build times on ten shapes from
+    (1000, 1000) to (20 000, 500) and (200, 50 000).  The ranges' times then
+    differed by at most 4 % on six of them, (2000, 2000) and (2000, 500)
+    among them, by 7-11 % on (3000, 3000), (4000, 1000), (500, 2000) and
+    (20 000, 500), and by 18 % at (7000, 7000), where the lower range is the
+    slower; halving the cells alone missed the k by up to 11 % of m + u.
     """
     n = m + u
     k = np.arange(1, n + 1, dtype=np.int64)
     cells = -(-k * m // n) - np.maximum(k - u, 0)  # ceil(k*m/n) - max(k-u, 0), as in _pairs
-    cost = np.cumsum(cells + (m * u // n + 1) * (0.7 - 0.3 * k / n))
+    cost = np.cumsum(cells + (m * u // n + 1) * (0.55 - 0.25 * k / n))
     return int(np.searchsorted(cost, cost[-1] / 2)) + 1
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from transbound import hypergeom
@@ -378,7 +379,7 @@ class TestEnvelopeReference:
     def test_bit_identical_in_small_blocks(self, m, u, variant, rows, monkeypatch):
         # every shape then spans several blocks: equal deviations fall into
         # different blocks, and ties in L across blocks decide achieving_k
-        monkeypatch.setattr(hypergeom, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(hypergeom, "_BLOCK_CELLS", rows * _row_cells(m, u))
         hypergeom._envelopes.cache_clear()
         try:
             self.test_bit_identical(m, u, variant)
@@ -390,18 +391,24 @@ def _same_bits(got, want):
     return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+def _row_cells(m, u):
+    """Cells ``_build`` counts per row of k: a budget of ``rows`` times this makes blocks of ``rows``."""
+    return m * u // (m + u) + 1
+
+
 class TestEnvelopeBlocks:
     """The block-by-block envelope build against the single-sort reference."""
 
     @pytest.mark.parametrize("variant", ["absolute", "relative"])
     @pytest.mark.parametrize("m,u", [(250, 250), (500, 125), (125, 500), (97, 131),
-                                     (1000, 1000), (1, 1), (1, 7), (7, 1), (2, 300)])
+                                     (1000, 1000), (1, 1), (1, 7), (7, 1), (2, 300), (50, 2000)])
     def test_equals_the_single_sort_build(self, m, u, variant, monkeypatch):
         # the variant alone, as transduce asks for it, and next to the other
         # variant in one pass, in the default blocks and in blocks of 1 and 3
+        # rows; (50, 2000) keeps many change points on narrow rows
         want = _ref_envelope(m, u, variant)
-        for rows in (hypergeom._BLOCK_ROWS, 1, 3):
-            monkeypatch.setattr(hypergeom, "_BLOCK_ROWS", rows)
+        for cells in (hypergeom._BLOCK_CELLS, _row_cells(m, u), 3 * _row_cells(m, u)):
+            monkeypatch.setattr(hypergeom, "_BLOCK_CELLS", cells)
             hypergeom._envelopes.cache_clear()
             assert _same_bits(hypergeom._envelopes(m, u, (variant,))[variant], want)
             assert _same_bits(hypergeom._envelopes(m, u, hypergeom.VARIANTS)[variant], want)
@@ -541,13 +548,110 @@ class TestEnvelopeWorker:
 
 
 def test_one_pair_pass_serves_both_variants(envelope_work, monkeypatch):
-    monkeypatch.setattr(hypergeom, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(hypergeom, "_BLOCK_CELLS", 8 * _row_cells(61, 47))
     epsilon_star(0.1, 0.05, 61, 47, "relative")
     blocks = envelope_work["_pairs"]
     assert blocks > 1 and envelope_work["_merge"] == 2 * blocks
     epsilon_star(0.1, 0.05, 61, 47, "absolute")
     gamma(0.2, 61, 47, "relative")
     assert envelope_work == {"_pairs": blocks, "_merge": 2 * blocks}
+
+
+def _check_row_indices(table):
+    """``table.__getitem__`` that fails on an index outside the table, as a wrapped one would be."""
+    def read(j):
+        assert np.all((0 <= np.asarray(j)) & (np.asarray(j) < len(table))), j
+        return table[j]
+    return read
+
+
+class TestPairBlocks:
+    """``_pairs`` on blocks wholly below u, wholly above u and straddling u, row by row."""
+
+    @staticmethod
+    def _row(m, u, k, table):
+        """Row k on its own, as ``_ref_envelope`` makes it: (-d, L) over its positive prefix."""
+        r = np.arange(max(k - u, 0), min(m, k) + 1, dtype=np.int64)
+        neg = -((k - r) / u - r / m)
+        j = int(np.searchsorted(neg, 0.0, side="left"))
+        log_pmf = hypergeom._log_pmf(table.__getitem__, m + u, m, k, r)
+        return neg[:j], np.logaddexp.accumulate(log_pmf[:j])
+
+    @pytest.mark.parametrize("m,u", [(1, 1), (1, 6), (6, 1), (7, 3), (3, 7), (20, 9), (9, 20),
+                                     (13, 13)])
+    def test_blocks_equal_their_rows(self, m, u):
+        n = m + u
+        table = gammaln(np.arange(1, n + 2, dtype=np.float64))
+        # below u, above u, straddling u, all of k, and one row on either side
+        for k0, k1 in [(1, u), (u + 1, n), (max(u - 2, 1), min(u + 2, n)), (1, n), (u, u),
+                       (u + 1, u + 1)]:
+            k = np.arange(k0, k1 + 1, dtype=np.int64)[:, None]
+            neg, log_tail, keep = hypergeom._pairs(m, u, k, _check_row_indices(table))
+            for row, kk in enumerate(k[:, 0].tolist()):
+                want_neg, want_tail = self._row(m, u, kk, table)
+                w = len(want_neg)
+                assert keep[row, :w].all() and not keep[row, w:].any(), (k0, k1, kk)
+                assert _same_bits((neg[row, :w], log_tail[row, :w]), (want_neg, want_tail))
+
+    @pytest.mark.parametrize("m,u", [(1, 1), (1, 9), (9, 1), (7, 3), (3, 7), (40, 40)])
+    def test_one_row_tail_raises_no_float_warning(self, m, u):
+        # deviation_tail reads gammaln of its own arguments: an argument below 0
+        # would read inf there, and inf - inf warns
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for k in range(m + u + 1):
+                for eps in (0.0, 0.3, 1.5):
+                    deviation_tail(eps, HypergeomSpec(m, u, k))
+
+
+@st.composite
+def _merge_cases(draw):
+    """kept change points of rows k < k0 and a block of rows k0, k0+1, ... in ``_pairs``' layout.
+
+    -d and L come from coarse grids, so kept points and block cells share -d
+    and rows share L; the kept rows may be none, and the block's L may sit
+    below every kept L, so that nothing survives.
+    """
+    levels = draw(st.integers(2, 8))  # distinct deviations d in {1, ..., levels} / levels
+    width = draw(st.integers(1, 40))
+
+    def row(low):
+        cells = draw(st.integers(0, width))
+        d = sorted(draw(st.lists(st.integers(1, levels), min_size=cells, max_size=cells)),
+                   reverse=True)
+        steps = draw(st.lists(st.integers(0, 2), min_size=cells, max_size=cells))
+        return -np.array(d, dtype=float) / levels, low + np.cumsum(steps, dtype=float) / 2
+
+    n = 100
+    earlier = draw(st.integers(0, 5))
+    k0 = earlier + 1
+    pairs = [row(draw(st.integers(-8, 0))) for _ in range(earlier)]
+    kept = hypergeom._change_points(
+        np.concatenate([p[0] for p in pairs] + [np.empty(0)]),
+        np.concatenate([p[1] for p in pairs] + [np.empty(0)]),
+        np.repeat(np.arange(1, k0, dtype=np.int64), [len(p[0]) for p in pairs]),
+        n)
+    low = draw(st.sampled_from([-8, -4, 0, 2, -100]))  # -100: below every kept L
+    rows = [row(low + draw(st.integers(0, 4))) for _ in range(draw(st.integers(1, 4)))]
+    neg = np.full((len(rows), width), 1.0)  # pad cells: d < 0, any L
+    log_tail = np.full((len(rows), width), -np.inf)
+    for i, (row_neg, row_tail) in enumerate(rows):
+        neg[i, :len(row_neg)], log_tail[i, :len(row_tail)] = row_neg, row_tail
+        log_tail[i, len(row_tail):] = row_tail[-1] if len(row_tail) else -np.inf
+    k = np.arange(k0, k0 + len(rows), dtype=np.int64)[:, None]
+    return kept, neg, log_tail, neg < 0, k, n
+
+
+@given(case=_merge_cases())
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+def test_merge_splices_like_one_sort(case):
+    # the reference: the change points of the kept points and all of the
+    # block's cells together, in one sort (the floor only drops cells that
+    # never show)
+    kept, neg, log_tail, keep, k, n = case
+    cells = (neg[keep], log_tail[keep], np.broadcast_to(k, keep.shape)[keep])
+    want = hypergeom._change_points(*map(np.concatenate, zip(kept, cells)), n)
+    assert _same_bits(hypergeom._merge(kept, neg, log_tail, keep, k, n), want)
 
 
 class TestLogSpaceInversion:
