@@ -1,12 +1,14 @@
 """One forked worker beside the caller, for work split across two CPUs.
 
 ``transduce.ensemble_sweep`` and ``hypergeom._envelopes`` each run one part
-of a pure computation here while the caller runs the other part.  Both fall
-back to running the part in-process when no second CPU is usable or the
-worker cannot start or dies, so their results never depend on it.
+of a pure computation in the worker while the caller runs the other part
+(``beside``).  Where the worker cannot start or dies, the caller runs its
+part too, so their results never depend on it.  Fork is safe for both: a
+worker runs NumPy's elementwise kernels and sorts, pickling and one pipe
+write, so it makes no BLAS call and takes no lock another thread of the
+caller could hold.
 """
 
-import contextlib
 import os
 import sys
 import traceback
@@ -26,44 +28,43 @@ def _send_result(conn, func, args) -> None:
     conn.send((error, result))
 
 
-@contextlib.contextmanager
-def forked(func, *args):
-    """Run ``func(*args)`` in a forked process; yield a call that waits for its result.
+def beside(local, remote, *args):
+    """(local(), remote(*args)), with ``remote(*args)`` run in a forked worker meanwhile.
 
-    The call raises what ``func`` raised, from a RuntimeError holding the
-    worker's traceback, and returns None if the worker died without
-    sending.  If the fork fails (OSError: no pid or memory), or this process
-    is daemonic and so may not have children (a ``multiprocessing`` pool
-    worker), None is yielded instead of the call.  The worker is stopped and
-    reaped on exit, on every path.
+    What ``remote`` raised in the worker is raised here, from a RuntimeError
+    holding the worker's traceback.  ``remote(*args)`` runs in this process
+    instead, after ``local()``, if the fork fails (OSError: no pid or
+    memory), if the worker dies without sending, or if this process is
+    daemonic and so may not have children (a ``multiprocessing`` pool
+    worker).  The worker is stopped and reaped before this returns or
+    raises, on every path.
     """
     import multiprocessing  # here, on the only path that forks, not in every command's start
 
     if multiprocessing.current_process().daemon:
-        yield None
-        return
+        return local(), remote(*args)
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_send_result, args=(sender, func, args))
+    worker = context.Process(target=_send_result, args=(sender, remote, args))
     try:
         worker.start()
     except OSError:
         worker = None
-    sender.close()
-
-    def result():
-        try:
-            error, out = receiver.recv()
-        except EOFError:
-            return None
-        if error:
-            raise error[0] from RuntimeError(f"in the forked worker:\n{error[1]}")
-        return out
-
+    sender.close()  # with no worker holding it, recv meets end-of-file at once
     try:
-        yield result if worker else None
+        mine = local()
+        try:
+            reply = receiver.recv()
+        except EOFError:
+            reply = None
     finally:
         if worker:  # stopped before its pipe closes, so a send cannot fail loudly
             worker.terminate()
             worker.join()
         receiver.close()
+    if reply is None:
+        return mine, remote(*args)
+    error, theirs = reply
+    if error:
+        raise error[0] from RuntimeError(f"in the forked worker:\n{error[1]}")
+    return mine, theirs

@@ -14,13 +14,12 @@ in the order NumPy's pairwise reduction uses over a contiguous axis
 (sequential below 8 terms; eight interleaved partial sums combined as
 ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128 terms; halving at a
 multiple of 8 above that).  Each new k-means center equals the mean of its
-members' rows in index order, as a boolean mask would select them.  For
-d >= 2 float64 or integer points that mean is a sequential float64 sum of
-the rows, so one ``np.bincount`` per coordinate over the members of every
-changed cluster, divided by the sizes, gives its bits.  Two cases keep the
-per-cluster ``mean``: d = 1, where the mean of a contiguous column is a
-pairwise sum, and float16 or float32 points, which ``mean`` accumulates in
-their own precision.  ``bincount`` starts from +0.0, so a coordinate whose
+members' rows in index order, as a boolean mask would select them.
+k-means converts its points to float64 first.  For d >= 2 the mean is then
+a sequential float64 sum of the rows, so one ``np.bincount`` per coordinate
+over the members of every changed cluster, divided by the sizes, gives its
+bits; d = 1 keeps the per-cluster ``mean``, since the mean of a contiguous
+column is a pairwise sum.  ``bincount`` starts from +0.0, so a coordinate whose
 members all hold -0.0 reads +0.0 where a sum that starts from the first
 row gives -0.0; squared differences and shifts are the same for either
 zero, so no label changes.
@@ -95,19 +94,19 @@ def _updated_centers(points: np.ndarray, coords: np.ndarray, labels: np.ndarray,
                      changed: np.ndarray, sizes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """``centers`` with row j, where ``changed[j]``, set to the mean of the points labelled j.
 
-    ``coords`` is ``points.T`` and ``sizes`` the label counts.  Each new row
-    has the bits of ``points[labels == j].mean(axis=0)``, up to the sign of a
-    zero (see the module docstring).
+    ``points`` are float64, ``coords`` is ``points.T`` and ``sizes`` the
+    label counts.  Each new row has the bits of
+    ``points[labels == j].mean(axis=0)``, up to the sign of a zero (see the
+    module docstring).
     """
     tau, d = centers.shape
     fresh = np.flatnonzero(changed)
     rows = np.flatnonzero(changed[labels])  # in index order
     owner = labels[rows]
     out = centers.copy()
-    # mean(axis=0) of d >= 2 float64 or integer columns is a sequential
-    # float64 row sum, which bincount reproduces; a single column is summed
-    # pairwise, and float16 or float32 in their own precision
-    if d >= 2 and (points.dtype == np.float64 or points.dtype.kind in "biu"):
+    # mean(axis=0) of d >= 2 columns is a sequential row sum, which bincount
+    # reproduces; a single column is summed pairwise
+    if d >= 2:
         for j in range(d):
             out[fresh, j] = np.bincount(owner, weights=coords[j, rows],
                                         minlength=tau)[fresh] / sizes[fresh]
@@ -130,11 +129,14 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
     index; a cluster that empties is repaired by handing it the farthest
     member of the currently largest cluster.
 
-    Every iteration computes every point's distance to every center; with
-    float64 points the seeding's rows serve as the first iteration's.  Only
-    clusters whose members changed get a new mean: an unchanged cluster's
-    mean would come out with the same bits.
+    The points are converted to float64 first, so labels of narrower or
+    integer points are those of their float64 values.  Every iteration
+    computes every point's distance to every center; the seeding's rows
+    serve as the first iteration's.  Only clusters whose members changed get
+    a new mean: an unchanged cluster's mean would come out with the same
+    bits.
     """
+    points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if tau == 1:
         return np.zeros(n, dtype=np.int64)
@@ -149,9 +151,8 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
         seeds.append(nxt)
         seen.append(_sq_dists(coords, coords[:, nxt, None]))
         nearest = np.minimum(nearest, seen[-1])
-    centers = points[seeds].astype(float).copy()
-    # With float64 points the seeding rows are the first iteration's distances.
-    seeded = np.stack(seen) if points.dtype == np.float64 else None
+    centers = points[seeds]
+    seeded = np.stack(seen)  # the first iteration's distances
     del seen
 
     labels = np.zeros(n, dtype=np.int64)

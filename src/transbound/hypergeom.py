@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ._fork import forked, second_cpu
+from ._fork import beside, second_cpu
 from .records import (BoundValue, _check_choice, _check_mass, _check_nonnegative,
                       _check_probability, _check_size, _check_unit)
 
@@ -37,11 +37,11 @@ _LGAMMA_SAFE_N = 20000
 # of 3, two CPUs against one (``taskset -c 0``), time.perf_counter on a
 # 2-vCPU x86-64 machine shared with other tenants:
 #   (m, u)            both variants     absolute alone
-#   (7000, 7000)      2.4 s / 3.9 s     2.2 s / 2.9 s
-#   (500, 99 500)     3.6 s / 7.0 s     2.3 s / 4.6 s
-#   (250, 199 750)    3.6 s / 6.2 s
-# So the cap keeps a cold build within about 4 s on two CPUs and 7 s on one.
-# Both variants at 7000 peaked at 86 MB resident in the caller and 57 MB in
+#   (7000, 7000)      2.2 s / 4.5 s     1.6 s / 3.5 s
+#   (500, 99 500)     3.3 s / 7.1 s     2.1 s / 5.2 s
+#   (250, 199 750)    3.7 s / 8.7 s
+# So the cap keeps a cold build within about 4 s on two CPUs and 9 s on one.
+# Both variants at 7000 peaked at 84 MB resident in the caller and 57 MB in
 # the worker, 81 MB on one CPU.
 MAX_ENVELOPE_MU = 50_000_000
 
@@ -70,15 +70,15 @@ MAX_ENVELOPE_N = 200_000
 #   200 000    66 ms         217 ms        0.69 s         8.1 / 8.4 MB
 _BLOCK_CELLS = 100_000
 
-# Smallest m*u at which ``_envelopes`` builds the upper k-range in a forked
-# worker while the caller builds the lower one.  Starting, reaping and
-# copy-on-write cost the fork 5-15 ms.  Both variants cold, in-process against
-# forked, medians of 15 alternating calls in one process (ms, 2 vCPUs):
+# Smallest m*u at which ``_envelopes`` builds the even k in a forked worker
+# while the caller builds the odd k.  Starting, reaping and copy-on-write
+# cost the fork 5-15 ms.  Both variants cold, in-process against forked,
+# medians of 15 alternating calls in one process (ms, 2 vCPUs):
 #   (m, u)  (250, 62)  (500, 500)  (1000, 250)  (600, 600)  (650, 650)
-#           4.4 / 16   31 / 46     34 / 33      37 / 35     44 / 38
+#           4.1 / 17   31 / 50     34 / 53      41 / 40     47 / 45
 #   (m, u)  (700, 700) (1000, 500) (250, 2000)  (1000, 1000) (2000, 500) (2000, 2000)
-#           51 / 39    51 / 42     56 / 54      89 / 63      85 / 68      310 / 186
-# Below 5e5 the fork gains at most 12 ms, less than the 20 ms a fork can
+#           44 / 43    51 / 44     54 / 46      85 / 57      86 / 68      322 / 179
+# Below 5e5 the fork gains at most 3 ms, less than the 20 ms a fork can
 # cost in a long-lived process.  While another tenant held the second vCPU,
 # both processes ran at half speed, and forking gained nothing.
 _FORK_MIN_MU = 500_000
@@ -291,50 +291,36 @@ def _merge(kept, neg, log_tail, keep, k, n: int):
     return tuple(np.insert(a[rest], at, b) for a, b in zip(kept, (neg, log_tail, ks)))
 
 
-def _build(m: int, u: int, variants: tuple[str, ...], k_first: int, k_last: int, table):
-    """Change points of each of ``variants`` over the pairs with k_first <= k <= k_last.
+def _build(m: int, u: int, variants: tuple[str, ...], part: int, parts: int, table):
+    """Change points of each of ``variants`` over the pairs with k = part + 1 (mod parts).
 
-    One pass over blocks of ascending k, none straddling k = u, computes each
-    block's pairs once (``_pairs``, from ``table[j] = ln j!``) and merges them
-    into every variant's change points (``_merge``), so memory stays
-    O(_BLOCK_CELLS + change points).  ``relative`` scales the deviation by
-    sqrt((m+u)/k), which keeps the same cells and L.
+    One pass over blocks of ascending k, none straddling k = u, computes the
+    pairs of each block's rows of this part once (``_pairs``, from
+    ``table[j] = ln j!``) and merges them into every variant's change points
+    (``_merge``), so memory stays O(_BLOCK_CELLS + change points).  A block
+    spans ``parts`` times as many k as one part builds rows of, so each part
+    keeps the cell budget; with parts = 1 every k is built.  Adjacent rows
+    cost nearly the same, so the parts of one shape cost nearly the same.
+    ``relative`` scales the deviation by sqrt((m+u)/k), which keeps the same
+    cells and L.
     """
     n = m + u
     width = m * u // n + 1  # no row's positive-deviation prefix is longer
     empty = (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
     kept = dict.fromkeys(variants, empty)
-    k0 = k_first
-    rows = max(1, _BLOCK_CELLS // width)
-    while k0 <= k_last:
-        k_end = min(k0 + rows, k_last + 1, u + 1 if k0 <= u else n + 1)
-        k = np.arange(k0, k_end, dtype=np.int64)[:, None]
-        neg, log_tail, keep = _pairs(m, u, k, table.__getitem__)
-        for variant, env in kept.items():
-            kept[variant] = _merge(env, neg * np.sqrt(n / k) if variant == "relative" else neg,
-                                   log_tail, keep, k, n)
-        del neg, log_tail, keep  # before the next block's pairs are made
+    span = parts * max(1, _BLOCK_CELLS // width)
+    k0 = 1
+    while k0 <= n:
+        k_end = min(k0 + span, u + 1 if k0 <= u else n + 1)
+        k = np.arange(k0 + (part + 1 - k0) % parts, k_end, parts, dtype=np.int64)[:, None]
+        if len(k):  # a block of fewer than ``parts`` k may hold none of this part's
+            neg, log_tail, keep = _pairs(m, u, k, table.__getitem__)
+            for variant, env in kept.items():
+                kept[variant] = _merge(env, neg * np.sqrt(n / k) if variant == "relative" else neg,
+                                       log_tail, keep, k, n)
+            del neg, log_tail, keep  # before the next block's pairs are made
         k0 = k_end
     return kept
-
-
-def _split_k(m: int, u: int) -> int:
-    """First k of the upper range: the k that halves the estimated cost of ``_build``.
-
-    Row k costs its positive-deviation cells plus 0.55 - 0.25 k/(m+u) row
-    widths, for its pad cells and survivors: weights fitted to the k that
-    balanced the two ranges' one-CPU build times on ten shapes from
-    (1000, 1000) to (20 000, 500) and (200, 50 000).  The ranges' times then
-    differed by at most 4 % on six of them, (2000, 2000) and (2000, 500)
-    among them, by 7-11 % on (3000, 3000), (4000, 1000), (500, 2000) and
-    (20 000, 500), and by 18 % at (7000, 7000), where the lower range is the
-    slower; halving the cells alone missed the k by up to 11 % of m + u.
-    """
-    n = m + u
-    k = np.arange(1, n + 1, dtype=np.int64)
-    cells = -(-k * m // n) - np.maximum(k - u, 0)  # ceil(k*m/n) - max(k-u, 0), as in _pairs
-    cost = np.cumsum(cells + (m * u // n + 1) * (0.55 - 0.25 * k / n))
-    return int(np.searchsorted(cost, cost[-1] / 2)) + 1
 
 
 @lru_cache(maxsize=16)
@@ -350,14 +336,10 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
     log-space rule.
 
     Where m*u is at least ``_FORK_MIN_MU`` and a ``second_cpu`` is usable,
-    a forked worker builds the k from ``_split_k`` up while the caller builds
-    the k below, and one ``_change_points`` call merges each variant's two
-    sets of change points: those of the union are those of the parts'
-    change points together, so the bits are those of one build.  Fork is
-    safe here: the worker runs NumPy's elementwise kernels and sorts,
-    pickling and one pipe write, so it makes no BLAS call and takes no lock
-    another thread of the caller could hold.  If the worker cannot start or
-    dies, the caller builds the upper range too.
+    the caller builds the odd k while a forked worker builds the even k
+    (``_fork.beside``), and one ``_change_points`` call merges each
+    variant's two sets of change points: those of the union are those of the
+    parts' change points together, so the bits are those of one build.
 
     L sums ``gammaln`` table values, whose cancellation grows with n, so the
     log-tails are held to an absolute error of 1e-9 (measured at
@@ -372,15 +354,11 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
                          f"{m * u} (limit {MAX_ENVELOPE_MU}), m+u = {n} (limit {MAX_ENVELOPE_N})")
     table = gammaln(np.arange(1, n + 2, dtype=np.float64))  # table[j] = ln j!
     if m * u < _FORK_MIN_MU or not second_cpu():
-        return _build(m, u, variants, 1, n, table)
-    split = _split_k(m, u)
-    with forked(_build, m, u, variants, split, n, table) as worker:
-        lower = _build(m, u, variants, 1, split - 1, table)
-        upper = worker() if worker else None
-    if upper is None:
-        upper = _build(m, u, variants, split, n, table)
-    return {v: _change_points(*map(np.concatenate, zip(lower[v], upper[v])), n)
-            for v in variants}
+        return _build(m, u, variants, 0, 1, table)
+    # the worker builds the even k
+    odd, even = beside(lambda: _build(m, u, variants, 0, 2, table),
+                       _build, m, u, variants, 1, 2, table)
+    return {v: _change_points(*map(np.concatenate, zip(odd[v], even[v])), n) for v in variants}
 
 
 def gamma(eps: float, m: int, u: int, variant: str = "absolute") -> float:

@@ -10,14 +10,13 @@ ever sees training labels, so the certificate's guarantee holds over the
 random choice of the training subset.
 """
 
-import contextlib
 from dataclasses import dataclass
 import functools
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from ._fork import forked, second_cpu
+from ._fork import beside, second_cpu
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
 from .hypergeom import _envelopes, _epsilon_star
 from .pac_bayes import det_raw
@@ -198,27 +197,25 @@ def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
     The points are checked for c distinct rows once.  Two or more linkages
     share one condensed distance matrix, dropped after the last of them.
     Where the ensemble holds k-means and a linkage, n is at least
-    ``_FORK_MIN_N`` and a ``second_cpu`` is usable, the k-means sweeps run in
-    one worker, forked before the distance matrix is built, while the caller
-    runs the linkage sweeps.  Fork is safe here: the
-    worker runs NumPy's elementwise kernels, pickling and one pipe write, so
-    it makes no BLAS call and takes no lock another thread of the caller
-    could hold.  If the worker cannot start or dies, the k-means sweeps run
-    in the caller.  Every sweep is a pure function of the points, so either
-    way the partitions are the same.
+    ``_FORK_MIN_N`` and a ``second_cpu`` is usable, the caller runs the
+    linkage sweeps while a forked worker runs the k-means sweeps
+    (``_fork.beside``).  Every sweep is a pure function of the points, so
+    either way the partitions are the same.
     """
     pts = _checked_points(data, algorithms, c)
     kmeans = [i for i, algo in enumerate(algorithms) if algo == "kmeans"]
     linkages = [i for i, algo in enumerate(algorithms) if algo in LINKAGES]
-    fork = kmeans and linkages and len(pts) >= _FORK_MIN_N and second_cpu()
-    sweeps = {}
-    with forked(_kmeans_sweeps, pts, c, kmeans) if fork else contextlib.nullcontext() as worker:
+
+    def linkage_sweeps():
         dists = condensed_distances(pts) if len(linkages) > 1 else None
-        for i in linkages:
-            sweeps[i] = _sweep(pts, algorithms[i], c, i, dists)
-        del dists
-        by_kmeans = worker() if worker else None
-    sweeps.update(zip(kmeans, by_kmeans or _kmeans_sweeps(pts, c, kmeans)))
+        return [_sweep(pts, algorithms[i], c, i, dists) for i in linkages]
+
+    if kmeans and linkages and len(pts) >= _FORK_MIN_N and second_cpu():
+        # the worker runs the k-means sweeps
+        by_linkage, by_kmeans = beside(linkage_sweeps, _kmeans_sweeps, pts, c, kmeans)
+    else:
+        by_linkage, by_kmeans = linkage_sweeps(), _kmeans_sweeps(pts, c, kmeans)
+    sweeps = dict(zip(linkages + kmeans, by_linkage + by_kmeans))
     return [p for i in range(len(algorithms)) for p in sweeps[i]]
 
 

@@ -452,28 +452,24 @@ class TestEnvelopeBlocks:
 
 
 class TestEnvelopeWorker:
-    """The upper k-range built in a forked worker, with the m*u threshold patched down."""
+    """The even k built in a forked worker, with the m*u threshold patched down."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The (k_first, k_last) ranges built in this process: not the worker's."""
+        """The (part, parts) built in this process: not the worker's."""
         monkeypatch.setattr(hypergeom, "_FORK_MIN_MU", 0)
         made = []
 
-        def counted(m, u, variants, k_first, k_last, table, build=hypergeom._build):
-            made.append((k_first, k_last))
-            return build(m, u, variants, k_first, k_last, table)
+        def counted(m, u, variants, part, parts, table, build=hypergeom._build):
+            made.append((part, parts))
+            return build(m, u, variants, part, parts, table)
 
         monkeypatch.setattr(hypergeom, "_build", counted)
         hypergeom._envelopes.cache_clear()
         yield made
         hypergeom._envelopes.cache_clear()
 
-    @staticmethod
-    def _both_ranges(m, u):
-        """The two k-ranges, both built in this process."""
-        split = hypergeom._split_k(m, u)
-        return [(1, split - 1), (split, m + u)]
+    BOTH_PARTS = [(0, 2), (1, 2)]  # both built in this process
 
     @staticmethod
     def _check(m, u, variants=hypergeom.VARIANTS):
@@ -486,23 +482,55 @@ class TestEnvelopeWorker:
                                      (1000, 1000)])
     def test_equals_the_single_sort_build(self, m, u, builds):
         # each variant alone, as transduce asks for it, and both in one pass
-        split = hypergeom._split_k(m, u)
         for variants in (("absolute",), ("relative",), hypergeom.VARIANTS):
             builds.clear()
             self._check(m, u, variants)
-            assert builds == [(1, split - 1)]
+            assert builds == [(0, 2)]
 
-    def test_a_range_without_positive_deviations_keeps_nothing(self):
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("m,u", [(1, 1), (1, 7), (7, 1), (2, 300), (97, 131), (50, 2000)])
+    def test_bit_identical_in_small_blocks(self, m, u, rows, builds, monkeypatch):
+        # blocks of 1 and 3 rows per part: a block cut short at k = u or
+        # k = m + u may hold no row of one part
+        monkeypatch.setattr(hypergeom, "_BLOCK_CELLS", rows * _row_cells(m, u))
+        self._check(m, u)
+        assert builds == [(0, 2)]
+
+    @pytest.mark.parametrize("rows", [1, 3, 1000])
+    @pytest.mark.parametrize("m,u", [(1, 1), (1, 7), (7, 1), (2, 300), (97, 131), (50, 2000)])
+    def test_parts_build_every_k_once(self, m, u, rows, monkeypatch):
+        monkeypatch.setattr(hypergeom, "_BLOCK_CELLS", rows * _row_cells(m, u))
+        ks = []
+
+        def counted(m, u, k, log_fact, pairs=hypergeom._pairs):
+            assert len(k) == 1 or np.all(np.diff(k[:, 0]) == 2)
+            last = int(k[-1, 0])
+            assert k[0, 0] > u or last <= u  # no block straddles k = u
+            # a part's block holds its rows unless k = u or k = m + u cuts it short
+            assert len(k) == rows or (len(k) < rows and last + 2 > (u if last <= u else m + u))
+            ks.extend(k[:, 0].tolist())
+            return pairs(m, u, k, log_fact)
+
+        monkeypatch.setattr(hypergeom, "_pairs", counted)
+        table = gammaln(np.arange(1, m + u + 2, dtype=np.float64))
+        hypergeom._build(m, u, hypergeom.VARIANTS, 0, 2, table)
+        assert all(k % 2 == 1 for k in ks)
+        odd = len(ks)
+        hypergeom._build(m, u, hypergeom.VARIANTS, 1, 2, table)
+        assert all(k % 2 == 0 for k in ks[odd:])
+        assert sorted(ks) == list(range(1, m + u + 1))
+
+    def test_a_part_without_positive_deviations_keeps_nothing(self):
         # at (1, 1) only k = 1 has a pair with d > 0
         table = gammaln(np.arange(1, 4, dtype=np.float64))
-        for env in hypergeom._build(1, 1, hypergeom.VARIANTS, 2, 2, table).values():
+        for env in hypergeom._build(1, 1, hypergeom.VARIANTS, 1, 2, table).values():
             assert [len(a) for a in env] == [0, 0, 0]
 
     def test_one_usable_cpu_builds_in_process(self, builds, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         self._check(97, 131)
-        assert builds == [(1, 228)]
+        assert builds == [(0, 1)]
 
     def test_failed_fork_builds_in_process(self, builds, monkeypatch):
         def no_fork():
@@ -510,26 +538,26 @@ class TestEnvelopeWorker:
 
         monkeypatch.setattr(os, "fork", no_fork)
         self._check(250, 250)
-        assert builds == self._both_ranges(250, 250)
+        assert builds == self.BOTH_PARTS
 
     def test_daemonic_process_builds_in_process(self, builds, monkeypatch):
         # a multiprocessing pool worker is daemonic and may not start a child
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         self._check(250, 250)
-        assert builds == self._both_ranges(250, 250)
+        assert builds == self.BOTH_PARTS
 
     def test_dead_worker_builds_in_process(self, builds, monkeypatch):
         caller = os.getpid()
 
-        def dies_in_worker(m, u, variants, k_first, k_last, table, build=hypergeom._build):
+        def dies_in_worker(m, u, variants, part, parts, table, build=hypergeom._build):
             if os.getpid() != caller:
                 os._exit(1)
-            return build(m, u, variants, k_first, k_last, table)
+            return build(m, u, variants, part, parts, table)
 
         monkeypatch.setattr(hypergeom, "_build", dies_in_worker)
         self._check(250, 250)
-        assert builds == self._both_ranges(250, 250)
+        assert builds == self.BOTH_PARTS
 
     def test_caller_error_stops_the_worker(self, builds, monkeypatch):
         caller = os.getpid()
@@ -537,11 +565,11 @@ class TestEnvelopeWorker:
         def stalls_in_worker(*args):
             if os.getpid() != caller:
                 time.sleep(30)
-            raise ValueError("no lower range")
+            raise ValueError("no odd k")
 
         monkeypatch.setattr(hypergeom, "_build", stalls_in_worker)
         start = time.monotonic()
-        with pytest.raises(ValueError, match="no lower range"):
+        with pytest.raises(ValueError, match="no odd k"):
             hypergeom._envelopes(250, 250, hypergeom.VARIANTS)
         assert time.monotonic() - start < 10
         assert multiprocessing.active_children() == []
