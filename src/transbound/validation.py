@@ -17,7 +17,9 @@ PCG64 seeding and its XSL-RR output, ``next_uint32`` and Lemire's bounded
 draw.  A trial where numpy would reject a Lemire draw, and every trial of
 any other shape, takes its split from ``sample_split`` itself.  So the
 masks equal ``sample_split``'s bit for bit;
-``tests/test_validation.py::TestSplitKernel`` pins that equality.
+``tests/test_validation.py::TestSplitKernel`` pins that equality.  A batch
+is drawn once per (sampler, trials, offset) and held, read-only, until a call
+with another key, so the scenarios validated on one seed share one draw.
 """
 
 from dataclasses import dataclass
@@ -60,6 +62,7 @@ SCENARIOS = (
 # per 10**6 cells (gibbs_direct, hypotheses x trials from 2*10**6 to 4*10**6;
 # serfling, clustering and mc-concentration grew less), so this cap keeps a run
 # near 2 GB, five times the 10**5 trials x 100 points of the README example.
+# So the batch of masks ``_split_masks`` holds between calls is at most 50 MB.
 MAX_MC_CELLS = 50_000_000
 
 # SplitMix64 constants (Steele, Lea & Flood's generator): the per-trial seed
@@ -176,6 +179,11 @@ _KERNEL_MAX_M = 1000
 _CHUNK_TRIALS = 1 << 14  # trials per chunk
 
 
+# The last batch ``_split_masks`` drew, ((sampler, trials, offset), read-only masks).
+# A call with another key drops it before drawing, so two batches never live at once.
+_held = None
+
+
 def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     """Boolean training masks of trials offset .. offset + trials - 1, (trials, n_total).
 
@@ -188,7 +196,19 @@ def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     Trial indices and seeds are uint64, wrapping as ``splitmix64``'s do.
     Trials go in chunks of at most ``_CHUNK_TRIALS``, and the kernel's
     working memory beside the masks grows with the chunk, not with m.
+    A call with the held batch's key gets that read-only array back undrawn.
     """
+    global _held
+    key = (sampler, trials, offset)
+    if _held is None or _held[0] != key:
+        _held = None
+        masks = _draw_masks(sampler, trials, offset)
+        masks.flags.writeable = False
+        _held = key, masks
+    return _held[1]
+
+
+def _draw_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     n, m = sampler.n_total, sampler.m
     if n >= 1 << 31:
         raise ValueError("split kernel needs n_total < 2**31")
@@ -426,7 +446,7 @@ def mc_concentration(population, m: int, eps_grid, trials: int, seed: int,
     mean = ones / n
     pop = PopulationSummary(n_total=n, mean=mean, binary=True)
 
-    # masks in chunks of trials: only each trial's count of ones outlives its chunk
+    # masks in chunks of trials: only the counts of ones and the held last chunk outlive them
     sampler = SplitSampler(n_total=n, m=m, master_seed=seed)
     chunk = max(1, _RISK_CELLS // n)
     counts = np.concatenate([

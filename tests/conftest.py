@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from transbound import hypergeom
+from transbound import hypergeom, validation
 from transbound.transduce import Dataset, LabeledSubset
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
@@ -32,3 +32,11 @@ def envelope_work(monkeypatch):
     hypergeom._envelopes.cache_clear()
     yield calls
     hypergeom._envelopes.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_split_masks():
+    """Every test draws its own splits: no batch held by ``_split_masks`` carries over."""
+    validation._held = None
+    yield
+    validation._held = None

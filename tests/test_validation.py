@@ -5,6 +5,7 @@ import importlib
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,7 @@ def loop_masks(sampler, trials, offset):
 
 
 def assert_kernel_matches_loop(sampler, trials, offset=0):
+    validation._held = None  # a fresh draw, not a batch held from an earlier call
     masks = validation._split_masks(sampler, trials, offset)
     assert masks.dtype == bool and masks.shape == (trials, sampler.n_total)
     assert np.array_equal(masks, loop_masks(sampler, trials, offset))
@@ -379,6 +381,7 @@ class TestMcBoundValidity:
     def test_determinism(self):
         inst = small_instance(seed=2)
         a = mc_bound_validity("serfling", inst, delta=0.1, trials=1500, seed=8)
+        validation._held = None
         b = mc_bound_validity("serfling", inst, delta=0.1, trials=1500, seed=8)
         assert a == b
 
@@ -486,6 +489,91 @@ class TestMcBoundValidity:
     def test_random_instance_needs_a_hypothesis(self):
         with pytest.raises(ValueError):
             random_hypothesis_instance(n_total=10, m=5, n_hyp=0, seed=0)
+
+
+def counting_floyd(monkeypatch):
+    """Patch ``_floyd`` to record each kernel draw's (n, m); returns the record."""
+    floyd, draws = validation._floyd, []
+
+    def counted(seeds, masks, n, m):
+        draws.append((n, m))
+        return floyd(seeds, masks, n, m)
+
+    monkeypatch.setattr(validation, "_floyd", counted)
+    return draws
+
+
+class TestHeldBatch:
+    """``_split_masks`` holds its last batch; a call with an equal key gets it back."""
+
+    def test_scenarios_on_one_seed_draw_each_shape_once(self, monkeypatch):
+        # the benchmark's shapes: every scenario and mc_concentration on one seed
+        rng = np.random.default_rng(7)
+        hypotheses = random_hypothesis_instance(n_total=40, m=20, n_hyp=16, seed=11)
+        points = np.concatenate([rng.normal(size=(50, 2)), rng.normal(size=(50, 2)) + 3.0])
+        target = np.where(rng.random(100) < 0.9, 1, -1) * np.repeat([1, -1], 50)
+        clustering = ClusteringInstance(points=points, target=target, m=50, c=10)
+        population = np.zeros(100, dtype=np.int64)
+        population[:30] = 1
+        trials, seed = 10_000, 3
+        runs = [functools.partial(mc_bound_validity, scenario,
+                                  clustering if scenario == "clustering" else hypotheses,
+                                  0.05, trials, seed) for scenario in validation.SCENARIOS]
+        runs.append(functools.partial(mc_concentration, population, 50,
+                                      [i * 0.07 for i in range(11)], trials, seed))
+        draws = counting_floyd(monkeypatch)
+        fresh = []
+        for run in runs:
+            validation._held = None
+            fresh.append(run())
+        assert len(draws) == len(runs)
+        validation._held = None
+        draws.clear()
+        assert [run() for run in runs] == fresh
+        assert draws == [(40, 20), (100, 50)]
+
+    def test_held_batch_is_read_only(self):
+        s = SplitSampler(n_total=10, m=3, master_seed=0)
+        masks = validation._split_masks(s, 5, 0)
+        assert validation._split_masks(s, 5, 0) is masks
+        with pytest.raises(ValueError):
+            masks[0, 0] = True
+
+    @pytest.mark.parametrize("sampler, trials, offset", [
+        (SplitSampler(n_total=30, m=11, master_seed=5), 50, 0),
+        (SplitSampler(n_total=31, m=11, master_seed=4), 50, 0),
+        (SplitSampler(n_total=30, m=12, master_seed=4), 50, 0),
+        (SplitSampler(n_total=30, m=11, master_seed=4), 49, 0),
+        (SplitSampler(n_total=30, m=11, master_seed=4), 50, 1),
+    ], ids=["seed", "n_total", "m", "trials", "offset"])
+    def test_another_key_drops_the_held_batch_before_drawing(self, monkeypatch, sampler,
+                                                             trials, offset):
+        held = weakref.ref(
+            validation._split_masks(SplitSampler(n_total=30, m=11, master_seed=4), 50, 0))
+        floyd, alive = validation._floyd, []
+
+        def checked(*args):
+            alive.append(held() is not None)
+            return floyd(*args)
+
+        monkeypatch.setattr(validation, "_floyd", checked)
+        masks = validation._split_masks(sampler, trials, offset)
+        assert alive == [False]
+        assert np.array_equal(masks, loop_masks(sampler, trials, offset))
+
+    def test_partial_runs_sum_over_shared_batches(self, monkeypatch):
+        inst = small_instance(seed=2)
+        scenarios = ("vapnik_absolute", "serfling", "gibbs_direct")
+        spans = ((0, 2000), (0, 800), (800, 1200))  # (offset, trials): full, head, tail
+        draws = counting_floyd(monkeypatch)
+        runs = {(span, scenario): mc_bound_validity(scenario, inst, 0.2, span[1], 5,
+                                                    trial_offset=span[0])
+                for span in spans for scenario in scenarios}
+        assert len(draws) == len(spans)
+        for scenario in scenarios:
+            full, head, tail = (runs[span, scenario] for span in spans)
+            assert full.violations == head.violations + tail.violations
+            assert full.boundary_hits == head.boundary_hits + tail.boundary_hits
 
 
 # The Gibbs scenarios once computed each trial's KL and posterior-weighted risks
