@@ -208,7 +208,8 @@ def cmd_transduce(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.scenario == "clustering":
+    clustering = hypotheses = None
+    if "clustering" in args.scenario:
         if not args.data or not args.labels:
             raise ValueError("clustering scenario needs --data and --labels (full target)")
         pts = _load_points(args.data)
@@ -217,20 +218,21 @@ def cmd_validate(args) -> int:
             raise ValueError("clustering validation needs a label for every id")
         target = np.empty(len(pts), dtype=np.int64)
         target[ids] = labels
-        instance = ClusteringInstance(
+        clustering = ClusteringInstance(
             points=pts, target=target, m=args.m, c=args.max_clusters,
             clusterers=tuple(args.clusterer), bound_name=args.bound,
         )
-    else:
-        instance = random_hypothesis_instance(
+    if set(args.scenario) - {"clustering"}:
+        hypotheses = random_hypothesis_instance(
             n_total=args.n, m=args.m, n_hyp=args.hypotheses, seed=args.instance_seed
         )
-    rep = mc_bound_validity(args.scenario, instance, args.delta, args.trials, args.seed)
+    reps = [(s, mc_bound_validity(s, clustering if s == "clustering" else hypotheses,
+                                  args.delta, args.trials, args.seed)) for s in args.scenario]
     _emit(
         ("scenario", "trials", "violations", "empirical", "analytic", "tolerance",
          "passed", "boundary_hits"),
-        [(args.scenario, rep.trials, rep.violations, rep.empirical, rep.analytic,
-          rep.tolerance, rep.passed, rep.boundary_hits)],
+        [(s, rep.trials, rep.violations, rep.empirical, rep.analytic,
+          rep.tolerance, rep.passed, rep.boundary_hits) for s, rep in reps],
     )
     return 0
 
@@ -331,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transduce)
 
     p = sub.add_parser("validate", help="Monte-Carlo delta-validity of a bound")
-    p.add_argument("--scenario", required=True, choices=SCENARIOS)
+    p.add_argument("--scenario", required=True, nargs="+", choices=SCENARIOS,
+                   help="one or more, all on --seed's splits: one CSV row each")
     p.add_argument("--n", type=int, default=40, help="full sample size")
     p.add_argument("--m", type=int, default=20)
     p.add_argument("--hypotheses", type=int, default=16)

@@ -17,9 +17,8 @@ PCG64 seeding and its XSL-RR output, ``next_uint32`` and Lemire's bounded
 draw.  A trial where numpy would reject a Lemire draw, and every trial of
 any other shape, takes its split from ``sample_split`` itself.  So the
 masks equal ``sample_split``'s bit for bit;
-``tests/test_validation.py::TestSplitKernel`` pins that equality.  A batch
-is drawn once per (sampler, trials, offset) and held, read-only, until a call
-with another key, so the scenarios validated on one seed share one draw.
+``tests/test_validation.py::TestSplitKernel`` pins that equality.  The last
+batch stays held, read-only, so scenarios validated on one seed share a draw.
 """
 
 from dataclasses import dataclass
@@ -177,11 +176,7 @@ _FLOYD_MAX_N, _TAIL_FRACTION = 10_000, 50
 # as long.
 _KERNEL_MAX_M = 1000
 _CHUNK_TRIALS = 1 << 14  # trials per chunk
-
-
-# The last batch ``_split_masks`` drew, ((sampler, trials, offset), read-only masks).
-# A call with another key drops it before drawing, so two batches never live at once.
-_held = None
+_held = None  # ((sampler, trials, offset), read-only masks) of the last batch drawn
 
 
 def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
@@ -199,13 +194,13 @@ def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     A call with the held batch's key gets that read-only array back undrawn.
     """
     global _held
-    key = (sampler, trials, offset)
-    if _held is None or _held[0] != key:
-        _held = None
-        masks = _draw_masks(sampler, trials, offset)
-        masks.flags.writeable = False
-        _held = key, masks
-    return _held[1]
+    held = _held  # a local, so a thread that swaps the slot meanwhile changes no return
+    if held is None or held[0] != (sampler, trials, offset):
+        _held = held = None  # drop the old batch first: two never live at once
+        held = (sampler, trials, offset), _draw_masks(sampler, trials, offset)
+        held[1].flags.writeable = False
+        _held = held
+    return held[1]
 
 
 def _draw_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
@@ -433,7 +428,8 @@ def mc_concentration(population, m: int, eps_grid, trials: int, seed: int,
     """Empirical tail vs exact tail vs every closed-form bound, per eps.
 
     The empirical check uses three standard deviations of the exact tail
-    probability; the bound check is deterministic (exact <= bound).
+    probability; the bound check is deterministic (exact <= bound).  The last
+    chunk of split masks stays referenced until a draw of other splits.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful tolerance")
@@ -633,7 +629,8 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     boundary (deviation == eps*), matching the bound's published reading; the
     count of exact boundary hits is reported separately since only the strict
     event is controlled by the inversion.  All other scenarios use strict
-    exceedance of the stated bound.
+    exceedance of the stated bound.  The split masks (trials x n bytes) stay
+    held for the next call on the same splits until other splits are drawn.
     """
     _check_choice("scenario", scenario, SCENARIOS)
     if trials < 1:

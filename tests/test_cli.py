@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from transbound import cli, clustering
+from transbound import cli, clustering, validation
 from transbound.cli import main
 from transbound.hypergeom import epsilon_star
 from transbound.pac_bayes import BoundInputs, det_bound
@@ -414,6 +414,33 @@ class TestValidate:
         assert out.strip().split("\n")[1].split(",")[6] == "true"
         code, _, _ = run(capsys, argv[:-1] + ["tightest"])
         assert code == 2
+
+
+    @pytest.mark.parametrize("scenarios, extra", [
+        (["vapnik_absolute", "gibbs_direct", "serfling"], []),
+        (["serfling", "clustering", "direct"], ["--data", FEATURES]),
+    ], ids=["hypotheses", "with_clustering"])
+    def test_several_scenarios_print_the_separate_runs_rows_from_one_draw(
+            self, capsys, tmp_path, monkeypatch, scenarios, extra):
+        full = tmp_path / "full_labels.csv"
+        full.write_text("".join(f"{i},{1 if i % 2 == 0 else -1}\n" for i in range(100)))
+        flags = extra + ["--labels", str(full), "--n", "100", "--m", "50", "--trials", "1500",
+                         "--seed", "4"]
+        apart = []
+        for scenario in scenarios:
+            validation._held = None  # each row from its own draw
+            code, out, _ = run(capsys, ["validate", "--scenario", scenario] + flags)
+            assert code == 0
+            apart.append(out)
+        draw, draws = validation._draw_masks, []
+        monkeypatch.setattr(validation, "_draw_masks",
+                            lambda *a: draws.append(a[0]) or draw(*a))
+        validation._held = None
+        code, out, _ = run(capsys, ["validate", "--scenario"] + scenarios + flags)
+        assert code == 0
+        # n = 100 and m = 50 whether the points come from --n or --data: one batch serves all
+        assert len(draws) == 1
+        assert out == apart[0] + "".join(o.split("\n", 1)[1] for o in apart[1:])
 
 
 class TestMcConcentration:

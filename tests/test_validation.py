@@ -561,6 +561,23 @@ class TestHeldBatch:
         assert alive == [False]
         assert np.array_equal(masks, loop_masks(sampler, trials, offset))
 
+    @pytest.mark.parametrize("swapped", ["emptied", "other batch"])
+    def test_a_slot_swapped_during_the_key_check_returns_the_callers_batch(
+            self, monkeypatch, swapped):
+        # another thread may run while SplitSampler.__eq__ (Python code) compares keys
+        own = validation._split_masks(SplitSampler(n_total=30, m=11, master_seed=4), 50, 0)
+        other = SplitSampler(n_total=12, m=5, master_seed=1)
+        other_held = ((other, 7, 0), np.ones((7, 12), dtype=bool))
+        eq = SplitSampler.__eq__
+
+        def swapping(a, b):
+            validation._held = None if swapped == "emptied" else other_held
+            return eq(a, b)
+
+        monkeypatch.setattr(SplitSampler, "__eq__", swapping)
+        equal = SplitSampler(n_total=30, m=11, master_seed=4)  # not the held key's object
+        assert validation._split_masks(equal, 50, 0) is own
+
     def test_partial_runs_sum_over_shared_batches(self, monkeypatch):
         inst = small_instance(seed=2)
         scenarios = ("vapnik_absolute", "serfling", "gibbs_direct")
