@@ -19,20 +19,20 @@ def second_cpu() -> bool:
     return sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
 
 
-def _send_result(conn, func, args) -> None:
-    """Body of a forked worker: send ``func(*args)``, or the exception it raised and where."""
+def _send_result(conn, func) -> None:
+    """Body of a forked worker: send ``func()``, or the exception it raised and where."""
     try:
-        error, result = None, func(*args)
+        error, result = None, func()
     except Exception as exc:  # raised again in the caller, chained to this traceback
         error, result = (exc, traceback.format_exc()), None
     conn.send((error, result))
 
 
-def beside(local, remote, *args):
-    """(local(), remote(*args)), with ``remote(*args)`` run in a forked worker meanwhile.
+def beside(local, remote):
+    """(local(), remote()), with ``remote()`` run in a forked worker meanwhile.
 
     What ``remote`` raised in the worker is raised here, from a RuntimeError
-    holding the worker's traceback.  ``remote(*args)`` runs in this process
+    holding the worker's traceback.  ``remote()`` runs in this process
     instead, after ``local()``, if the fork fails (OSError: no pid or
     memory), if the worker dies without sending, or if this process is
     daemonic and so may not have children (a ``multiprocessing`` pool
@@ -42,10 +42,10 @@ def beside(local, remote, *args):
     import multiprocessing  # here, on the only path that forks, not in every command's start
 
     if multiprocessing.current_process().daemon:
-        return local(), remote(*args)
+        return local(), remote()
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_send_result, args=(sender, remote, args))
+    worker = context.Process(target=_send_result, args=(sender, remote))
     try:
         worker.start()
     except OSError:
@@ -63,7 +63,7 @@ def beside(local, remote, *args):
             worker.join()
         receiver.close()
     if reply is None:
-        return mine, remote(*args)
+        return mine, remote()
     error, theirs = reply
     if error:
         raise error[0] from RuntimeError(f"in the forked worker:\n{error[1]}")

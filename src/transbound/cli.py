@@ -3,9 +3,11 @@
 Subcommands: ``curve``, ``prior-sweep``, ``eval``, ``epsilon-star``,
 ``transduce``, ``validate``, ``mc-concentration``.  All output is CSV with a
 fixed column order, 12-significant-digit decimal formatting and LF line
-endings, so repeated runs with the same flags are byte-identical.  The CLI
-performs no arithmetic of its own: every emitted value comes straight from a
-library call.
+endings, so repeated runs with the same flags are byte-identical.  Every
+emitted value comes straight from a library call, except two inputs the CLI
+derives: the ``u`` column of ``curve``, from ``--u-rule`` at each m
+(``_resolve_u``), and ``mc-concentration``'s default eps grid, eleven even
+steps from 0 to 1 - ones / population-size.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 internal failure.
 """

@@ -17,12 +17,12 @@ multiple of 8 above that).  Each new k-means center equals the mean of its
 members' rows in index order, as a boolean mask would select them.
 k-means converts its points to float64 first.  For d >= 2 the mean is then
 a sequential float64 sum of the rows, so one ``np.bincount`` per coordinate
-over the members of every changed cluster, divided by the sizes, gives its
-bits; d = 1 keeps the per-cluster ``mean``, since the mean of a contiguous
-column is a pairwise sum.  ``bincount`` starts from +0.0, so a coordinate whose
-members all hold -0.0 reads +0.0 where a sum that starts from the first
-row gives -0.0; squared differences and shifts are the same for either
-zero, so no label changes.
+over all rows, divided by the sizes, gives its bits; d = 1 keeps the
+per-cluster ``mean``, since the mean of a contiguous column is a pairwise
+sum.  ``bincount`` starts from +0.0, so a coordinate whose members all hold
+-0.0 reads +0.0 where a sum that starts from the first row gives -0.0;
+squared differences and shifts are the same for either zero, so no label
+changes.
 The nearest center is the first index at each column's minimum, argmin's
 tie rule; a column holding a NaN falls back to ``np.argmin``.
 """
@@ -91,31 +91,26 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _updated_centers(points: np.ndarray, coords: np.ndarray, labels: np.ndarray,
-                     changed: np.ndarray, sizes: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``centers`` with row j, where ``changed[j]``, set to the mean of the points labelled j.
+                     sizes: np.ndarray) -> np.ndarray:
+    """Row j is the mean of the points labelled j, for each j < ``len(sizes)``.
 
     ``points`` are float64, ``coords`` is ``points.T`` and ``sizes`` the
-    label counts.  Each new row has the bits of
+    label counts, none of them 0.  Each row has the bits of
     ``points[labels == j].mean(axis=0)``, up to the sign of a zero (see the
     module docstring).
     """
-    tau, d = centers.shape
-    fresh = np.flatnonzero(changed)
-    rows = np.flatnonzero(changed[labels])  # in index order
-    owner = labels[rows]
-    out = centers.copy()
+    tau, d = len(sizes), points.shape[1]
+    out = np.empty((tau, d))
     # mean(axis=0) of d >= 2 columns is a sequential row sum, which bincount
     # reproduces; a single column is summed pairwise
     if d >= 2:
         for j in range(d):
-            out[fresh, j] = np.bincount(owner, weights=coords[j, rows],
-                                        minlength=tau)[fresh] / sizes[fresh]
+            out[:, j] = np.bincount(labels, weights=coords[j], minlength=tau) / sizes
         return out
     # A stable sort keeps each cluster's rows in index order; the narrow
     # dtype lets NumPy use its radix sort.
-    grouped = points[rows[np.argsort(owner.astype(np.min_scalar_type(tau)), kind="stable")]]
-    counts = sizes[fresh]
-    for j, s, e in zip(fresh, counts, np.cumsum(counts)):
+    grouped = points[np.argsort(labels.astype(np.min_scalar_type(tau)), kind="stable")]
+    for j, s, e in zip(range(tau), sizes, np.cumsum(sizes)):
         out[j] = grouped[e - s:e].mean(axis=0)
     return out
 
@@ -131,10 +126,11 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
 
     The points are converted to float64 first, so labels of narrower or
     integer points are those of their float64 values.  Every iteration
-    computes every point's distance to every center; the seeding's rows
-    serve as the first iteration's.  Only clusters whose members changed get
-    a new mean: an unchanged cluster's mean would come out with the same
-    bits.
+    computes every point's distance to every center and every center's
+    mean, keeping only labels, centers and sizes from one iteration to the
+    next.  The first iteration's distances equal the seeding's rows bit for
+    bit, and a cluster whose members did not change gets the bits of its
+    last mean again.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -142,36 +138,22 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
         return np.zeros(n, dtype=np.int64)
 
     coords = np.ascontiguousarray(points.T)
-    first = int(np.argmin(_sq_dists(coords, points.mean(axis=0)[:, None])))
-    seeds = [first]
-    seen = [_sq_dists(coords, coords[:, first, None])]
-    nearest = seen[0]
+    seeds = [int(np.argmin(_sq_dists(coords, points.mean(axis=0)[:, None])))]
+    nearest = _sq_dists(coords, coords[:, seeds[0], None])
     while len(seeds) < tau:
-        nxt = int(np.argmax(nearest))
-        seeds.append(nxt)
-        seen.append(_sq_dists(coords, coords[:, nxt, None]))
-        nearest = np.minimum(nearest, seen[-1])
+        seeds.append(int(np.argmax(nearest)))
+        nearest = np.minimum(nearest, _sq_dists(coords, coords[:, seeds[-1], None]))
     centers = points[seeds]
-    seeded = np.stack(seen)  # the first iteration's distances
-    del seen
 
-    labels = np.zeros(n, dtype=np.int64)
-    changed = np.ones(tau, dtype=bool)  # the seeds are no cluster's mean
     for _ in range(KMEANS_MAX_ITER):
-        cols = np.ascontiguousarray(centers.T)
-        dists = _sq_dists(coords[:, None, :], cols[:, :, None]) if seeded is None else seeded
-        seeded = None
+        dists = _sq_dists(coords[:, None, :], np.ascontiguousarray(centers.T)[:, :, None])
         low = dists.min(axis=0)
         # the first index at the minimum is argmin's tie rule; a NaN is the
         # minimum of its column but equals nothing, so argmin takes over
         if np.isnan(low).any():
-            near = np.argmin(dists, axis=0)
+            labels = np.argmin(dists, axis=0)
         else:
-            near = (dists == low).argmax(axis=0)
-        moved = near != labels
-        changed[labels[moved]] = True
-        changed[near[moved]] = True
-        labels = near
+            labels = (dists == low).argmax(axis=0)
 
         sizes = np.bincount(labels, minlength=tau)
         for j in range(tau):
@@ -180,12 +162,10 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
                 members = np.flatnonzero(labels == big)
                 far = members[int(np.argmax(dists[big, members]))]
                 labels[far] = j
-                changed[[big, j]] = True
                 sizes[big] -= 1
                 sizes[j] += 1
 
-        new_centers = _updated_centers(points, coords, labels, changed, sizes, centers)
-        changed[:] = False
+        new_centers = _updated_centers(points, coords, labels, sizes)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1))
         centers = new_centers
         if shift.max() <= KMEANS_TOL:

@@ -102,10 +102,6 @@ class HypergeomSpec:
         if not 0 <= self.k <= self.m + self.u:
             raise ValueError(f"k={self.k} outside 0..{self.m + self.u}")
 
-    @property
-    def n_total(self) -> int:
-        return self.m + self.u
-
 
 @dataclass(frozen=True)
 class EpsilonStar:
@@ -357,7 +353,7 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
         return _build(m, u, variants, 0, 1, table)
     # the worker builds the even k
     odd, even = beside(lambda: _build(m, u, variants, 0, 2, table),
-                       _build, m, u, variants, 1, 2, table)
+                       lambda: _build(m, u, variants, 1, 2, table))
     return {v: _change_points(*map(np.concatenate, zip(odd[v], even[v])), n) for v in variants}
 
 

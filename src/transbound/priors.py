@@ -29,24 +29,19 @@ class CompressionPrior:
 
     m: int
     u: int
-    max_tau: int | None = None
 
     def __post_init__(self):
         HypergeomSpec(self.m, self.u, 0)  # validates m and u
-        tau = self.m if self.max_tau is None else self.max_tau
-        object.__setattr__(self, "max_tau", tau)
-        if not 1 <= tau <= self.m:
-            raise ValueError("max_tau must lie in 1..m")
 
     def log_subprior_size(self, tau: int) -> float:
         """ln of the worst-case dichotomy count 2^tau C(m+u, tau)."""
-        if not 1 <= tau <= self.max_tau:
+        if not 1 <= tau <= self.m:
             raise ValueError("tau out of range")
         return tau * _LN2 + log_binomial(self.m + self.u, tau)
 
     def log_mass(self, s: int) -> float:
         """ln of the mixture mass guaranteed to one size-s hypothesis."""
-        return -(math.log(self.max_tau) + self.log_subprior_size(s))
+        return -(math.log(self.m) + self.log_subprior_size(s))
 
 
 @dataclass(frozen=True)

@@ -173,11 +173,6 @@ def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) 
     return _sweep(_checked_points(data, (algorithm,), c), algorithm, c, clusterer_id, None)
 
 
-def _kmeans_sweeps(pts: np.ndarray, c: int, ids: list[int]) -> list[list[Partition]]:
-    """The k-means sweep of the ``_checked_points`` for each clusterer id in ``ids``."""
-    return [_sweep(pts, "kmeans", c, i, None) for i in ids]
-
-
 # Smallest n at which ensemble_sweep runs the k-means sweeps in a forked
 # worker while the caller runs the linkage sweeps.  Starting and reaping the
 # worker takes about 3.4 ms, and while both run each pays for the pages the
@@ -210,11 +205,14 @@ def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
         dists = condensed_distances(pts) if len(linkages) > 1 else None
         return [_sweep(pts, algorithms[i], c, i, dists) for i in linkages]
 
+    def kmeans_sweeps():
+        return [_sweep(pts, "kmeans", c, i, None) for i in kmeans]
+
     if kmeans and linkages and len(pts) >= _FORK_MIN_N and second_cpu():
         # the worker runs the k-means sweeps
-        by_linkage, by_kmeans = beside(linkage_sweeps, _kmeans_sweeps, pts, c, kmeans)
+        by_linkage, by_kmeans = beside(linkage_sweeps, kmeans_sweeps)
     else:
-        by_linkage, by_kmeans = linkage_sweeps(), _kmeans_sweeps(pts, c, kmeans)
+        by_linkage, by_kmeans = linkage_sweeps(), kmeans_sweeps()
     sweeps = dict(zip(linkages + kmeans, by_linkage + by_kmeans))
     return [p for i in range(len(algorithms)) for p in sweeps[i]]
 

@@ -264,8 +264,7 @@ class TestKmeans:
         points = np.concatenate([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 6.0])
         points[:40, 0] = -0.0
         blob = (np.arange(80) >= 40).astype(np.int64)
-        center = clustering._updated_centers(points, points.T.copy(), blob, np.ones(2, dtype=bool),
-                                             np.bincount(blob), np.zeros((2, 2)))
+        center = clustering._updated_centers(points, points.T.copy(), blob, np.bincount(blob))
         assert center[0, 0] == 0.0 and not np.signbit(center[0, 0])
         for tau in (2, 3, 5):
             _assert_same(kmeans_labels(points, tau), _ref_kmeans_labels(points, tau))
@@ -429,7 +428,7 @@ class TestCanonicalLabels:
 
 
 class TestCenterUpdate:
-    """The center update against one boolean-mask mean per changed cluster.
+    """The center update against one boolean-mask mean per cluster.
 
     ``kmeans_labels`` passes its points as float64, so the integer, float32
     and float16 values here are converted as it converts them.
@@ -446,12 +445,7 @@ class TestCenterUpdate:
                 points = (rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)).astype(dtype)
             points = points.astype(np.float64)
             labels = rng.permutation(np.arange(n) % tau)
-            changed = rng.random(tau) < 0.7
-            changed[0] = True
-            centers = rng.normal(size=(tau, d))
             got = clustering._updated_centers(points, np.ascontiguousarray(points.T), labels,
-                                              changed, np.bincount(labels), centers)
-            want = centers.copy()
-            for j in np.flatnonzero(changed):
-                want[j] = points[labels == j].mean(axis=0)
+                                              np.bincount(labels))
+            want = np.array([points[labels == j].mean(axis=0) for j in range(tau)])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
