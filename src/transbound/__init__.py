@@ -42,7 +42,6 @@ from .pac_bayes import (
 )
 from .priors import (
     ClusteringPrior,
-    CompressionPrior,
     clustering_bound,
     clustering_complexity,
     compression_bound,

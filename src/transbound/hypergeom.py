@@ -411,19 +411,20 @@ def _epsilon_star(log_inv_p: float, delta: float, envelope, variant: str,
     return EpsilonStar(value=value, variant=variant, achieving_k=int(ks[j - 1]) if j > lo else 0)
 
 
-def vapnik_bound(emp_risk: float, eps_star: EpsilonStar, m: int, u: int) -> BoundValue:
-    """Test-risk bound implied by an inverted deviation threshold.
+def _vapnik_raw(variant: str, emp_risk, e: float, m: int, u: int):
+    """Test-risk bound at deviation threshold e, elementwise over an array of empirical risks.
 
-    Relative variant: R + e^2 u / (2(m+u)) + e * sqrt(R + (e u / (2(m+u)))^2)
-    with e = eps_star.value; absolute variant: R + e.
+    Relative variant: R + e^2 u / (2(m+u)) + e * sqrt(R + (e u / (2(m+u)))^2);
+    absolute variant: R + e.
     """
+    if variant == "absolute":
+        return emp_risk + e
+    half = e * u / (2.0 * (m + u))
+    return emp_risk + e * half + e * np.sqrt(emp_risk + half * half)
+
+
+def vapnik_bound(emp_risk: float, eps_star: EpsilonStar, m: int, u: int) -> BoundValue:
+    """Test-risk bound implied by an inverted deviation threshold; see ``_vapnik_raw``."""
     _check_unit("emp_risk", emp_risk)
-    e = eps_star.value
-    if eps_star.variant == "absolute":
-        raw = emp_risk + e
-        name = "vapnik_absolute"
-    else:
-        half = e * u / (2.0 * (m + u))
-        raw = emp_risk + e * half + e * math.sqrt(emp_risk + half * half)
-        name = "vapnik_relative"
-    return BoundValue(raw=raw, clamped=min(raw, 1.0), name=name)
+    raw = float(_vapnik_raw(eps_star.variant, emp_risk, eps_star.value, m, u))
+    return BoundValue(raw=raw, clamped=min(raw, 1.0), name=f"vapnik_{eps_star.variant}")

@@ -11,17 +11,20 @@ the direct route trades a sqrt((m+u)/u) factor for the reduction route's
 (m+u)/u and stays meaningful even for a single test point.
 
 ``det_raw`` and ``gibbs_raw`` are the formulas, written once over arrays of
-empirical risks; ``evaluate_bound`` is the one map from a bound's name to its
+empirical risks; ``BOUNDS`` is the one map from a bound's name to its
 formula, the implicit Vapnik-style bounds included.
 """
 
 from dataclasses import dataclass
+from functools import partial
 import math
 
 import numpy as np
 from scipy.special import rel_entr
 
-from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, vapnik_bound
+from .hypergeom import (HypergeomSpec, _envelopes, _epsilon_star, _log_inverse, _vapnik_raw,
+                        epsilon_star, vapnik_bound)
+from .priors import _serfling_raw
 from .records import (BoundValue, _check_choice, _check_mass, _check_nonnegative,
                       _check_positive, _check_probability, _check_size, _check_unit)
 
@@ -29,6 +32,7 @@ EVAL_BOUNDS = ("vapnik_relative", "vapnik_absolute", "serfling", "det_reduction"
                "gibbs_reduction", "gibbs_direct")
 
 __all__ = [
+    "BOUNDS",
     "BoundInputs",
     "BoundValue",
     "EVAL_BOUNDS",
@@ -181,6 +185,26 @@ def det_raw(variant: str, emp_risk, log_inv_p: float, m: int, u: int, delta: flo
     if variant in ("reduction", "direct"):
         return gibbs_raw(variant, emp_risk, log_inv_p, m, u, delta)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def _vapnik(variant: str, emp_risk, log_inv_p: float, m: int, u: int, delta: float):
+    star = _epsilon_star(log_inv_p, delta, _envelopes(m, u, (variant,))[variant], variant)
+    return _vapnik_raw(variant, emp_risk, star.value, m, u)
+
+
+# Every name ``eval``, ``transduce`` and ``validate`` accept, mapped to the raw bound
+# f(emp_risk, complexity, m, u, delta) of one hypothesis, elementwise over empirical risks.
+# The complexity is ln(1/p), or D(q||p) for ``gibbs_*`` and tau + ln(kc) for
+# ``serfling_printed``; ``vapnik_*`` invert the exact tail at ln(1/p), never at the mass.
+BOUNDS = {
+    "vapnik_relative": partial(_vapnik, "relative"),
+    "vapnik_absolute": partial(_vapnik, "absolute"),
+    "serfling": partial(det_raw, "serfling"),
+    # the ``serfling`` bound with the operations in another order: the last bit may differ
+    **dict.fromkeys(("serfling_printed", "serfling_exact"), _serfling_raw),
+    **dict.fromkeys(("det_reduction", "gibbs_reduction"), partial(gibbs_raw, "reduction")),
+    **dict.fromkeys(("det_direct", "direct", "gibbs_direct"), partial(gibbs_raw, "direct")),
+}
 
 
 def gibbs_bound(inputs: BoundInputs, variant: str = "direct") -> BoundValue:

@@ -17,31 +17,10 @@ in both the published form and the tighter form the mass actually implies.
 from dataclasses import dataclass
 import math
 
-from .hypergeom import HypergeomSpec, log_binomial
+from .hypergeom import log_binomial
 from .records import BoundValue, _check_choice, _check_probability, _check_size, _check_unit
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class CompressionPrior:
-    """Mixture prior over compression sizes for an m + u point full sample."""
-
-    m: int
-    u: int
-
-    def __post_init__(self):
-        HypergeomSpec(self.m, self.u, 0)  # validates m and u
-
-    def log_subprior_size(self, tau: int) -> float:
-        """ln of the worst-case dichotomy count 2^tau C(m+u, tau)."""
-        if not 1 <= tau <= self.m:
-            raise ValueError("tau out of range")
-        return tau * _LN2 + log_binomial(self.m + self.u, tau)
-
-    def log_mass(self, s: int) -> float:
-        """ln of the mixture mass guaranteed to one size-s hypothesis."""
-        return -(math.log(self.m) + self.log_subprior_size(s))
 
 
 @dataclass(frozen=True)
@@ -76,15 +55,22 @@ def compression_complexity(s: int, m: int, u: int, variant: str = "relaxed") -> 
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _serfling_raw(emp_risk, complexity: float, m: int, u: int, delta: float,
+                  m_factor: float = 2.0):
+    """R + sqrt((m+u)/u (u+1)/u (complexity + ln(1/delta)) / (m_factor m)), binary loss,
+    elementwise over an array of empirical risks."""
+    comp = complexity + math.log(1.0 / delta)
+    return emp_risk + math.sqrt((m + u) / u * (u + 1) / u * comp / (m_factor * m))
+
+
 def _serfling_bound(emp_risk: float, complexity: float, m: int, u: int, delta: float,
-                    denom: float, name: str) -> BoundValue:
-    """R + sqrt((m+u)/u (u+1)/u (complexity + ln(1/delta)) / denom), binary loss."""
+                    name: str, m_factor: float = 2.0) -> BoundValue:
+    """``_serfling_raw`` at one checked point."""
     _check_probability("delta", delta)
     _check_unit("emp_risk", emp_risk)
     _check_size("m", m)
     _check_size("u", u)
-    comp = complexity + math.log(1.0 / delta)
-    raw = emp_risk + math.sqrt((m + u) / u * (u + 1) / u * comp / denom)
+    raw = _serfling_raw(emp_risk, complexity, m, u, delta, m_factor)
     return BoundValue(raw=raw, clamped=min(raw, 1.0), name=name)
 
 
@@ -98,8 +84,7 @@ def compression_bound(emp_risk: float, s: int, m: int, u: int, delta: float,
     """
     _check_choice("variant", variant, ("printed", "derived"))
     return _serfling_bound(emp_risk, compression_complexity(s, m, u, "relaxed"), m, u, delta,
-                           float(m) if variant == "printed" else 2.0 * m,
-                           f"compression_{variant}")
+                           f"compression_{variant}", 1.0 if variant == "printed" else 2.0)
 
 
 def clustering_complexity(tau: int, c: int, k_ensemble: int = 1,
@@ -124,4 +109,4 @@ def clustering_bound(emp_risk: float, tau: int, c: int, m: int, u: int, delta: f
                      k_ensemble: int = 1, variant: str = "exact") -> BoundValue:
     """Test-risk bound for the cluster-then-label hypothesis on tau clusters."""
     return _serfling_bound(emp_risk, clustering_complexity(tau, c, k_ensemble, variant),
-                           m, u, delta, 2.0 * m, f"clustering_{variant}")
+                           m, u, delta, f"clustering_{variant}")

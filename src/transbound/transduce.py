@@ -11,16 +11,14 @@ random choice of the training subset.
 """
 
 from dataclasses import dataclass
-import functools
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
 from ._fork import beside, second_cpu
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
-from .hypergeom import _envelopes, _epsilon_star
-from .pac_bayes import det_raw
-from .priors import ClusteringPrior, clustering_bound
+from .pac_bayes import BOUNDS
+from .priors import ClusteringPrior, clustering_complexity
 from .records import BoundValue, _check_choice, _check_probability
 
 ALGORITHMS = ("kmeans", "agglomerative_single", "agglomerative_complete")
@@ -269,17 +267,12 @@ def majority_label(partition: Partition, labeled: LabeledSubset) -> np.ndarray:
 
 def _tau_bound(bound_name: str, tau: int, prior: ClusteringPrior, m: int, u: int,
                delta: float):
-    """Raw bound of a tau-cluster hypothesis as a function of its empirical risks."""
-    if bound_name == "direct":
-        return functools.partial(det_raw, "direct", log_inv_p=prior.log_inverse_mass(tau),
-                                 m=m, u=u, delta=delta)
-    if bound_name == "vapnik_absolute":
-        envelope = _envelopes(m, u, ("absolute",))["absolute"]
-        excess = _epsilon_star(prior.log_inverse_mass(tau), delta, envelope, "absolute").value
-    else:
-        variant = bound_name.removeprefix("serfling_")
-        excess = clustering_bound(0.0, tau, prior.c, m, u, delta, prior.k_ensemble, variant).raw
-    return lambda emp: emp + excess
+    """Raw bound of a tau-cluster hypothesis as a function of its empirical risks: the
+    published complexity tau + ln(kc) for ``serfling_printed``, else ln(1/p) itself."""
+    complexity = (clustering_complexity(tau, prior.c, prior.k_ensemble, "printed")
+                  if bound_name == "serfling_printed" else prior.log_inverse_mass(tau))
+    bound = BOUNDS[bound_name]
+    return lambda emp: bound(emp, complexity, m, u, delta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,7 @@ from .concentration import (
     serfling_bound,
 )
 from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, hypergeom_pmf
-from .pac_bayes import det_raw, gibbs_raw, kl_divergence
+from .pac_bayes import BOUNDS, kl_divergence
 from .records import _check_choice, _check_labels, _check_probability
 from .transduce import (
     ALGORITHMS,
@@ -586,16 +586,6 @@ def _vapnik_violations(instance, masks, delta, variant):
     return int(violated.sum()), int(boundary.sum())
 
 
-def _det_bound_violations(instance, masks, delta, variant):
-    n = instance.errors.shape[1]
-    m, u = instance.m, n - instance.m
-    r_m, r_u = _risks(instance, masks)
-    viol = np.zeros(masks.shape[0], dtype=bool)
-    for j, p in enumerate(instance.prior):
-        viol |= r_u[j] > det_raw(variant, r_m[j], _log_inverse(float(p)), m, u, delta)
-    return int(viol.sum())
-
-
 def _gibbs_terms(instance, masks):
     """KL to the prior, training and test risk of the Gibbs posterior, one per trial."""
     r_m, r_u = _risks(instance, masks)
@@ -606,10 +596,19 @@ def _gibbs_terms(instance, masks):
     return kl_divergence(q, instance.prior[:, None]), (q * r_m).sum(axis=0), (q * r_u).sum(axis=0)
 
 
-def _gibbs_violations(instance, masks, delta, variant):
+def _bound_violations(instance, masks, delta, name):
+    """Trials on which ``BOUNDS[name]`` fails for the Gibbs posterior (``gibbs_*``) or for any
+    hypothesis, each charged ln(1/p) of its own prior mass."""
     m, u = instance.m, instance.errors.shape[1] - instance.m
-    kl, emp, test = _gibbs_terms(instance, masks)
-    return int((test > gibbs_raw(variant, emp, kl, m, u, delta)).sum())
+    if name.startswith("gibbs_"):
+        rows = [_gibbs_terms(instance, masks)]  # (KL, training risk, test risk) per trial
+    else:
+        r_m, r_u = _risks(instance, masks)
+        rows = [(_log_inverse(float(p)), r_m[j], r_u[j]) for j, p in enumerate(instance.prior)]
+    viol = np.zeros(masks.shape[0], dtype=bool)
+    for complexity, emp, test in rows:
+        viol |= test > BOUNDS[name](emp, complexity, m, u, delta)
+    return int(viol.sum())
 
 
 def _clustering_violations(instance: ClusteringInstance, masks, delta):
@@ -647,13 +646,11 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     masks = _split_masks(sampler, trials, trial_offset)
 
     boundary = 0
-    if scenario in ("vapnik_absolute", "vapnik_relative"):
-        variant = scenario.removeprefix("vapnik_")
-        violations, boundary = _vapnik_violations(instance, masks, delta, variant)
-    elif scenario in ("serfling", "direct"):
-        violations = _det_bound_violations(instance, masks, delta, scenario)
-    elif scenario in ("gibbs_reduction", "gibbs_direct"):
-        violations = _gibbs_violations(instance, masks, delta, scenario.removeprefix("gibbs_"))
-    else:
+    if scenario.startswith("vapnik_"):
+        violations, boundary = _vapnik_violations(instance, masks, delta,
+                                                  scenario.removeprefix("vapnik_"))
+    elif scenario == "clustering":
         violations = _clustering_violations(instance, masks, delta)
+    else:
+        violations = _bound_violations(instance, masks, delta, scenario)
     return _make_report(trials, violations, delta, boundary)

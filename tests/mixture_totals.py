@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from transbound.priors import ClusteringPrior, CompressionPrior
+from transbound.hypergeom import log_binomial
+from transbound.priors import ClusteringPrior, compression_complexity
 
 _LN2 = math.log(2.0)
 
@@ -16,12 +17,13 @@ _LN2 = math.log(2.0)
 def compression_mixture_log_total(m: int, u: int) -> float:
     """ln of the compression mixture's total mass, all terms kept in log space.
 
-    Sums |H_tau| * p(h) over tau, with |H_tau| = 2^tau C(m+u, tau) and p(h)
-    the mass ``CompressionPrior.log_mass`` gives a size-tau hypothesis; the
-    result should be ln 1 = 0 up to rounding.
+    Sums |H_tau| * p(h) over tau = 1..m, with |H_tau| = 2^tau C(m+u, tau) the
+    worst-case dichotomy count and ln p(h) = -``compression_complexity(tau, m,
+    u, "exact")`` the mass a size-tau hypothesis is charged; the result should
+    be ln 1 = 0 up to rounding.
     """
-    prior = CompressionPrior(m=m, u=u)
-    terms = [prior.log_subprior_size(tau) + prior.log_mass(tau) for tau in range(1, m + 1)]
+    terms = [tau * _LN2 + log_binomial(m + u, tau) - compression_complexity(tau, m, u, "exact")
+             for tau in range(1, m + 1)]
     return float(np.logaddexp.reduce(terms))
 
 

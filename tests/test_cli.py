@@ -11,7 +11,7 @@ import pytest
 from transbound import cli, clustering, validation
 from transbound.cli import main
 from transbound.hypergeom import epsilon_star
-from transbound.pac_bayes import BoundInputs, det_bound
+from transbound.pac_bayes import EVAL_BOUNDS, BoundInputs, det_bound
 from transbound.transduce import ALGORITHMS, BOUND_NAMES
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -138,9 +138,14 @@ class TestEvalAndEpsilonStar:
         assert float(row[5]) == want.value
 
 
-class TestReadmeExamples:
-    """stdout of the README's CLI examples, pinned by sha256."""
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
+
+class TestReadmeExamples:
+    """Output of every CLI example in the README, pinned by sha256."""
+
+    # argv0 and argv1 are the epsilon-star and prior-sweep pins; the rest follow in README order
     @pytest.mark.parametrize("argv,digest", [
         (["epsilon-star", "--m", "50", "--u", "50", "--prior-mass", "0.025",
           "--delta", "0.05", "--variant", "absolute"],
@@ -148,11 +153,85 @@ class TestReadmeExamples:
         (["prior-sweep", "--p-grid", "0.01,0.05,0.2,1", "--m", "50", "--u", "50",
           "--delta", "0.01"],
          "daa62a5e43128ff082133dd27d895e96835a3e7b767e15d9cb1ffac5fab695a5"),
+        (["curve", "--bounds", "serfling,det_direct,vapnik_absolute",
+          "--m-grid", "50,100,200,400", "--u-rule", "multiple:1", "--delta", "0.01"],
+         "2d474b157a4a8d212e21865efe58e3913b0d36ff5fd42bb33c6f203d372aa4bb"),
+        (["eval", "--bound", "gibbs_direct", "--m", "100", "--u", "100", "--delta", "0.01",
+          "--kl", "0.3"],
+         "243065f10cc9d555a2f85f147cfaf715daafc57ba3d2d257cf7ca4c745ec9c9a"),
+        (["validate", "--scenario", "vapnik_absolute", "--n", "40", "--m", "20",
+          "--hypotheses", "16", "--delta", "0.05", "--trials", "10000", "--seed", "1"],
+         "e61938fc83179121f15ff9b3ba2881e1f8f356775490ed4d20e70469c351e1f7"),
+        (["validate", "--scenario", "serfling", "direct", "gibbs_direct",
+          "--trials", "10000", "--seed", "1"],
+         "fff94caf4fea400dc52d0b39b280f5b2133227981029690eddd36892b6c28deb"),
+        (["mc-concentration", "--population-size", "100", "--ones", "30", "--m", "50",
+          "--trials", "100000", "--seed", "1"],
+         "9ae7e8e5049e11a4a792777f6c19511e367a908ac81f86c04739f799b0ddb14b"),
     ])
     def test_stdout_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert _sha256(out) == digest
+
+    def test_transduce_files_sha256(self, capsys, tmp_path):
+        pred, cert = tmp_path / "pred.csv", tmp_path / "cert.json"
+        code, out, _ = run(capsys, [
+            "transduce", "--data", FEATURES, "--labels", LABELS, "--clusterer", "kmeans",
+            "--max-clusters", "10", "--delta", "0.05",
+            "--predictions-out", str(pred), "--certificate-out", str(cert)])
+        assert code == 0
+        assert out == ""
+        assert _sha256(pred.read_text()) == (
+            "4e67ab62715f59b15bc70de5d2a855fdb6376897871134fda94ff9897afa5c7b")
+        assert _sha256(cert.read_text()) == (
+            "f7b898af02fd185d322e1cff1ed0569ca7aecccc3e838cb1b612231daaada05b")
+
+
+_TRANSDUCE_PINS = {
+    "serfling_printed": "2a76b6d83eaa06ae92c77b79b94465a0d2e7fa3c405f16a89209afe1113721d9",
+    "serfling_exact": "c2065f0262bab45face6b14a229b03a70566d2f43cadbb583bc5be8fd93c82a4",
+    "direct": "f10b7d418b3a6c20f5a33b07b48bac1b5e950f031e2497d14a40b6d8677996f2",
+    "vapnik_absolute": "dfd3e3c6f172d29f348435f372df65b99a301e7e6052324707a647eae9e6c007",
+}
+
+
+class TestEveryBoundName:
+    """stdout of every name ``curve``, ``transduce`` and ``validate`` accept, pinned by sha256."""
+
+    @pytest.mark.parametrize("prior_mass,m_grid,digest", [
+        ("0.025", "50,100,200,400",
+         "9e7f46f89e5b008724a9c61240b363c2450f1d1abe60a55746c23f596017a412"),
+        # a subnormal mass: ln(1/p) stays finite and the vapnik_* levels go to log space
+        ("5e-324", "2,50,400",
+         "7414f04f2293714e83da7ea392ebf55d6415a9e4d506cbbeb557b7c868bf16ec"),
+    ])
+    def test_curve_over_every_eval_name(self, capsys, prior_mass, m_grid, digest):
+        code, out, _ = run(capsys, [
+            "curve", "--bounds", ",".join(EVAL_BOUNDS), "--m-grid", m_grid,
+            "--u-rule", "multiple:1", "--delta", "0.01", "--emp-risk", "0.1",
+            "--prior-mass", prior_mass, "--kl", "0.3"])
+        assert code == 0
+        assert _sha256(out) == digest
+
+    @pytest.mark.parametrize("bound_name,digest", _TRANSDUCE_PINS.items())
+    def test_transduce_with_each_bound(self, capsys, bound_name, digest):
+        code, out, _ = run(capsys, [
+            "transduce", "--data", FEATURES, "--labels", LABELS, "--clusterer", "kmeans",
+            "--max-clusters", "10", "--delta", "0.05", "--bound", bound_name])
+        assert code == 0
+        assert _sha256(out) == digest
+
+    def test_every_transduce_name_is_pinned(self):
+        assert tuple(_TRANSDUCE_PINS) == BOUND_NAMES
+
+    def test_validate_every_hypothesis_scenario(self, capsys):
+        scenarios = [s for s in validation.SCENARIOS if s != "clustering"]
+        assert len(scenarios) == 6
+        code, out, _ = run(capsys, ["validate", "--scenario", *scenarios,
+                                    "--trials", "2000", "--seed", "1"])
+        assert code == 0
+        assert _sha256(out) == "b344badb091205e99ab8514169b1ec568eb0ceb29fd4848f928065261f9208da"
 
 
 class TestSizeChecks:

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from transbound.hypergeom import _log_inverse, epsilon_star, vapnik_bound
 from transbound.pac_bayes import (
+    BOUNDS,
     EVAL_BOUNDS,
     BoundInputs,
     GibbsEnsemble,
@@ -24,6 +26,9 @@ from transbound.pac_bayes import (
     kl_divergence,
     risk_mix,
 )
+from transbound.priors import clustering_bound, clustering_complexity
+from transbound.transduce import BOUND_NAMES
+from transbound.validation import SCENARIOS
 
 
 class TestConversions:
@@ -431,3 +436,55 @@ class TestEvaluateBound:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             evaluate_bound("hoeffding", 60, 40, 0.05, 0.1)
+
+
+class TestBoundTable:
+    """``BOUNDS`` holds every accepted name and keeps each route's bits."""
+
+    SHAPES = [(2, 1, 0.5), (5, 7, 0.05), (40, 40, 0.01), (100, 13, 0.2), (300, 500, 1e-4)]
+    RISKS = np.array([0.0, 0.1, 0.5, 1.0])
+    KLS = np.array([0.0, 0.3, 7.5, 0.3])
+    MASSES = (1.0, 0.3, 1e-5, 1e-300, 5e-324)  # the last one subnormal
+    DET = {"serfling": "serfling", "det_reduction": "reduction", "det_direct": "direct",
+           "direct": "direct"}
+
+    def test_every_accepted_name_has_an_entry(self):
+        accepted = set(EVAL_BOUNDS) | set(BOUND_NAMES) | (set(SCENARIOS) - {"clustering"})
+        assert set(BOUNDS) == accepted
+
+    def test_det_entries_are_det_bound(self):
+        for (m, u, delta), p, (name, variant) in itertools.product(
+                self.SHAPES, self.MASSES, self.DET.items()):
+            want = [det_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=float(r),
+                                          prior_mass=p), variant).raw for r in self.RISKS]
+            got = BOUNDS[name](self.RISKS, _log_inverse(p), m, u, delta)
+            assert np.asarray(got).tobytes() == np.array(want).tobytes(), (name, m, u, p)
+
+    def test_gibbs_entries_are_gibbs_bound(self):
+        for (m, u, delta), variant in itertools.product(self.SHAPES, ("reduction", "direct")):
+            want = [gibbs_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=float(r),
+                                            kl_value=float(kl)), variant).raw
+                    for r, kl in zip(self.RISKS, self.KLS)]
+            got = BOUNDS[f"gibbs_{variant}"](self.RISKS, self.KLS, m, u, delta)
+            assert got.tobytes() == np.array(want).tobytes(), (variant, m, u)
+
+    def test_clustering_serfling_entries_are_clustering_bound(self):
+        for (m, u, delta), variant in itertools.product(self.SHAPES, ("printed", "exact")):
+            c = min(m, 5)
+            for tau, k in itertools.product(range(1, c + 1), (1, 3)):
+                want = [clustering_bound(float(r), tau, c, m, u, delta, k, variant).raw
+                        for r in self.RISKS]
+                got = BOUNDS[f"serfling_{variant}"](
+                    self.RISKS, clustering_complexity(tau, c, k, variant), m, u, delta)
+                assert got.tobytes() == np.array(want).tobytes(), (variant, m, u, tau, k)
+
+    def test_vapnik_entries_are_vapnik_bound(self):
+        # the entries take ln(1/p); where exp(-ln(1/p)) is p itself they invert at p
+        masses = [p for p in self.MASSES if math.exp(-_log_inverse(p)) == p]
+        assert 5e-324 in masses
+        for (m, u, delta), p, variant in itertools.product(
+                self.SHAPES, masses, ("relative", "absolute")):
+            star = epsilon_star(p, delta, m, u, variant)
+            want = [vapnik_bound(float(r), star, m, u).raw for r in self.RISKS]
+            got = BOUNDS[f"vapnik_{variant}"](self.RISKS, _log_inverse(p), m, u, delta)
+            assert np.asarray(got).tobytes() == np.array(want).tobytes(), (variant, m, u, p)

@@ -7,7 +7,6 @@ import pytest
 from mixture_totals import clustering_mixture_total, compression_mixture_log_total
 from transbound.priors import (
     ClusteringPrior,
-    CompressionPrior,
     clustering_bound,
     clustering_complexity,
     compression_bound,
@@ -60,14 +59,6 @@ class TestCompressionBound:
         out = compression_bound(0.0, 30, 30, 1, 0.05, "derived")
         assert out.raw > 1.0
         assert out.clamped == 1.0
-
-    def test_prior_mass_lower_bounds_complexity(self):
-        # the mixture guarantees each size-s hypothesis at least exp(-exact)
-        prior = CompressionPrior(m=12, u=8)
-        for s in range(1, 13):
-            assert -prior.log_mass(s) == pytest.approx(
-                compression_complexity(s, 12, 8, "exact"), rel=1e-12
-            )
 
 
 class TestClusteringComplexity:
