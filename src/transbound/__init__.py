@@ -41,7 +41,6 @@ from .pac_bayes import (
     risk_mix,
 )
 from .priors import (
-    ClusteringPrior,
     clustering_bound,
     clustering_complexity,
     compression_bound,
@@ -54,7 +53,6 @@ from .transduce import (
     Partition,
     TransduceConfig,
     cluster_sweep,
-    majority_label,
     select_by_bound,
     transduce,
 )

@@ -2,42 +2,27 @@
 
 Seeing the full sample before labels arrive lets the prior concentrate on
 hypotheses that a compression scheme or a clustering sweep could actually
-output.  Two constructions live here:
+output.  Each prior is given by the complexity term ln(1/p(h)) it charges a
+hypothesis:
 
-* a uniform mixture over compression sizes tau = 1..m, each sub-prior
-  uniform over the (worst case) 2^tau * C(m+u, tau) dichotomies of
-  tau-subsets, and
-* per-cluster-count sub-priors p_tau(h) = 2^-tau mixed uniformly over
-  tau = 1..c (times 1/k for an ensemble of k clusterers).
+* ``compression_complexity``: a uniform mixture over compression sizes
+  tau = 1..m, each sub-prior uniform over the (worst case) 2^tau * C(m+u, tau)
+  dichotomies of tau-subsets, and
+* ``clustering_complexity``: per-cluster-count sub-priors p_tau(h) = 2^-tau
+  mixed uniformly over tau = 1..c (times 1/k for an ensemble of k
+  clusterers).
 
-Each construction exposes the complexity term ln(1/p(h)) its bound consumes,
-in both the published form and the tighter form the mass actually implies.
+Each comes in the published form and in the tighter form the mass actually
+implies; ``compression_bound`` and ``clustering_bound`` put them into the
+Serfling-type bound.
 """
 
-from dataclasses import dataclass
 import math
 
 from .hypergeom import log_binomial
 from .records import BoundValue, _check_choice, _check_probability, _check_size, _check_unit
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class ClusteringPrior:
-    """Sub-priors 2^-tau over cluster labelings, mixed over tau = 1..c."""
-
-    c: int
-    k_ensemble: int = 1
-
-    def __post_init__(self):
-        if self.c < 1:
-            raise ValueError("cluster budget c must be >= 1")
-        clustering_complexity(1, self.c, self.k_ensemble)  # validates k_ensemble
-
-    def log_inverse_mass(self, tau: int) -> float:
-        """ln(1/p(h)) for a hypothesis constant on tau clusters."""
-        return clustering_complexity(tau, self.c, self.k_ensemble, variant="exact")
 
 
 def compression_complexity(s: int, m: int, u: int, variant: str = "relaxed") -> float:

@@ -2,7 +2,8 @@
 
 Each ``_check_*`` raises a ValueError naming the argument and its value.  Its test reads
 ``not lo <= x <= hi``, which NaN fails, and no range admits an infinity: both are input errors.
-``_check_labels`` tests membership in a set of labels, which NaN fails too."""
+``_check_labels`` tests membership in a set of labels, which NaN fails too, and ``_check_integers``
+refuses a fractional part, which an int64 cast would truncate."""
 
 from dataclasses import dataclass
 import math
@@ -83,4 +84,15 @@ def _check_labels(name: str, values, allowed: tuple) -> np.ndarray:
     if bad.any():
         raise ValueError(f"{name} must hold only {' and '.join(map(str, allowed))}, "
                          f"got {raw[bad].flat[0]}")
+    return raw.astype(np.int64)
+
+
+def _check_integers(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array, each entry a finite whole number.
+
+    The entries are checked before the cast, which would truncate 1.9 to 1."""
+    raw = np.asarray(values)
+    bad = ~np.isfinite(raw) | (np.floor(raw) != raw)
+    if bad.any():
+        raise ValueError(f"{name} must hold only integers, got {raw[bad].flat[0]}")
     return raw.astype(np.int64)

@@ -18,8 +18,8 @@ from scipy.sparse import csc_matrix
 from ._fork import beside, second_cpu
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
 from .pac_bayes import BOUNDS
-from .priors import ClusteringPrior, clustering_complexity
-from .records import BoundValue, _check_choice, _check_probability
+from .priors import clustering_complexity
+from .records import BoundValue, _check_choice, _check_integers, _check_labels, _check_probability
 
 ALGORITHMS = ("kmeans", "agglomerative_single", "agglomerative_complete")
 LINKAGES = ALGORITHMS[1:]
@@ -35,7 +35,7 @@ class Dataset:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        ids = np.asarray(self.ids, dtype=np.int64)
+        ids = _check_integers("ids", self.ids)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "ids", ids)
         if pts.ndim != 2 or pts.shape[1] < 1:
@@ -65,16 +65,18 @@ class LabeledSubset:
     labels: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        lab = np.asarray(self.labels, dtype=np.int64)
+        idx = _check_integers("indices", self.indices)
+        lab = _check_labels("labels", self.labels, (-1, 1))
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "labels", lab)
         if len(idx) < 1:
             raise ValueError("training set must be nonempty")
+        if idx.min() < 0:
+            raise ValueError(f"indices must be nonnegative, got {idx.min()}")
         if len(np.unique(idx)) != len(idx):
             raise ValueError("training ids must be unique")
-        if lab.shape != idx.shape or not np.isin(lab, (-1, 1)).all():
-            raise ValueError("labels must be +-1, one per training id")
+        if lab.shape != idx.shape:
+            raise ValueError("labels must be one per training id")
 
     @property
     def m(self) -> int:
@@ -90,7 +92,7 @@ class Partition:
     clusterer_id: int
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
+        a = _check_integers("assignment", self.assignment)
         object.__setattr__(self, "assignment", a)
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
@@ -247,34 +249,6 @@ def _cluster_counts(weights: np.ndarray, positive: np.ndarray, partition: Partit
     return counts[:tau], counts[tau:]
 
 
-def majority_label(partition: Partition, labeled: LabeledSubset) -> np.ndarray:
-    """Label every point with its cluster's majority training label.
-
-    Ties and clusters containing no training point get +1; the fixed choice
-    keeps the pipeline deterministic and is made without looking at test
-    labels, so it does not affect the certificate's validity.
-    """
-    if labeled.indices.max() >= len(partition.assignment):
-        raise ValueError("training ids outside the partitioned sample")
-    n = len(partition.assignment)
-    weights = np.zeros((n, 1), dtype=_count_dtype(n))
-    weights[labeled.indices] = 1
-    positive = np.zeros(n, dtype=bool)
-    positive[labeled.indices] = labeled.labels == 1
-    neg, pos = _cluster_counts(weights, positive, partition)
-    return np.where(pos[:, 0] >= neg[:, 0], 1, -1)[partition.assignment]
-
-
-def _tau_bound(bound_name: str, tau: int, prior: ClusteringPrior, m: int, u: int,
-               delta: float):
-    """Raw bound of a tau-cluster hypothesis as a function of its empirical risks: the
-    published complexity tau + ln(kc) for ``serfling_printed``, else ln(1/p) itself."""
-    complexity = (clustering_complexity(tau, prior.c, prior.k_ensemble, "printed")
-                  if bound_name == "serfling_printed" else prior.log_inverse_mass(tau))
-    bound = BOUNDS[bound_name]
-    return lambda emp: bound(emp, complexity, m, u, delta)
-
-
 @dataclass(frozen=True, eq=False)
 class Selection:
     """The smallest-bound hypothesis under each training mask of a batch.
@@ -298,10 +272,13 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
 
     ``masks`` is a (batch, n) boolean array holding one training set of a
     common size m per row; of the +-1 ``target`` only the entries under a
-    mask are read.  The prior's cluster budget is the largest tau present and
-    its ensemble size is the number of distinct clusterers, so the guarantee
-    presumes the given sequence is the full sweep.  Each tau's complexity
-    term is computed once for all clusterers.
+    mask are read.  The prior's cluster budget c is the largest tau present
+    and its ensemble size k is the number of distinct clusterer ids, so the
+    guarantee presumes the given sequence is the full sweep.  A tau-cluster
+    candidate is charged ``clustering_complexity(tau, c, k, variant)``, the
+    published tau + ln(kc) for ``serfling_printed`` and ln(1/p(h)) =
+    tau ln 2 + ln(kc) for every other bound, once per tau for all
+    clusterers, and scored by ``BOUNDS[bound_name]``.
 
     A scoring pass fills a table of empirical risk and raw bound per
     (candidate, mask) from exact per-(mask, cluster, sign) training counts,
@@ -309,7 +286,9 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     first candidate, in (tau, clusterer id) order, whose bound is below every
     earlier one and below +inf, so ties break toward smaller tau, then
     smaller clusterer id, and a NaN bound never wins.  Labels are then
-    computed for the winners only.
+    computed for the winners only: each cluster takes the majority label of
+    its training points, and a tie or a cluster with no training point gets
+    +1, a fixed choice made without test labels that keeps the guarantee.
     """
     _check_choice("bound", bound_name, BOUND_NAMES)
     _check_probability("delta", delta)
@@ -323,9 +302,10 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     if not 1 <= m < n or (masks.sum(axis=1) != m).any():
         raise ValueError("every mask must select the same m training ids, 1 <= m < n")
     c = max(p.tau for p in partitions)
-    prior = ClusteringPrior(c=c, k_ensemble=len({p.clusterer_id for p in partitions}))
-    bound_of = {tau: _tau_bound(bound_name, tau, prior, m, n - m, delta)
-                for tau in sorted({p.tau for p in partitions})}
+    k = len({p.clusterer_id for p in partitions})
+    variant = "printed" if bound_name == "serfling_printed" else "exact"
+    complexity = {p.tau: clustering_complexity(p.tau, c, k, variant) for p in partitions}
+    bound_of = BOUNDS[bound_name]
 
     candidates = sorted(partitions, key=lambda p: (p.tau, p.clusterer_id))
     weights = np.ascontiguousarray(masks.T).astype(_count_dtype(n))
@@ -335,7 +315,7 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     for j, p in enumerate(candidates):
         neg, pos = _cluster_counts(weights, positive, p)
         emp[j] = np.minimum(neg, pos).sum(axis=0, dtype=np.float64) / m
-        bound[j] = bound_of[p.tau](emp[j])
+        bound[j] = bound_of(emp[j], complexity[p.tau], m, n - m, delta)
 
     key = np.where(np.isnan(bound), np.inf, bound)
     win = key.argmin(axis=0)
@@ -353,7 +333,7 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
                                               dtype=np.int64)[win], 0),
         emp_risk=np.where(found, emp[win, every], 0.0),
         bound=np.where(found, bound[win, every], np.inf),
-        labels=labels, c=c, k_ensemble=prior.k_ensemble,
+        labels=labels, c=c, k_ensemble=k,
     )
 
 

@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from transbound.hypergeom import log_binomial
-from transbound.priors import ClusteringPrior, compression_complexity
+from transbound import priors
+from transbound.priors import compression_complexity
 
 _LN2 = math.log(2.0)
 
@@ -28,11 +29,13 @@ def compression_mixture_log_total(m: int, u: int) -> float:
 
 
 def clustering_mixture_total(c: int) -> float:
-    """Total mass of the clustering prior: sum of 2^tau * exp(-``log_inverse_mass(tau)``).
+    """Total mass of the clustering prior: sum of 2^tau * exp(-``clustering_complexity``).
 
-    Each term is exp(tau ln 2 - ``log_inverse_mass(tau)``), so 2^tau is never
-    a float and no c overflows; a prior that charges other than tau ln 2 per
-    cluster moves the total away from 1.
+    Each term is exp(tau ln 2 - ``clustering_complexity(tau, c)``), the exact
+    ln(1/p(h)) of one clusterer, so 2^tau is never a float and no c
+    overflows; a prior that charges other than tau ln 2 per cluster moves the
+    total away from 1.  The complexity is read from the module, where a test
+    may replace it.
     """
-    prior = ClusteringPrior(c=c)
-    return sum(math.exp(tau * _LN2 - prior.log_inverse_mass(tau)) for tau in range(1, c + 1))
+    return sum(math.exp(tau * _LN2 - priors.clustering_complexity(tau, c))
+               for tau in range(1, c + 1))

@@ -44,6 +44,7 @@ from transbound.pac_bayes import (
     risk_mix,
 )
 from transbound.priors import clustering_bound, compression_bound
+from transbound.transduce import Dataset, LabeledSubset, Partition
 from transbound.validation import (
     ClusteringInstance,
     FiniteHypothesisInstance,
@@ -191,6 +192,20 @@ OUT_OF_RANGE = {
                                       "target must hold only -1 and 1, got 1.5"),
     "check_unbiasedness-fractional": (check_unbiasedness, {"errors": [1, 0, 0.5], "m": 2},
                                       "errors must hold only 0 and 1, got 0.5"),
+    "LabeledSubset-fractional_labels": (LabeledSubset, {"indices": [0, 1], "labels": [1.7, -1.2]},
+                                        "labels must hold only -1 and 1, got 1.7"),
+    # and ids, which the same cast would truncate to valid ones, or wrap when negative
+    "LabeledSubset-fractional_indices": (LabeledSubset,
+                                         {"indices": [0.0, 1.9], "labels": [1, -1]},
+                                         "indices must hold only integers, got 1.9"),
+    "LabeledSubset-negative_index": (LabeledSubset,
+                                     {"indices": [-1, 4, 0], "labels": [1, -1, 1]},
+                                     "indices must be nonnegative, got -1"),
+    "Dataset-fractional_ids": (Dataset, {"points": [[0.0], [1.0]], "ids": [0.4, 1.3]},
+                               "ids must hold only integers, got 0.4"),
+    "Partition-fractional_assignment": (Partition,
+                                        {"tau": 2, "assignment": [0.5, 1.5], "clusterer_id": 0},
+                                        "assignment must hold only integers, got 0.5"),
 }
 
 

@@ -194,6 +194,13 @@ _TRANSDUCE_PINS = {
     "direct": "f10b7d418b3a6c20f5a33b07b48bac1b5e950f031e2497d14a40b6d8677996f2",
     "vapnik_absolute": "dfd3e3c6f172d29f348435f372df65b99a301e7e6052324707a647eae9e6c007",
 }
+# all three clusterers, so k = 3 in the prior's 1/(kc)
+_ENSEMBLE_PINS = {
+    "serfling_printed": "f3a3b879e03f50cf5ddaf0ad4051f2f2bbcd664c8b3ea7d316166c47154b2145",
+    "serfling_exact": "6a1773c4bdd91cf7f02a92d5dd242484f7e400bf5cec9bf6e8d9c03da354d030",
+    "direct": "76e9a242e4a9e223b46a78ba5415a612bb9e2534145c7d48c29156ecb591ae6c",
+    "vapnik_absolute": "7ca016f229bc1c86136fcace67ca1d0fe0579377fda301b4c109e85358d7a51d",
+}
 
 
 class TestEveryBoundName:
@@ -222,8 +229,26 @@ class TestEveryBoundName:
         assert code == 0
         assert _sha256(out) == digest
 
+    @pytest.mark.parametrize("bound_name,digest", _ENSEMBLE_PINS.items())
+    def test_transduce_ensemble_with_each_bound(self, capsys, bound_name, digest):
+        clusterers = [flag for algo in ALGORITHMS for flag in ("--clusterer", algo)]
+        code, out, _ = run(capsys, [
+            "transduce", "--data", FEATURES, "--labels", LABELS, *clusterers,
+            "--max-clusters", "10", "--delta", "0.05", "--bound", bound_name])
+        assert code == 0
+        assert _sha256(out) == digest
+
+    def test_transduce_repeated_clusterer(self, capsys):
+        # one clusterer twice: k = 2 distinct ids over 20 partitions
+        code, out, _ = run(capsys, [
+            "transduce", "--data", FEATURES, "--labels", LABELS, "--clusterer", "kmeans",
+            "--clusterer", "kmeans", "--max-clusters", "10", "--delta", "0.05"])
+        assert code == 0
+        assert '"k_ensemble": 2,' in out
+        assert _sha256(out) == "61c5f4299a99cd89fde226a832a25a146cafb97fcddc1a7027c7bc62a154062c"
+
     def test_every_transduce_name_is_pinned(self):
-        assert tuple(_TRANSDUCE_PINS) == BOUND_NAMES
+        assert tuple(_TRANSDUCE_PINS) == tuple(_ENSEMBLE_PINS) == BOUND_NAMES
 
     def test_validate_every_hypothesis_scenario(self, capsys):
         scenarios = [s for s in validation.SCENARIOS if s != "clustering"]
@@ -232,6 +257,17 @@ class TestEveryBoundName:
                                     "--trials", "2000", "--seed", "1"])
         assert code == 0
         assert _sha256(out) == "b344badb091205e99ab8514169b1ec568eb0ceb29fd4848f928065261f9208da"
+
+    def test_validate_clustering_with_two_clusterers(self, capsys, tmp_path):
+        full = tmp_path / "full_labels.csv"
+        full.write_text("".join(f"{i},{1 if i % 2 == 0 else -1}\n" for i in range(100)))
+        code, out, _ = run(capsys, [
+            "validate", "--scenario", "clustering", "--data", FEATURES, "--labels", str(full),
+            "--m", "50", "--max-clusters", "5", "--trials", "300", "--seed", "2",
+            "--clusterer", "kmeans", "--clusterer", "agglomerative_single",
+            "--bound", "vapnik_absolute"])
+        assert code == 0
+        assert _sha256(out) == "60f33d36d4bf514dbc02da8dbcea3a1b669af3421caac6ed8ed974052a8c1568"
 
 
 class TestSizeChecks:

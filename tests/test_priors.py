@@ -1,12 +1,12 @@
-"""Prior constructions: mass accounting, complexity variants, bound shapes."""
+"""Priors: mass accounting, complexity variants, bound shapes."""
 
 import math
 
 import pytest
 
 from mixture_totals import clustering_mixture_total, compression_mixture_log_total
+from transbound import priors
 from transbound.priors import (
-    ClusteringPrior,
     clustering_bound,
     clustering_complexity,
     compression_bound,
@@ -133,11 +133,13 @@ class TestMassAccounting:
     @pytest.mark.parametrize("c", [2, 50, 1100])
     def test_clustering_mixture_catches_a_wrong_charge(self, c, monkeypatch):
         # a prior charging tau nats per cluster, not tau ln 2, has mass (2/e)^tau / c
-        monkeypatch.setattr(ClusteringPrior, "log_inverse_mass",
-                            lambda self, tau: clustering_complexity(tau, self.c, variant="printed"))
+        exact = priors.clustering_complexity
+        monkeypatch.setattr(priors, "clustering_complexity",
+                            lambda tau, c, k_ensemble=1: exact(tau, c, k_ensemble, "printed"))
         assert abs(clustering_mixture_total(c) - 1.0) > 0.3
 
     def test_clustering_prior_mass(self):
-        prior = ClusteringPrior(c=10, k_ensemble=2)
-        assert math.exp(-prior.log_inverse_mass(3)) == pytest.approx(1 / (2 * 10 * 8), rel=1e-12)
-        assert prior.log_inverse_mass(3) == pytest.approx(math.log(160), rel=1e-12)
+        # p(h) = 2^-3 / (2 * 10) for a 3-cluster labelling among k = 2 clusterers at c = 10
+        complexity = clustering_complexity(3, 10, 2)
+        assert math.exp(-complexity) == pytest.approx(1 / (2 * 10 * 8), rel=1e-12)
+        assert complexity == pytest.approx(math.log(160), rel=1e-12)

@@ -15,7 +15,7 @@ from scipy.spatial.distance import pdist
 from transbound import clustering
 from transbound.hypergeom import epsilon_star, vapnik_bound
 from transbound.pac_bayes import BoundInputs, det_bound
-from transbound.priors import ClusteringPrior, clustering_bound
+from transbound.priors import clustering_bound, clustering_complexity
 from transbound.transduce import (
     BOUND_NAMES,
     Certificate,
@@ -26,7 +26,6 @@ from transbound.transduce import (
     cluster_sweep,
     ensemble_sweep,
     label_and_select,
-    majority_label,
     select_by_bound,
     transduce,
 )
@@ -117,6 +116,22 @@ class TestClusterSweep:
             assert len(np.unique(p.assignment)) == p.tau
 
 
+def _labels_alone(partition, labeled):
+    """Every id's label when ``partition`` alone is scored on the one mask ``labeled``.
+
+    The partition must win with a finite bound, and its labels must match
+    the ``_ref_votes`` majority of each cluster.
+    """
+    n = len(partition.assignment)
+    target = np.zeros(n, dtype=np.int64)
+    target[labeled.indices] = labeled.labels
+    chosen = label_and_select([partition], target, target[None, :] != 0, 0.05)
+    assert chosen.tau[0] == partition.tau and np.isfinite(chosen.bound[0])
+    label_pos, _ = _ref_votes(partition, 0, labeled.indices, labeled.labels == 1, 1)
+    assert np.array_equal(chosen.labels[0], np.where(label_pos[0], 1, -1)[partition.assignment])
+    return chosen.labels[0]
+
+
 class TestMajorityLabel:
     def _partition(self, assignment, tau):
         return Partition(tau=tau, assignment=np.array(assignment), clusterer_id=0)
@@ -124,25 +139,29 @@ class TestMajorityLabel:
     def test_majority_wins(self):
         part = self._partition([0, 0, 0, 1, 1], tau=2)
         labeled = LabeledSubset(indices=np.array([0, 1, 2]), labels=np.array([1, 1, -1]))
-        hyp = majority_label(part, labeled)
+        hyp = _labels_alone(part, labeled)
         assert (hyp[[0, 1, 2]] == 1).all()
+        cert = select_by_bound([part], labeled, 0.05)
+        assert cert.emp_risk == 1 / 3 and (cert.predictions == 1).all()
 
     def test_tie_goes_positive(self):
         part = self._partition([0, 0, 1], tau=2)
         labeled = LabeledSubset(indices=np.array([0, 1]), labels=np.array([1, -1]))
-        assert (majority_label(part, labeled)[[0, 1]] == 1).all()
+        assert (_labels_alone(part, labeled)[[0, 1]] == 1).all()
 
     def test_empty_cluster_goes_positive(self):
         part = self._partition([0, 0, 1, 1], tau=2)
         labeled = LabeledSubset(indices=np.array([0, 1]), labels=np.array([-1, -1]))
-        hyp = majority_label(part, labeled)
+        hyp = _labels_alone(part, labeled)
         assert (hyp[[0, 1]] == -1).all()
         assert (hyp[[2, 3]] == 1).all()
+        cert = select_by_bound([part], labeled, 0.05)
+        assert cert.test_ids.tolist() == [2, 3] and (cert.predictions == 1).all()
 
     def test_constant_on_clusters(self, two_blob):
         data, labeled, _ = two_blob
         for part in cluster_sweep(data, "kmeans", c=7):
-            hyp = majority_label(part, labeled)
+            hyp = _labels_alone(part, labeled)
             for j in range(part.tau):
                 vals = hyp[part.assignment == j]
                 assert (vals == vals[0]).all()
@@ -210,17 +229,19 @@ class TestSelectByBound:
 def _scalar_choice(partitions, labeled, delta, bound_name):
     """(tau, clusterer id, emp risk, raw bound) from one scalar bound call per partition.
 
-    The reference goes through the public mass path: each hypothesis's prior
-    mass exp(-ln(1/p)) into ``det_bound`` and ``epsilon_star``.
+    The empirical risk comes from the ``_ref_votes`` bincount, and the bound
+    from the public mass path: each hypothesis's prior mass exp(-ln(1/p))
+    into ``det_bound`` and ``epsilon_star``.
     """
     m = labeled.m
     u = len(partitions[0].assignment) - m
-    prior = ClusteringPrior(c=max(p.tau for p in partitions),
-                            k_ensemble=len({p.clusterer_id for p in partitions}))
+    c = max(p.tau for p in partitions)
+    k = len({p.clusterer_id for p in partitions})
     best = None
     for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
-        emp = float((majority_label(p, labeled)[labeled.indices] != labeled.labels).mean())
-        mass = math.exp(-prior.log_inverse_mass(p.tau))
+        _, errors = _ref_votes(p, 0, labeled.indices, labeled.labels == 1, 1)
+        emp = float(errors[0]) / m
+        mass = math.exp(-clustering_complexity(p.tau, c, k, "exact"))
         if bound_name == "direct":
             raw = det_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=emp,
                                         prior_mass=mass), "direct").raw
@@ -228,7 +249,7 @@ def _scalar_choice(partitions, labeled, delta, bound_name):
             star = epsilon_star(mass, delta, m, u, "absolute")
             raw = vapnik_bound(emp, star, m, u).raw
         else:
-            raw = clustering_bound(emp, p.tau, prior.c, m, u, delta, prior.k_ensemble,
+            raw = clustering_bound(emp, p.tau, c, m, u, delta, k,
                                    bound_name.removeprefix("serfling_")).raw
         if best is None or raw < best[3]:
             best = (p.tau, p.clusterer_id, emp, raw)
@@ -426,17 +447,19 @@ def _ref_label_and_select(partitions, target, masks, delta, bound_name):
     rows, n = masks.shape
     m = int(masks[0].sum())
     c = max(p.tau for p in partitions)
-    prior = ClusteringPrior(c=c, k_ensemble=len({p.clusterer_id for p in partitions}))
+    k = len({p.clusterer_id for p in partitions})
+    variant = "printed" if bound_name == "serfling_printed" else "exact"
     row, point = np.nonzero(masks)
     positive = np.asarray(target)[point] == 1
     best = transduce_module.Selection(
         tau=np.zeros(rows, dtype=np.int64), clusterer_id=np.zeros(rows, dtype=np.int64),
         emp_risk=np.zeros(rows), bound=np.full(rows, np.inf),
-        labels=np.ones((rows, n), dtype=np.int8), c=c, k_ensemble=prior.k_ensemble)
+        labels=np.ones((rows, n), dtype=np.int8), c=c, k_ensemble=k)
     for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
         label_pos, errors = _ref_votes(p, row, point, positive, rows)
         emp = errors / m
-        bound = transduce_module._tau_bound(bound_name, p.tau, prior, m, n - m, delta)(emp)
+        complexity = clustering_complexity(p.tau, c, k, variant)
+        bound = transduce_module.BOUNDS[bound_name](emp, complexity, m, n - m, delta)
         better = bound < best.bound
         best.tau[better] = p.tau
         best.clusterer_id[better] = p.clusterer_id
@@ -504,9 +527,7 @@ class TestScoreTable:
         ids = np.flatnonzero(masks[0])
         labeled = LabeledSubset(indices=ids, labels=target[ids])
         for p in sweep:
-            label_pos, _ = _ref_votes(p, 0, ids, target[ids] == 1, 1)
-            assert np.array_equal(majority_label(p, labeled),
-                                  np.where(label_pos[0], 1, -1)[p.assignment])
+            _labels_alone(p, labeled)
 
     def test_training_points_in_one_cluster(self, sweep):
         # every mask draws from the first cluster of the tau = 7 k-means partition
@@ -524,20 +545,22 @@ class TestScoreTable:
     def test_nan_never_wins_and_no_winner_keeps_the_default(self, sweep, monkeypatch):
         # by row % 3: no candidate below +inf; tau 1 wins; tau 3 wins after two
         # NaN bounds.  Every other candidate scores +inf.
-        plain = transduce_module._tau_bound
+        plain = transduce_module.BOUNDS["serfling_printed"]
         phase = np.arange(30) % 3
+        # the sweep holds 3 clusterers at c = 7: each tau has its own complexity
+        tau_of = {clustering_complexity(tau, 7, 3, "printed"): tau for tau in range(1, 8)}
 
-        def tau_bound(bound_name, tau, prior, m, u, delta):
-            bound = plain(bound_name, tau, prior, m, u, delta)
+        def bound(emp, complexity, m, u, delta):
+            tau = tau_of[complexity]
             if tau == 1:
-                return lambda emp: np.where(phase == 1, bound(emp), np.nan)
+                return np.where(phase == 1, plain(emp, complexity, m, u, delta), np.nan)
             if tau == 2:
-                return lambda emp: np.full(emp.shape, np.nan)
+                return np.full(emp.shape, np.nan)
             if tau == 3:
-                return lambda emp: np.where(phase == 2, bound(emp), np.inf)
-            return lambda emp: np.full(emp.shape, np.inf)
+                return np.where(phase == 2, plain(emp, complexity, m, u, delta), np.inf)
+            return np.full(emp.shape, np.inf)
 
-        monkeypatch.setattr(transduce_module, "_tau_bound", tau_bound)
+        monkeypatch.setitem(transduce_module.BOUNDS, "serfling_printed", bound)
         rng = np.random.default_rng(6)
         target = np.where(rng.random(60) < 0.7, -1, 1)
         masks = _random_masks(rng, 30, 60, 15)
@@ -633,8 +656,10 @@ class TestTransduce:
         labeled = LabeledSubset(indices=np.arange(m), labels=labels)
         parts = cluster_sweep(data, "agglomerative_single", c=m)
         at_m = [p for p in parts if p.tau == m][0]
-        hyp = majority_label(at_m, labeled)
+        hyp = _labels_alone(at_m, labeled)
         assert (hyp[labeled.indices] == labels).all()
+        cert = select_by_bound([at_m], labeled, 0.05)
+        assert cert.emp_risk == 0.0 and cert.predictions.tolist() == [1]
 
     def test_deterministic_certificates(self, two_blob):
         data, labeled, _ = two_blob
