@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid input or configuration, 3 internal failure.
 """
 
 import argparse
+from dataclasses import astuple, fields
 import json
 import math
 import sys
@@ -34,6 +35,8 @@ from .transduce import (
 from .validation import (
     SCENARIOS,
     ClusteringInstance,
+    ConcentrationReport,
+    McReport,
     check_mc_cells,
     mc_bound_validity,
     mc_concentration,
@@ -71,6 +74,13 @@ def _resolve_u(rule: str, m: int) -> int:
     return u
 
 
+_BOUND_HEADER = ("m", "u", "bound_name", "raw", "clamped", "valid")
+
+
+def _bound_row(m: int, u: int, out) -> tuple:
+    return (m, u, out.name, out.raw, out.clamped, out.valid)
+
+
 def _csv_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
@@ -92,8 +102,8 @@ def cmd_curve(args) -> int:
         for name in sorted(names):
             out = evaluate_bound(name, m, u, args.delta, args.emp_risk, args.prior_mass,
                                  args.kl)
-            rows.append((m, u, out.name, out.raw, out.clamped, out.valid))
-    _emit(("m", "u", "bound_name", "raw", "clamped", "valid"), rows)
+            rows.append(_bound_row(m, u, out))
+    _emit(_BOUND_HEADER, rows)
     return 0
 
 
@@ -114,10 +124,7 @@ def cmd_prior_sweep(args) -> int:
 def cmd_eval(args) -> int:
     out = evaluate_bound(args.bound, args.m, args.u, args.delta, args.emp_risk,
                          args.prior_mass, args.kl, args.loss_bound)
-    _emit(
-        ("m", "u", "bound_name", "raw", "clamped", "valid"),
-        [(args.m, args.u, out.name, out.raw, out.clamped, out.valid)],
-    )
+    _emit(_BOUND_HEADER, [_bound_row(args.m, args.u, out)])
     return 0
 
 
@@ -230,12 +237,8 @@ def cmd_validate(args) -> int:
         )
     reps = [(s, mc_bound_validity(s, clustering if s == "clustering" else hypotheses,
                                   args.delta, args.trials, args.seed)) for s in args.scenario]
-    _emit(
-        ("scenario", "trials", "violations", "empirical", "analytic", "tolerance",
-         "passed", "boundary_hits"),
-        [(s, rep.trials, rep.violations, rep.empirical, rep.analytic,
-          rep.tolerance, rep.passed, rep.boundary_hits) for s, rep in reps],
-    )
+    _emit(("scenario", *(f.name for f in fields(McReport))),
+          [(s, *astuple(rep)) for s, rep in reps])
     return 0
 
 
@@ -254,18 +257,7 @@ def cmd_mc_concentration(args) -> int:
         top = 1.0 - args.ones / args.population_size
         grid = [i * top / 10.0 for i in range(11)]
     reports = mc_concentration(pop, args.m, grid, args.trials, args.seed)
-    rows = [
-        (r.eps, r.trials, r.exceed_count, r.empirical, r.exact, r.hoeffding_kl,
-         r.hoeffding_squared, r.serfling, r.direct_binary,
-         r.empirical_within_tolerance, r.exact_below_bounds)
-        for r in reports
-    ]
-    _emit(
-        ("eps", "trials", "exceed_count", "empirical", "exact", "hoeffding_kl",
-         "hoeffding_squared", "serfling", "direct_binary",
-         "empirical_within_tolerance", "exact_below_bounds"),
-        rows,
-    )
+    _emit([f.name for f in fields(ConcentrationReport)], [astuple(r) for r in reports])
     return 0
 
 

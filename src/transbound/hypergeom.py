@@ -427,4 +427,4 @@ def vapnik_bound(emp_risk: float, eps_star: EpsilonStar, m: int, u: int) -> Boun
     """Test-risk bound implied by an inverted deviation threshold; see ``_vapnik_raw``."""
     _check_unit("emp_risk", emp_risk)
     raw = float(_vapnik_raw(eps_star.variant, emp_risk, eps_star.value, m, u))
-    return BoundValue(raw=raw, clamped=min(raw, 1.0), name=f"vapnik_{eps_star.variant}")
+    return BoundValue(raw=raw, name=f"vapnik_{eps_star.variant}")

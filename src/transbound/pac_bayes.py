@@ -10,9 +10,9 @@ independence (Hoeffding) and direct without-replacement inequalities
 the direct route trades a sqrt((m+u)/u) factor for the reduction route's
 (m+u)/u and stays meaningful even for a single test point.
 
-``det_raw`` and ``gibbs_raw`` are the formulas, written once over arrays of
-empirical risks; ``BOUNDS`` is the one map from a bound's name to its
-formula, the implicit Vapnik-style bounds included.
+``BOUNDS`` is the one map from a bound's name to its formula, written once
+over arrays of empirical risks, the implicit Vapnik-style bounds included;
+``det_bound``, ``gibbs_bound`` and ``evaluate_bound`` read it at one point.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,6 @@ __all__ = [
     "EVAL_BOUNDS",
     "GibbsEnsemble",
     "det_bound",
-    "det_raw",
     "evaluate_bound",
     "full_to_test",
     "gibbs_bound",
@@ -143,11 +142,6 @@ def _direct_complexity(kl_value, m: int, u: int, delta: float):
     return kl_value + math.log(m / delta) + 7.0 * math.log(m + u + 1.0)
 
 
-def _finish(raw, name: str, loss_bound: float) -> BoundValue:
-    raw = float(raw)
-    return BoundValue(raw=raw, clamped=min(raw / loss_bound, 1.0), name=name)
-
-
 def gibbs_raw(variant: str, emp_risk, kl_value, m: int, u: int, delta: float):
     """Raw Gibbs bound, elementwise over arrays of empirical risks and KL values.
 
@@ -169,22 +163,12 @@ def gibbs_raw(variant: str, emp_risk, kl_value, m: int, u: int, delta: float):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def det_raw(variant: str, emp_risk, log_inv_p: float, m: int, u: int, delta: float,
-            loss_bound: float = 1.0):
-    """Raw deterministic-classifier bound, elementwise over an array of empirical risks.
-
-    ``log_inv_p`` is the complexity ln(1/p), finite even where the mass p underflows.
-    ``reduction`` and ``direct`` are the Gibbs forms with D replaced by
-    ln(1/p) (binary loss, m >= 2); ``serfling`` is
-        R + B sqrt(((m+u)/u) ((u+1)/u) (ln(1/p) + ln(1/delta)) / (2m)),
-    valid for any loss range B and any m >= 1.
-    """
-    if variant == "serfling":
-        comp = (log_inv_p + math.log(1.0 / delta)) / (2.0 * m)
-        return emp_risk + loss_bound * math.sqrt((m + u) / u * (u + 1) / u * comp)
-    if variant in ("reduction", "direct"):
-        return gibbs_raw(variant, emp_risk, log_inv_p, m, u, delta)
-    raise ValueError(f"unknown variant {variant!r}")
+def _serfling(emp_risk, log_inv_p: float, m: int, u: int, delta: float,
+              loss_bound: float = 1.0):
+    """R + B sqrt(((m+u)/u) ((u+1)/u) (ln(1/p) + ln(1/delta)) / (2m)) for a loss range B,
+    valid for any m >= 1; ``log_inv_p`` stays finite even where the mass p underflows."""
+    comp = (log_inv_p + math.log(1.0 / delta)) / (2.0 * m)
+    return emp_risk + loss_bound * math.sqrt((m + u) / u * (u + 1) / u * comp)
 
 
 def _vapnik(variant: str, emp_risk, log_inv_p: float, m: int, u: int, delta: float):
@@ -196,10 +180,12 @@ def _vapnik(variant: str, emp_risk, log_inv_p: float, m: int, u: int, delta: flo
 # f(emp_risk, complexity, m, u, delta) of one hypothesis, elementwise over empirical risks.
 # The complexity is ln(1/p), or D(q||p) for ``gibbs_*`` and tau + ln(kc) for
 # ``serfling_printed``; ``vapnik_*`` invert the exact tail at ln(1/p), never at the mass.
+# ``det_*`` are the ``gibbs_*`` forms with D replaced by ln(1/p).  Only ``serfling`` takes
+# a loss range B; the others are stated for binary losses.
 BOUNDS = {
     "vapnik_relative": partial(_vapnik, "relative"),
     "vapnik_absolute": partial(_vapnik, "absolute"),
-    "serfling": partial(det_raw, "serfling"),
+    "serfling": _serfling,
     # the ``serfling`` bound with the operations in another order: the last bit may differ
     **dict.fromkeys(("serfling_printed", "serfling_exact"), _serfling_raw),
     **dict.fromkeys(("det_reduction", "gibbs_reduction"), partial(gibbs_raw, "reduction")),
@@ -207,26 +193,33 @@ BOUNDS = {
 }
 
 
+def _scored(name: str, inputs: BoundInputs) -> BoundValue:
+    """``BOUNDS[name]`` at one checked point, charging D(q||p) for ``gibbs_*`` and ln(1/p)
+    for the rest."""
+    gibbs = name.startswith("gibbs_")
+    if (inputs.kl_value if gibbs else inputs.prior_mass) is None:
+        raise ValueError(f"{name} needs {'kl_value' if gibbs else 'prior_mass'} complexity")
+    formula = BOUNDS[name]
+    if name == "serfling":
+        formula = partial(formula, loss_bound=inputs.loss_bound)
+    elif inputs.loss_bound != 1.0:
+        raise ValueError(f"{name} is stated for binary (B = 1) losses")
+    complexity = inputs.kl_value if gibbs else _log_inverse(inputs.prior_mass)
+    raw = formula(inputs.emp_risk, complexity, inputs.m, inputs.u, inputs.delta)
+    return BoundValue(raw=float(raw), name=name, loss_bound=inputs.loss_bound)
+
+
 def gibbs_bound(inputs: BoundInputs, variant: str = "direct") -> BoundValue:
     """Test-risk bound for a Gibbs classifier with complexity D(q||p); see ``gibbs_raw``."""
-    if inputs.kl_value is None:
-        raise ValueError("gibbs_bound needs kl_value complexity")
-    if inputs.loss_bound != 1.0:
-        raise ValueError(f"gibbs_{variant} is stated for binary (B = 1) losses")
-    raw = gibbs_raw(variant, inputs.emp_risk, inputs.kl_value, inputs.m, inputs.u, inputs.delta)
-    return _finish(raw, f"gibbs_{variant}", 1.0)
+    _check_choice("variant", variant, ("reduction", "direct"))
+    return _scored(f"gibbs_{variant}", inputs)
 
 
 def det_bound(inputs: BoundInputs, variant: str = "serfling") -> BoundValue:
-    """Test-risk bound for a deterministic classifier with prior mass p(h); see ``det_raw``."""
-    if inputs.prior_mass is None:
-        raise ValueError("det_bound needs prior_mass complexity")
-    if variant != "serfling" and inputs.loss_bound != 1.0:
-        raise ValueError(f"det_{variant} is stated for binary (B = 1) losses")
-    raw = det_raw(variant, inputs.emp_risk, _log_inverse(inputs.prior_mass), inputs.m,
-                  inputs.u, inputs.delta, inputs.loss_bound)
-    return _finish(raw, "serfling" if variant == "serfling" else f"det_{variant}",
-                   inputs.loss_bound)
+    """Test-risk bound for a deterministic classifier with prior mass p(h): ``serfling``,
+    or ``reduction`` and ``direct``, the Gibbs forms with D replaced by ln(1/p)."""
+    _check_choice("variant", variant, ("serfling", "reduction", "direct"))
+    return _scored("serfling" if variant == "serfling" else f"det_{variant}", inputs)
 
 
 def evaluate_bound(name: str, m: int, u: int, delta: float, emp_risk: float,
@@ -244,13 +237,9 @@ def evaluate_bound(name: str, m: int, u: int, delta: float, emp_risk: float,
     if family == "vapnik":
         star = epsilon_star(prior_mass, delta, m, u, variant)
         return vapnik_bound(emp_risk, star, m, u)
-    if family == "gibbs":
-        inputs = BoundInputs(m=m, u=u, delta=delta, emp_risk=emp_risk, kl_value=kl_value,
-                             loss_bound=loss_bound)
-        return gibbs_bound(inputs, variant)
-    inputs = BoundInputs(m=m, u=u, delta=delta, emp_risk=emp_risk, prior_mass=prior_mass,
-                         loss_bound=loss_bound)
-    return det_bound(inputs, variant or family)
+    complexity = {"kl_value": kl_value} if family == "gibbs" else {"prior_mass": prior_mass}
+    return _scored(name, BoundInputs(m=m, u=u, delta=delta, emp_risk=emp_risk,
+                                     loss_bound=loss_bound, **complexity))
 
 
 def gibbs_risk(ensemble: GibbsEnsemble, target: np.ndarray, subset) -> float:
@@ -276,4 +265,4 @@ def graepel_inductive_bound(emp_risk: float, m: int, s: int, delta: float) -> Bo
     raw = m / (m - s) * emp_risk + math.sqrt(
         (s_term + math.log(1.0 / delta) + 2.0 * math.log(m)) / (2.0 * (m - s))
     )
-    return _finish(raw, "graepel_inductive", 1.0)
+    return BoundValue(raw=raw, name="graepel_inductive")

@@ -55,8 +55,7 @@ def _serfling_bound(emp_risk: float, complexity: float, m: int, u: int, delta: f
     _check_unit("emp_risk", emp_risk)
     _check_size("m", m)
     _check_size("u", u)
-    raw = _serfling_raw(emp_risk, complexity, m, u, delta, m_factor)
-    return BoundValue(raw=raw, clamped=min(raw, 1.0), name=name)
+    return BoundValue(raw=_serfling_raw(emp_risk, complexity, m, u, delta, m_factor), name=name)
 
 
 def compression_bound(emp_risk: float, s: int, m: int, u: int, delta: float,

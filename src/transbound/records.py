@@ -3,7 +3,7 @@
 Each ``_check_*`` raises a ValueError naming the argument and its value.  Its test reads
 ``not lo <= x <= hi``, which NaN fails, and no range admits an infinity: both are input errors.
 ``_check_labels`` tests membership in a set of labels, which NaN fails too, and ``_check_integers``
-refuses a fractional part, which an int64 cast would truncate."""
+refuses a fractional part or a value beyond int64, which an int64 cast would truncate or wrap."""
 
 from dataclasses import dataclass
 import math
@@ -13,25 +13,27 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BoundValue:
-    """Value of a risk bound.
+    """Value of a risk bound on a loss with range [0, B], B = ``loss_bound``.
 
-    ``raw`` is the bound exactly as the formula produces it (may exceed 1);
-    ``clamped`` is the binary-loss presentation min(raw / B, 1).  Curve
-    comparisons should use ``raw`` so crossovers above 1 stay visible.
-    ``valid`` is False when a precondition of the formula was violated and
-    the bound was reported as vacuous instead of raising.
+    ``raw`` is the bound exactly as the formula produces it (may exceed B);
+    ``clamped`` is its presentation min(raw / B, 1), the bound on the loss
+    rescaled to [0, 1].  Curve comparisons should use ``raw`` so crossovers
+    above 1 stay visible.  Every formula returns a bound or raises, so
+    ``valid`` is always True; it stays readable for the ``valid`` column.
     """
 
     raw: float
-    clamped: float
     name: str
-    valid: bool = True
+    loss_bound: float = 1.0
+    valid = True  # a class constant, not a field
 
     def __post_init__(self):
         if math.isnan(self.raw):
             raise ValueError(f"{self.name} bound is not a number for these inputs")
-        if self.clamped > 1.0 + 1e-12:
-            raise ValueError(f"clamped bound {self.clamped} exceeds 1")
+
+    @property
+    def clamped(self) -> float:
+        return min(self.raw / self.loss_bound, 1.0)
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -88,11 +90,16 @@ def _check_labels(name: str, values, allowed: tuple) -> np.ndarray:
 
 
 def _check_integers(name: str, values) -> np.ndarray:
-    """``values`` as an int64 array, each entry a finite whole number.
+    """``values`` as an int64 array, each entry a whole number in the int64 range.
 
-    The entries are checked before the cast, which would truncate 1.9 to 1."""
+    The entries are checked before the cast, which would truncate 1.9 to 1 and
+    wrap 1e20 to a negative number."""
     raw = np.asarray(values)
     bad = ~np.isfinite(raw) | (np.floor(raw) != raw)
     if bad.any():
         raise ValueError(f"{name} must hold only integers, got {raw[bad].flat[0]}")
+    if raw.dtype.kind != "i":  # signed integers of any width fit in int64
+        wide = (raw < -2.0 ** 63) | (raw >= 2.0 ** 63)
+        if wide.any():
+            raise ValueError(f"{name} must lie in the int64 range, got {raw[wide].flat[0]}")
     return raw.astype(np.int64)

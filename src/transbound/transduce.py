@@ -96,6 +96,8 @@ class Partition:
         object.__setattr__(self, "assignment", a)
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
+        if a.size == 0:
+            raise ValueError("assignment must be nonempty")
         if a.min() < 0 or a.max() >= self.tau:
             raise ValueError("cluster indices must lie in 0..tau-1")
 
@@ -351,14 +353,13 @@ def select_by_bound(partitions: list[Partition], labeled: LabeledSubset, delta: 
     masks = target[None, :] != 0
     chosen = label_and_select(partitions, target, masks, delta, bound_name)
     test_ids = np.flatnonzero(~masks[0])
-    raw = float(chosen.bound[0])
     clusterer_id = int(chosen.clusterer_id[0])
     return Certificate(
         chosen_tau=int(chosen.tau[0]),
         clusterer_id=clusterer_id,
         algorithm=(algorithm_names or {}).get(clusterer_id, ""),
         emp_risk=float(chosen.emp_risk[0]),
-        bound=BoundValue(raw=raw, clamped=min(raw, 1.0), name=bound_name),
+        bound=BoundValue(raw=float(chosen.bound[0]), name=bound_name),
         delta=delta,
         c=chosen.c,
         k_ensemble=chosen.k_ensemble,

@@ -206,6 +206,17 @@ OUT_OF_RANGE = {
     "Partition-fractional_assignment": (Partition,
                                         {"tau": 2, "assignment": [0.5, 1.5], "clusterer_id": 0},
                                         "assignment must hold only integers, got 0.5"),
+    "Partition-empty_assignment": (Partition, {"tau": 1, "assignment": [], "clusterer_id": 0},
+                                   "assignment must be nonempty"),
+    # whole floats beyond int64, which the cast would wrap to a negative number
+    "LabeledSubset-index_beyond_int64": (LabeledSubset, {"indices": [0, 1e20], "labels": [1, -1]},
+                                         "indices must lie in the int64 range, got 1e+20"),
+    "Dataset-id_beyond_int64": (Dataset, {"points": [[0.0], [1.0]], "ids": [0, -1e19]},
+                                "ids must lie in the int64 range, got -1e+19"),
+    "Partition-assignment_beyond_int64": (Partition, {"tau": 2, "assignment": [0, 2.0 ** 63],
+                                                      "clusterer_id": 0},
+                                          "assignment must lie in the int64 range, "
+                                          "got 9.223372036854776e+18"),
 }
 
 

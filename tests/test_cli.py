@@ -124,6 +124,20 @@ class TestEvalAndEpsilonStar:
             0.93602979249272147, rel=1e-10
         )
 
+    # raw below 1, above 1 with clamped below 1, and above B; then a range below 1
+    @pytest.mark.parametrize("emp_risk,loss_bound,digest", [
+        ("0.2", "2", "aa73f4c61f3bc7c9c619428ea1dddda01f331634eefe828d8d4d9757fad60de4"),
+        ("1.9", "2", "8c3cde1e4466b89f6bca149fe31c23f1f19f90945aed572295d2a07e0b658158"),
+        ("0.5", "3", "e21a262e39d8f0a4bfea7075b9745eb60294abddb33ce54ba9dfd98f9d909bfa"),
+        ("0.2", "0.5", "ea3d38f95fb3005befe416e2d2896587663096e9c835e86c90f085b8a0251f49"),
+    ])
+    def test_eval_serfling_with_a_loss_range_sha256(self, capsys, emp_risk, loss_bound, digest):
+        code, out, _ = run(capsys, [
+            "eval", "--bound", "serfling", "--m", "60", "--u", "40", "--delta", "0.05",
+            "--prior-mass", "0.1", "--emp-risk", emp_risk, "--loss-bound", loss_bound])
+        assert code == 0
+        assert _sha256(out) == digest
+
     def test_epsilon_star_row(self, capsys):
         code, out, _ = run(
             capsys,

@@ -15,7 +15,6 @@ from transbound.pac_bayes import (
     _direct_complexity,
     _reduction_complexity,
     det_bound,
-    det_raw,
     evaluate_bound,
     full_to_test,
     gibbs_bound,
@@ -26,8 +25,8 @@ from transbound.pac_bayes import (
     kl_divergence,
     risk_mix,
 )
-from transbound.priors import clustering_bound, clustering_complexity
-from transbound.transduce import BOUND_NAMES
+from transbound.priors import clustering_bound, clustering_complexity, compression_bound
+from transbound.transduce import BOUND_NAMES, LabeledSubset, Partition, select_by_bound
 from transbound.validation import SCENARIOS
 
 
@@ -169,6 +168,17 @@ class TestDetBound:
         )
         assert out.raw > 0.5
         assert out.clamped <= 1.0
+
+    @pytest.mark.parametrize("loss_bound", [0.5, 2.0, 3.0])
+    def test_serfling_scales_with_the_loss_range(self, loss_bound):
+        m, u, delta, p = 60, 40, 0.05, 0.1
+        for emp_risk in (0.0, 0.5 * loss_bound, loss_bound):
+            out = det_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=emp_risk, prior_mass=p,
+                                        loss_bound=loss_bound), "serfling")
+            comp = (math.log(1.0 / p) + math.log(1.0 / delta)) / (2.0 * m)
+            want = emp_risk + loss_bound * math.sqrt((m + u) / u * (u + 1) / u * comp)
+            assert out.raw == want
+            assert out.clamped == min(want / loss_bound, 1.0)
 
     def test_direct_frozen_value(self):
         out = det_bound(
@@ -384,16 +394,18 @@ class TestArrayFormulas:
     def _same_bits(a, b):
         return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
-    def test_det_bound_is_det_raw(self):
-        for (m, u, delta), p, variant in itertools.product(
-                self.SHAPES, (1.0, 0.3, 1e-9), ("serfling", "reduction", "direct")):
+    def test_det_bound_is_the_array_formula(self):
+        for (m, u, delta), p, (variant, name) in itertools.product(
+                self.SHAPES, (1.0, 0.3, 1e-9),
+                (("serfling", "serfling"), ("reduction", "det_reduction"),
+                 ("direct", "det_direct"))):
             scalar = [
                 det_bound(BoundInputs(m=m, u=u, delta=delta, emp_risk=float(r), prior_mass=p),
                           variant).raw
                 for r in self.RISKS
             ]
             log_inv_p = math.log(1.0 / p)
-            assert self._same_bits(det_raw(variant, self.RISKS, log_inv_p, m, u, delta), scalar)
+            assert self._same_bits(BOUNDS[name](self.RISKS, log_inv_p, m, u, delta), scalar)
 
     def test_gibbs_bound_is_gibbs_raw(self):
         kls = np.random.default_rng(8).uniform(0.0, 30.0, len(self.RISKS))
@@ -429,7 +441,7 @@ class TestEvaluateBound:
     def test_loss_bound_scales_serfling_only(self):
         out = evaluate_bound("serfling", 60, 40, 0.05, 0.2, loss_bound=2.0)
         assert out.raw < 2.0
-        assert out.clamped == pytest.approx(out.raw / 2.0)
+        assert out.clamped == out.raw / 2.0
         with pytest.raises(ValueError):
             evaluate_bound("det_direct", 60, 40, 0.05, 0.1, loss_bound=2.0)
 
@@ -488,3 +500,45 @@ class TestBoundTable:
             want = [vapnik_bound(float(r), star, m, u).raw for r in self.RISKS]
             got = BOUNDS[f"vapnik_{variant}"](self.RISKS, _log_inverse(p), m, u, delta)
             assert np.asarray(got).tobytes() == np.array(want).tobytes(), (variant, m, u, p)
+
+
+def _certificate_bound(minority_share: float):
+    """The certificate's bound for one cluster over 20 points, 10 of them labelled."""
+    n_minus = round(10 * minority_share)
+    labeled = LabeledSubset(indices=np.arange(10), labels=[1] * (10 - n_minus) + [-1] * n_minus)
+    partition = Partition(tau=1, assignment=np.zeros(20, dtype=np.int64), clusterer_id=0)
+    return select_by_bound([partition], labeled, 0.05).bound
+
+
+_STAR = epsilon_star(0.5, 0.05, 50, 50, "absolute")
+# producer: (empirical risk -> BoundValue, loss range B, empirical risks giving raw < 1 and > 1)
+PRODUCERS = {
+    "det_bound": (lambda r: det_bound(BoundInputs(m=100, u=100, delta=0.01, emp_risk=r,
+                                                  prior_mass=1.0), "direct"), 1.0, (0.0, 0.2)),
+    "det_bound-serfling-B2": (lambda r: det_bound(BoundInputs(
+        m=60, u=40, delta=0.05, emp_risk=r, prior_mass=0.1, loss_bound=2.0), "serfling"),
+        2.0, (0.2, 1.0, 1.9)),
+    "gibbs_bound": (lambda r: gibbs_bound(BoundInputs(m=100, u=100, delta=0.01, emp_risk=r,
+                                                      kl_value=0.3), "direct"), 1.0, (0.0, 0.3)),
+    "vapnik_bound": (lambda r: vapnik_bound(r, _STAR, 50, 50), 1.0, (0.0, 0.9)),
+    "clustering_bound": (lambda r: clustering_bound(r, 1, 2, 100, 100, 0.05), 1.0, (0.0, 0.95)),
+    "compression_bound": (lambda r: compression_bound(r, 1, 100, 100, 0.05), 1.0, (0.0, 0.9)),
+    "graepel_inductive_bound": (lambda r: graepel_inductive_bound(r, 100, 0, 0.05), 1.0,
+                                (0.0, 0.9)),
+    **{f"evaluate_bound-{name}": (
+        lambda r, name=name: evaluate_bound(name, 100, 100, 0.01, r, prior_mass=0.5, kl_value=0.3),
+        1.0, (0.0, 0.9)) for name in EVAL_BOUNDS},
+    "evaluate_bound-serfling-B3": (lambda r: evaluate_bound("serfling", 60, 40, 0.05, r,
+                                                           loss_bound=3.0), 3.0, (0.0, 0.5, 2.9)),
+    "select_by_bound": (_certificate_bound, 1.0, (0.0, 0.4)),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_clamped_is_raw_over_the_loss_range_capped_at_one(producer):
+    make, loss_bound, risks = PRODUCERS[producer]
+    outs = [make(r) for r in risks]
+    assert min(out.raw for out in outs) < 1.0 < max(out.raw for out in outs)
+    for out in outs:
+        assert out.clamped == min(out.raw / loss_bound, 1.0)
+        assert out.valid is True
