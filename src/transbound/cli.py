@@ -148,16 +148,16 @@ def _load_points(path: str) -> np.ndarray:
 
 
 def _load_labels(path: str, n_total: int):
-    ids, labels, first_line = [], [], {}
+    labels, first_line = [], {}  # first_line's keys are the ids in order
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'id,label'")
-            i, lab = int(parts[0]), int(parts[1])
+            try:
+                i, lab = map(int, line.split(","))
+            except ValueError:  # a field count other than two, or a field not an integer
+                raise ValueError(f"{path}:{line_no}: expected 'id,label' of two integers") from None
             if not 0 <= i < n_total:
                 raise ValueError(f"{path}:{line_no}: unknown id {i}")
             if i in first_line:
@@ -166,9 +166,8 @@ def _load_labels(path: str, n_total: int):
             first_line[i] = line_no
             if lab not in (-1, 1):
                 raise ValueError(f"{path}:{line_no}: label must be +1 or -1")
-            ids.append(i)
             labels.append(lab)
-    return np.array(ids), np.array(labels)
+    return np.array(list(first_line)), np.array(labels)
 
 
 def cmd_transduce(args) -> int:
@@ -243,13 +242,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mc_concentration(args) -> int:
-    if args.trials < 1:  # else check_mc_cells passes any population size
-        raise ValueError("need at least one trial")
+    _check_size("trials", args.trials)  # else check_mc_cells passes any population size
     _check_size("population-size", args.population_size)
     check_mc_cells(args.trials, args.population_size, "trials x population-size")
+    _check_size("ones", args.ones, 0, args.population_size)
     pop = np.zeros(args.population_size, dtype=np.int64)
-    if not 0 <= args.ones <= args.population_size:
-        raise ValueError("ones must lie in 0..population-size")
     pop[: args.ones] = 1
     if args.eps_grid:
         grid = _csv_floats(args.eps_grid)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
-from .records import _check_choice
+from .records import _check_choice, _check_size
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-9
@@ -134,6 +134,7 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
+    _check_size("tau", tau, 1, n)
     if tau == 1:
         return np.zeros(n, dtype=np.int64)
 
@@ -199,6 +200,7 @@ def agglomerative_sweep(points: np.ndarray, c: int, method: str,
     if already built; ``linkage`` does not modify it.
     """
     _check_choice("linkage", method, ("single", "complete"))
+    _check_size("c", c)
     n = len(points)
     if n == 1:
         return {1: np.zeros(1, dtype=np.int64)}

@@ -14,8 +14,7 @@ bound.
 from dataclasses import dataclass
 import math
 
-from .records import (_check_choice, _check_nonnegative, _check_positive, _check_sample,
-                      _check_size, _check_unit)
+from .records import _check_choice, _check_nonnegative, _check_positive, _check_size, _check_unit
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def hoeffding_bound(pop: PopulationSummary, q: DeviationQuery, form: str = "kl")
     range the result is flagged invalid and reported as 1.  ``squared`` form:
     exp{-2 m eps^2 / B^2}.
     """
-    _check_sample(q.m, pop.n_total)
+    _check_size("m", q.m, 1, pop.n_total)
     _check_choice("form", form, ("kl", "squared"))
     if form == "squared":
         return _clamped(-2.0 * q.m * q.eps * q.eps / (pop.loss_bound ** 2))
@@ -118,7 +117,7 @@ def hoeffding_bound(pop: PopulationSummary, q: DeviationQuery, form: str = "kl")
 def serfling_bound(pop: PopulationSummary, q: DeviationQuery) -> TailBound:
     """Without-replacement bound exp{-(2 m eps^2 / B^2) * N/(N - m + 1)}."""
     n = pop.n_total
-    _check_sample(q.m, n)
+    _check_size("m", q.m, 1, n)
     exponent = -(2.0 * q.m * q.eps * q.eps / (pop.loss_bound ** 2)) * (n / (n - q.m + 1.0))
     return _clamped(exponent)
 
@@ -134,7 +133,7 @@ def direct_binary_bound(pop: PopulationSummary, q: DeviationQuery) -> TailBound:
     if not pop.binary:
         raise ValueError("counting bound requires a binary population")
     n = pop.n_total
-    _check_sample(q.m, n)
+    _check_size("m", q.m, 1, n)
     c = pop.mean
     beta = q.m / n
     if beta == 1.0:

@@ -99,8 +99,7 @@ class HypergeomSpec:
     def __post_init__(self):
         _check_size("m", self.m)
         _check_size("u", self.u)
-        if not 0 <= self.k <= self.m + self.u:
-            raise ValueError(f"k={self.k} outside 0..{self.m + self.u}")
+        _check_size("k", self.k, 0, self.m + self.u)
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,8 @@ def log_binomial(n: int, r: int) -> float:
     math.lgamma, large n through 30-digit mpmath so the only error left is
     the final rounding to a double.
     """
-    if n < 0 or r < 0 or r > n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+    _check_size("n", n, 0)
+    _check_size("r", r, 0, n)
     if r == 0 or r == n:
         return 0.0
     if n <= _LGAMMA_SAFE_N:
@@ -319,7 +318,7 @@ def _build(m: int, u: int, variants: tuple[str, ...], part: int, parts: int, tab
     return kept
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: 10.0 must not read the entry of 10
 def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
     """The worst-case-over-k tail of each of ``variants``, as a step function of the threshold.
 
@@ -343,7 +342,9 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
     above ``MAX_ENVELOPE_MU`` or m + u above ``MAX_ENVELOPE_N`` raises
     ValueError before any table is built.
     """
-    HypergeomSpec(m, u, 0)  # validates m and u
+    _check_size("m", m)
+    _check_size("u", u)
+    m, u = int(m), int(u)  # a numpy int32 m*u could wrap below the limits
     n = m + u
     if m * u > MAX_ENVELOPE_MU or n > MAX_ENVELOPE_N:
         raise ValueError(f"m={m}, u={u} is too large for the exact worst-case tail: m*u = "
@@ -426,5 +427,7 @@ def _vapnik_raw(variant: str, emp_risk, e: float, m: int, u: int):
 def vapnik_bound(emp_risk: float, eps_star: EpsilonStar, m: int, u: int) -> BoundValue:
     """Test-risk bound implied by an inverted deviation threshold; see ``_vapnik_raw``."""
     _check_unit("emp_risk", emp_risk)
+    _check_size("m", m)
+    _check_size("u", u)
     raw = float(_vapnik_raw(eps_star.variant, emp_risk, eps_star.value, m, u))
     return BoundValue(raw=raw, name=f"vapnik_{eps_star.variant}")

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.special import rel_entr
 
-from .hypergeom import (HypergeomSpec, _envelopes, _epsilon_star, _log_inverse, _vapnik_raw,
+from .hypergeom import (_envelopes, _epsilon_star, _log_inverse, _vapnik_raw,
                         epsilon_star, vapnik_bound)
 from .priors import _serfling_raw
 from .records import (BoundValue, _check_choice, _check_mass, _check_nonnegative,
@@ -69,7 +69,8 @@ class BoundInputs:
     loss_bound: float = 1.0
 
     def __post_init__(self):
-        HypergeomSpec(self.m, self.u, 0)  # validates m and u
+        _check_size("m", self.m)
+        _check_size("u", self.u)
         _check_probability("delta", self.delta)
         _check_positive("loss_bound", self.loss_bound)
         if not 0.0 <= self.emp_risk <= self.loss_bound:
@@ -151,8 +152,7 @@ def gibbs_raw(variant: str, emp_risk, kl_value, m: int, u: int, delta: float):
         R + sqrt((2 R (m+u)/u) T / (m-1)) + 2 T / (m-1),
         T = D + ln(m/delta) + 7 ln(m+u+1)
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _check_size("m", m, 2)
     r = emp_risk
     if variant == "reduction":
         k = _reduction_complexity(kl_value, m, delta)
@@ -257,8 +257,8 @@ def graepel_inductive_bound(emp_risk: float, m: int, s: int, delta: float) -> Bo
     (m/(m-s)) R + sqrt((s ln(2em/s) + ln(1/delta) + 2 ln m) / (2(m-s))),
     with the s ln(2em/s) term read as 0 at s = 0.
     """
-    if not 0 <= s < m:
-        raise ValueError("need 0 <= s < m")
+    _check_size("m", m)
+    _check_size("s", s, 0, m - 1)
     _check_unit("emp_risk", emp_risk)
     _check_probability("delta", delta)
     s_term = 0.0 if s == 0 else s * math.log(2.0 * math.e * m / s)

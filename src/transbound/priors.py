@@ -31,8 +31,8 @@ def compression_complexity(s: int, m: int, u: int, variant: str = "relaxed") -> 
     ``relaxed`` is the closed form s ln(2e(m+u)/s) + ln m obtained from
     C(m+u, s) <= (e(m+u)/s)^s; ``exact`` is ln m + s ln 2 + ln C(m+u, s).
     """
-    if not 1 <= s <= m:
-        raise ValueError("compression size must lie in 1..m")
+    _check_size("m", m)
+    _check_size("s", s, 1, m)
     if variant == "relaxed":
         return s * math.log(2.0 * math.e * (m + u) / s) + math.log(m)
     if variant == "exact":
@@ -78,10 +78,9 @@ def clustering_complexity(tau: int, c: int, k_ensemble: int = 1,
     ``printed``: tau + ln(kc); ``exact``: tau ln 2 + ln(kc), which equals
     ln(1/p(h)) for the mass p(h) = 2^-tau / (kc).
     """
-    if not 1 <= tau <= c:
-        raise ValueError("tau must lie in 1..c")
-    if k_ensemble < 1:
-        raise ValueError("ensemble size must be >= 1")
+    _check_size("c", c)
+    _check_size("tau", tau, 1, c)
+    _check_size("k_ensemble", k_ensemble)
     if variant == "printed":
         return tau + math.log(k_ensemble * c)
     if variant == "exact":

@@ -3,10 +3,13 @@
 Each ``_check_*`` raises a ValueError naming the argument and its value.  Its test reads
 ``not lo <= x <= hi``, which NaN fails, and no range admits an infinity: both are input errors.
 ``_check_labels`` tests membership in a set of labels, which NaN fails too, and ``_check_integers``
-refuses a fractional part or a value beyond int64, which an int64 cast would truncate or wrap."""
+refuses a fractional part or a value beyond int64, which an int64 cast would truncate or wrap.
+Every count (a size, an error or cluster count, a number of trials) goes through ``_check_size``:
+a ``numbers.Integral`` in lo..hi, numpy integers included, so even a whole float like 10.0 fails."""
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -61,14 +64,11 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
-def _check_size(name: str, value: int) -> None:
-    if not value >= 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-
-
-def _check_sample(m: int, n_total: int) -> None:
-    if not m <= n_total:
-        raise ValueError(f"m must not exceed the population size {n_total}, got {m}")
+def _check_size(name: str, value: int, lo: int = 1, hi: int | None = None) -> None:
+    if not (isinstance(value, numbers.Integral) and lo <= value and (hi is None or value <= hi)):
+        rule = (f"an integer in {lo}..{hi}" if hi is not None else
+                "a positive integer" if lo == 1 else f"an integer >= {lo}")
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def _check_choice(name: str, value: str, choices: tuple) -> None:
@@ -95,7 +95,8 @@ def _check_integers(name: str, values) -> np.ndarray:
     The entries are checked before the cast, which would truncate 1.9 to 1 and
     wrap 1e20 to a negative number."""
     raw = np.asarray(values)
-    bad = ~np.isfinite(raw) | (np.floor(raw) != raw)
+    num = raw.astype(np.float64) if raw.dtype == object else raw  # ints beyond uint64
+    bad = ~np.isfinite(num) | (np.floor(num) != num)
     if bad.any():
         raise ValueError(f"{name} must hold only integers, got {raw[bad].flat[0]}")
     if raw.dtype.kind != "i":  # signed integers of any width fit in int64

@@ -19,7 +19,8 @@ from ._fork import beside, second_cpu
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
 from .pac_bayes import BOUNDS
 from .priors import clustering_complexity
-from .records import BoundValue, _check_choice, _check_integers, _check_labels, _check_probability
+from .records import (BoundValue, _check_choice, _check_integers, _check_labels, _check_probability,
+                      _check_size)
 
 ALGORITHMS = ("kmeans", "agglomerative_single", "agglomerative_complete")
 LINKAGES = ALGORITHMS[1:]
@@ -94,8 +95,7 @@ class Partition:
     def __post_init__(self):
         a = _check_integers("assignment", self.assignment)
         object.__setattr__(self, "assignment", a)
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+        _check_size("tau", self.tau)
         if a.size == 0:
             raise ValueError("assignment must be nonempty")
         if a.min() < 0 or a.max() >= self.tau:
@@ -135,13 +135,13 @@ class TransduceConfig:
         for a in self.algorithms:
             _check_choice("clustering algorithm", a, ALGORITHMS)
         _check_choice("bound", self.bound_name, BOUND_NAMES)
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
+        _check_size("c", self.c)
         _check_probability("delta", self.delta)
 
 
 def _checked_points(data: Dataset, algorithms, c: int) -> np.ndarray:
     """The points by id, once every algorithm is known and c rows are distinct."""
+    _check_size("c", c)
     for algo in algorithms:
         _check_choice("clustering algorithm", algo, ALGORITHMS)
     pts = data.points_by_id()

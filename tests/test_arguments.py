@@ -7,15 +7,21 @@ drawn valid, and expects a ValueError whose message starts with that
 argument's name.  A second table gives sizes m or u below 1, which must also
 raise a ValueError naming the size, and a third finite values outside an
 argument's range, fractional labels among them, each rule's message coming
-from its one checker in ``records``.
+from its one checker in ``records``.  A fourth lists every public entry point
+that takes a count, with valid arguments and the counts it takes: each count
+set to 2.5 or to the whole float 10.0 must raise a ValueError naming it, and
+every count given as an ``np.int64`` or ``np.int32`` must be accepted.
 """
 
 import functools
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from transbound.clustering import agglomerative_sweep, kmeans_labels
 
 from transbound.concentration import (
     DeviationQuery,
@@ -32,6 +38,7 @@ from transbound.hypergeom import (
     deviation_tail,
     epsilon_star,
     gamma,
+    log_binomial,
     vapnik_bound,
 )
 from transbound.pac_bayes import (
@@ -39,17 +46,26 @@ from transbound.pac_bayes import (
     BoundInputs,
     evaluate_bound,
     full_to_test,
+    gibbs_raw,
     graepel_inductive_bound,
     invert_self_bounding,
     risk_mix,
 )
-from transbound.priors import clustering_bound, compression_bound
-from transbound.transduce import Dataset, LabeledSubset, Partition
+from transbound.priors import (
+    clustering_bound,
+    clustering_complexity,
+    compression_bound,
+    compression_complexity,
+)
+from transbound.transduce import Dataset, LabeledSubset, Partition, TransduceConfig, cluster_sweep
 from transbound.validation import (
     ClusteringInstance,
     FiniteHypothesisInstance,
+    SplitSampler,
     check_unbiasedness,
+    mc_bound_validity,
     mc_concentration,
+    random_hypothesis_instance,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -173,11 +189,11 @@ OUT_OF_RANGE = {
                                               {"n_total": 10, "mean": 0.0, "loss_bound": -1.0},
                                               "loss_bound must be positive and finite, got -1.0"),
     "hoeffding_bound": (hoeffding_bound, {"pop": _POP, "q": _OVERSIZED},
-                        "m must not exceed the population size 10, got 11"),
+                        "m must be an integer in 1..10, got 11"),
     "serfling_bound": (serfling_bound, {"pop": _POP, "q": _OVERSIZED},
-                       "m must not exceed the population size 10, got 11"),
+                       "m must be an integer in 1..10, got 11"),
     "direct_binary_bound": (direct_binary_bound, {"pop": _POP, "q": _OVERSIZED},
-                            "m must not exceed the population size 10, got 11"),
+                            "m must be an integer in 1..10, got 11"),
     # fractional labels, which an int64 cast would truncate to valid ones
     "mc_concentration-fractional": (mc_concentration,
                                     {"population": [0.5] * 50 + [1.7] * 50, "m": 50,
@@ -217,6 +233,29 @@ OUT_OF_RANGE = {
                                                       "clusterer_id": 0},
                                           "assignment must lie in the int64 range, "
                                           "got 9.223372036854776e+18"),
+    # a Python int beyond uint64, which numpy holds as an object
+    "LabeledSubset-python_int_beyond_int64": (LabeledSubset,
+                                              {"indices": [0, 2 ** 70], "labels": [1, -1]},
+                                              "indices must lie in the int64 range, "
+                                              "got 1180591620717411303424"),
+    # counts outside their range
+    "kmeans_labels-more_clusters_than_points": (kmeans_labels,
+                                                {"points": np.zeros((3, 2)), "tau": 5},
+                                                "tau must be an integer in 1..3, got 5"),
+    "cluster_sweep-no_clusters": (cluster_sweep,
+                                  {"data": Dataset(points=[[0.0], [1.0]], ids=[0, 1]),
+                                   "algorithm": "kmeans", "c": 0},
+                                  "c must be a positive integer, got 0"),
+    "ClusteringInstance-c_above_m": (ClusteringInstance,
+                                     {"points": [[0.0], [1.0], [2.0], [3.0]],
+                                      "target": [1, -1, 1, -1], "m": 2, "c": 3},
+                                     "c must be an integer in 1..2, got 3"),
+    "mc_concentration-too_few_trials": (mc_concentration,
+                                        {"population": [0, 1] * 20, "m": 20, "eps_grid": [0.1],
+                                         "trials": 999, "seed": 0},
+                                        "trials must be an integer >= 1000, got 999"),
+    "log_binomial-r_above_n": (log_binomial, {"n": 4, "r": 5},
+                               "r must be an integer in 0..4, got 5"),
 }
 
 
@@ -225,3 +264,99 @@ def test_out_of_range_argument_is_named(case):
     func, kwargs, message = OUT_OF_RANGE[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         func(**kwargs)
+
+
+_POINTS = [[0.0], [1.0], [2.0], [3.0]]
+_TARGET = [1, -1, 1, -1]
+_HYPOTHESES = FiniteHypothesisInstance(errors=[[0, 1, 0, 1], [1, 1, 0, 0]], prior=[0.5, 0.5],
+                                       m=2)
+
+# name: (callable, valid keyword arguments, the counts among them)
+COUNTS = {
+    "HypergeomSpec": (HypergeomSpec, {"m": 5, "u": 5, "k": 3}, ("m", "u", "k")),
+    "log_binomial": (log_binomial, {"n": 10, "r": 3}, ("n", "r")),
+    "gamma": (gamma, {"eps": 0.1, "m": 20, "u": 20}, ("m", "u")),
+    "epsilon_star": (epsilon_star, {"prior_mass": 0.5, "delta": 0.05, "m": 20, "u": 20},
+                     ("m", "u")),
+    "vapnik_bound": (vapnik_bound,
+                     {"emp_risk": 0.1, "m": 20, "u": 20,
+                      "eps_star": EpsilonStar(value=0.2, variant="absolute", achieving_k=3)},
+                     ("m", "u")),
+    "BoundInputs": (BoundInputs, {**_BOUND_INPUTS, "prior_mass": 0.5}, ("m", "u")),
+    "gibbs_raw": (functools.partial(gibbs_raw, "direct"),
+                  {"emp_risk": 0.1, "kl_value": 0.5, "m": 10, "u": 10, "delta": 0.05}, ("m",)),
+    "full_to_test": (full_to_test, {"full_excess": 0.1, "m": 10, "u": 5}, ("m", "u")),
+    "risk_mix": (risk_mix, {"r_m": 0.1, "r_u": 0.2, "m": 10, "u": 5}, ("m", "u")),
+    "graepel_inductive_bound": (graepel_inductive_bound,
+                                {"emp_risk": 0.1, "m": 100, "s": 10, "delta": 0.05},
+                                ("m", "s")),
+    "compression_complexity": (compression_complexity, {"s": 3, "m": 20, "u": 20}, ("s", "m")),
+    "compression_bound": (compression_bound,
+                          {"emp_risk": 0.1, "s": 3, "m": 20, "u": 20, "delta": 0.05},
+                          ("s", "m", "u")),
+    "clustering_complexity": (clustering_complexity, {"tau": 2, "c": 5, "k_ensemble": 2},
+                              ("tau", "c", "k_ensemble")),
+    "clustering_bound": (clustering_bound,
+                         {"emp_risk": 0.1, "tau": 2, "c": 5, "m": 20, "u": 20, "delta": 0.05,
+                          "k_ensemble": 2},
+                         ("tau", "c", "m", "u", "k_ensemble")),
+    "DeviationQuery": (DeviationQuery, {"m": 5, "eps": 0.1}, ("m",)),
+    "PopulationSummary": (PopulationSummary, {"n_total": 10, "mean": 0.3}, ("n_total",)),
+    "Partition": (Partition, {"tau": 2, "assignment": [0, 1], "clusterer_id": 0}, ("tau",)),
+    "TransduceConfig": (TransduceConfig, {"algorithms": ("kmeans",), "c": 2, "delta": 0.05},
+                        ("c",)),
+    "cluster_sweep": (cluster_sweep,
+                      {"data": Dataset(points=_POINTS, ids=[0, 1, 2, 3]), "algorithm": "kmeans",
+                       "c": 2},
+                      ("c",)),
+    "kmeans_labels": (kmeans_labels, {"points": _POINTS, "tau": 2}, ("tau",)),
+    "agglomerative_sweep": (agglomerative_sweep, {"points": _POINTS, "c": 2, "method": "single"},
+                            ("c",)),
+    "SplitSampler": (SplitSampler, {"n_total": 10, "m": 5, "master_seed": 0}, ("n_total", "m")),
+    "check_unbiasedness": (check_unbiasedness, {"errors": [1, 0, 0, 1], "m": 2}, ("m",)),
+    "mc_concentration": (mc_concentration,
+                         {"population": [0, 1] * 20, "m": 20, "eps_grid": [0.1], "trials": 1000,
+                          "seed": 0},
+                         ("m", "trials")),
+    "FiniteHypothesisInstance": (FiniteHypothesisInstance,
+                                 {"errors": [[0, 1, 0, 1]], "prior": [1.0], "m": 2}, ("m",)),
+    "ClusteringInstance": (ClusteringInstance,
+                           {"points": _POINTS, "target": _TARGET, "m": 2, "c": 1}, ("m", "c")),
+    "random_hypothesis_instance": (random_hypothesis_instance,
+                                   {"n_total": 20, "m": 10, "n_hyp": 4, "seed": 0},
+                                   ("n_total", "m", "n_hyp")),
+    "mc_bound_validity-serfling": (mc_bound_validity,
+                                   {"scenario": "serfling", "instance": _HYPOTHESES,
+                                    "delta": 0.05, "trials": 50, "seed": 0},
+                                   ("trials",)),
+    "mc_bound_validity-clustering": (mc_bound_validity,
+                                     {"scenario": "clustering",
+                                      "instance": ClusteringInstance(points=_POINTS,
+                                                                     target=_TARGET, m=2, c=1),
+                                      "delta": 0.05, "trials": 50, "seed": 0},
+                                     ("trials",)),
+}
+
+for _name in EVAL_BOUNDS:
+    COUNTS[f"evaluate_bound-{_name}"] = (
+        functools.partial(evaluate_bound, _name),
+        {"m": 20, "u": 20, "delta": 0.05, "emp_risk": 0.1, "prior_mass": 0.5, "kl_value": 0.5},
+        ("m", "u"))
+
+COUNT_CASES = [(case, count) for case, (_, _, counts) in COUNTS.items() for count in counts]
+
+
+@pytest.mark.parametrize("bad", [2.5, 10.0])
+@pytest.mark.parametrize("case,count", COUNT_CASES, ids=[f"{c}-{n}" for c, n in COUNT_CASES])
+def test_non_integer_count_is_named(case, count, bad):
+    func, kwargs, _ = COUNTS[case]
+    with pytest.raises(ValueError, match=rf"^{count} must be (a positive integer|an integer .*), "
+                                         rf"got {re.escape(str(bad))}$"):
+        func(**{**kwargs, count: bad})
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("case", COUNTS)
+def test_numpy_integer_counts_are_accepted(case, dtype):
+    func, kwargs, counts = COUNTS[case]
+    func(**{**kwargs, **{count: dtype(kwargs[count]) for count in counts}})

@@ -419,6 +419,18 @@ class TestTransduce:
         assert code == 2
         assert "unknown id" in err
 
+    @pytest.mark.parametrize("row", ["1.0,-1", "1,-1.0", "x,1", "1", "1,-1,0", "1,"])
+    @pytest.mark.parametrize("command", ["transduce", "validate"])
+    def test_malformed_label_row_names_its_line(self, capsys, tmp_path, command, row):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0,1\n" + row + "\n" + "".join(f"{i},1\n" for i in range(2, 100)))
+        argv = (["transduce", "--max-clusters", "2"] if command == "transduce" else
+                ["validate", "--scenario", "clustering", "--m", "50", "--trials", "10"])
+        code, out, err = run(capsys, argv + ["--data", FEATURES, "--labels", str(labels)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {labels}:2: expected 'id,label' of two integers\n"
+
     def test_oversized_agglomerative_exits_2(self, capsys, monkeypatch):
         # the two-blob file's 100 points need 4950 distances; lower the cap below that
         monkeypatch.setattr(clustering, "MAX_LINKAGE_PAIRS", 4949)
@@ -580,6 +592,19 @@ class TestMcConcentration:
              "--trials", "0"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--ones", "5", "--trials", "0"], "trials must be a positive integer, got 0"),
+        (["--ones", "21", "--trials", "1000"], "ones must be an integer in 0..20, got 21"),
+        (["--ones", "-1", "--trials", "1000"], "ones must be an integer in 0..20, got -1"),
+        (["--ones", "5", "--trials", "999"], "trials must be an integer >= 1000, got 999"),
+    ])
+    def test_counts_out_of_range_are_named(self, capsys, flags, message):
+        code, out, err = run(capsys, ["mc-concentration", "--population-size", "20", "--m", "10",
+                                      *flags])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_smoke(self, capsys):
         code, out, _ = run(
