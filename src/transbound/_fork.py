@@ -1,12 +1,12 @@
 """One forked worker beside the caller, for work split across two CPUs.
 
-``transduce.ensemble_sweep`` and ``hypergeom._envelopes`` each run one part
-of a pure computation in the worker while the caller runs the other part
-(``beside``).  Where the worker cannot start or dies, the caller runs its
-part too, so their results never depend on it.  Fork is safe for both: a
-worker runs NumPy's elementwise kernels and sorts, pickling and one pipe
-write, so it makes no BLAS call and takes no lock another thread of the
-caller could hold.
+``hypergeom._envelopes`` runs one part of a pure computation in the worker
+while the caller runs the other (``beside``); ``transduce.ensemble_sweep``'s
+two processes take jobs from one list (``shared``).  Where the worker cannot
+start or dies, the caller runs its part too, so results never depend on it.
+Fork is safe for both: a worker runs NumPy's elementwise kernels, sorts,
+scipy's linkage, pickling and one pipe write, so it makes no BLAS call and
+takes no lock that another thread of the caller could hold at the fork.
 """
 
 import os
@@ -68,3 +68,38 @@ def beside(local, remote):
     if error:
         raise error[0] from RuntimeError(f"in the forked worker:\n{error[1]}")
     return mine, theirs
+
+
+# A claim holds the job counter's lock for microseconds, and a process killed
+# in one never releases it: a wait this long means that its holder died.
+_CLAIM_WAIT_S = 1.0
+
+
+def shared(jobs: list) -> list:
+    """[job() for job in jobs], run by this process and a forked worker (``beside``).
+
+    Each takes the next job not yet taken, from a counter in memory shared
+    across the fork, so a list ordered longest first keeps both busy.  A job
+    the worker took but never returned runs here last, and so does every job
+    where the counter's lock cannot be made (no POSIX semaphores or /dev/shm).
+    """
+    import multiprocessing
+
+    try:
+        taken = multiprocessing.get_context("fork").Value("q", 0)
+    except OSError:
+        return [job() for job in jobs]
+
+    def take():
+        done = {}
+        while taken.get_lock().acquire(timeout=_CLAIM_WAIT_S):
+            i, taken.value = taken.value, taken.value + 1
+            taken.get_lock().release()
+            if i >= len(jobs):
+                break
+            done[i] = jobs[i]()
+        return done
+
+    mine, theirs = beside(take, take)
+    done = mine | theirs
+    return [done[i] if i in done else jobs[i]() for i in range(len(jobs))]

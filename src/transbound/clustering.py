@@ -13,16 +13,17 @@ they are built from one array of squared differences per coordinate, added
 in the order NumPy's pairwise reduction uses over a contiguous axis
 (sequential below 8 terms; eight interleaved partial sums combined as
 ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128 terms; halving at a
-multiple of 8 above that).  Each new k-means center equals the mean of its
-members' rows in index order, as a boolean mask would select them.
-k-means converts its points to float64 first.  For d >= 2 the mean is then
-a sequential float64 sum of the rows, so one ``np.bincount`` per coordinate
-over all rows, divided by the sizes, gives its bits; d = 1 keeps the
-per-cluster ``mean``, since the mean of a contiguous column is a pairwise
-sum.  ``bincount`` starts from +0.0, so a coordinate whose members all hold
--0.0 reads +0.0 where a sum that starts from the first row gives -0.0;
-squared differences and shifts are the same for either zero, so no label
-changes.
+multiple of 8 above that); k-means keeps that matrix across its iterations
+and rebuilds, in the same order, the rows of centers that moved.  Each new
+k-means center equals the mean of its members' rows in index order, as a
+boolean mask would select them.  k-means converts its points to float64
+first.  For d >= 2 the mean is then a sequential float64 sum of the rows, so
+one ``np.bincount`` per coordinate over all rows, divided by the sizes,
+gives its bits; d = 1 keeps the per-cluster ``mean``, since the mean of a
+contiguous column is a pairwise sum.  ``bincount`` starts from +0.0, so a
+coordinate whose members all hold -0.0 reads +0.0 where a sum that starts
+from the first row gives -0.0; squared differences and shifts are the same
+for either zero, so no label changes.
 The nearest center is the first index at each column's minimum, argmin's
 tie rule; a column holding a NaN falls back to ``np.argmin``.
 """
@@ -90,6 +91,40 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _pairwise_sum(list(sq))
 
 
+def _center_rows(coords: np.ndarray, centers: np.ndarray, bufs: np.ndarray) -> np.ndarray:
+    """Rows of ``_sq_dists`` for the (k, d) ``centers``, in the first k rows of ``bufs[0]``.
+
+    Below d = 16 each term is made in place in a (tau, n) buffer, which beats
+    ``_sq_dists``' (d, k, n) temporary, and added in ``_pairwise_sum``'s
+    order: in sequence, after a tree of the first eight from d = 8.
+    """
+    k, d = centers.shape
+    if d >= 16:
+        return _sq_dists(coords[:, None, :], np.ascontiguousarray(centers.T)[:, :, None])
+
+    def tree(lo, width, out, spare):
+        if width == 1:
+            return np.square(np.subtract(coords[lo], centers[:, lo, None], out=out), out=out)
+        tree(lo, width // 2, out, spare)
+        out += tree(lo + width // 2, width // 2, spare[0], spare[1:])
+        return out
+
+    views = [buf[:k] for buf in bufs]
+    head = 8 if d >= 8 else 1
+    total = tree(0, head, views[0], views[1:])
+    for j in range(head, d):
+        total += tree(j, 1, views[1], [])
+    return total
+
+
+def _nearest(dists: np.ndarray) -> np.ndarray:
+    """Each column's first index at its minimum; argmin where a NaN, equal to nothing, is one."""
+    low = dists.min(axis=0)
+    if np.isnan(low).any():
+        return np.argmin(dists, axis=0)
+    return (dists == low).argmax(axis=0)
+
+
 def _updated_centers(points: np.ndarray, coords: np.ndarray, labels: np.ndarray,
                      sizes: np.ndarray) -> np.ndarray:
     """Row j is the mean of the points labelled j, for each j < ``len(sizes)``.
@@ -125,37 +160,30 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
     member of the currently largest cluster.
 
     The points are converted to float64 first, so labels of narrower or
-    integer points are those of their float64 values.  Every iteration
-    computes every point's distance to every center and every center's
-    mean, keeping only labels, centers and sizes from one iteration to the
-    next.  The first iteration's distances equal the seeding's rows bit for
-    bit, and a cluster whose members did not change gets the bits of its
-    last mean again.
+    integer points are those of their float64 values.  The seeding fills the
+    (tau, n) distance matrix, and each iteration rebuilds only the rows of
+    centers whose bits changed, a NaN center's always; a zero's sign changes
+    no square.  So it equals a fresh ``_sq_dists`` bit for bit, and a
+    cluster whose members did not change gets the bits of its last mean.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    _check_size("tau", tau, 1, n)
+    n, d = points.shape
+    tau = _check_size("tau", tau, 1, n)
     if tau == 1:
         return np.zeros(n, dtype=np.int64)
 
     coords = np.ascontiguousarray(points.T)
-    seeds = [int(np.argmin(_sq_dists(coords, points.mean(axis=0)[:, None])))]
-    nearest = _sq_dists(coords, coords[:, seeds[0], None])
-    while len(seeds) < tau:
+    bufs = np.empty((2 if d < 8 else 4 if d < 16 else 0, tau, n))
+    dists, nearest = np.empty((tau, n)), np.full(n, np.inf)
+    seeds = [int(np.argmin(_center_rows(coords, points.mean(axis=0)[None], bufs)))]
+    for j in range(tau):  # each seed is the point farthest from the seeds before it
+        dists[j] = _center_rows(coords, points[seeds[-1:]], bufs)
+        np.minimum(nearest, dists[j], out=nearest)
         seeds.append(int(np.argmax(nearest)))
-        nearest = np.minimum(nearest, _sq_dists(coords, coords[:, seeds[-1], None]))
-    centers = points[seeds]
+    centers = points[seeds[:tau]]
 
     for _ in range(KMEANS_MAX_ITER):
-        dists = _sq_dists(coords[:, None, :], np.ascontiguousarray(centers.T)[:, :, None])
-        low = dists.min(axis=0)
-        # the first index at the minimum is argmin's tie rule; a NaN is the
-        # minimum of its column but equals nothing, so argmin takes over
-        if np.isnan(low).any():
-            labels = np.argmin(dists, axis=0)
-        else:
-            labels = (dists == low).argmax(axis=0)
-
+        labels = _nearest(dists)
         sizes = np.bincount(labels, minlength=tau)
         for j in range(tau):
             if sizes[j] == 0:
@@ -168,9 +196,11 @@ def kmeans_labels(points: np.ndarray, tau: int) -> np.ndarray:
 
         new_centers = _updated_centers(points, coords, labels, sizes)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1))
+        moved = np.flatnonzero((new_centers != centers).any(axis=1))
         centers = new_centers
         if shift.max() <= KMEANS_TOL:
             break
+        dists[moved] = _center_rows(coords, centers[moved], bufs)
     return canonical_labels(labels)
 
 
@@ -200,7 +230,7 @@ def agglomerative_sweep(points: np.ndarray, c: int, method: str,
     if already built; ``linkage`` does not modify it.
     """
     _check_choice("linkage", method, ("single", "complete"))
-    _check_size("c", c)
+    c = _check_size("c", c)
     n = len(points)
     if n == 1:
         return {1: np.zeros(1, dtype=np.int64)}

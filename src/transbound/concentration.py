@@ -27,7 +27,7 @@ class PopulationSummary:
     binary: bool = False
 
     def __post_init__(self):
-        _check_size("n_total", self.n_total)
+        object.__setattr__(self, "n_total", _check_size("n_total", self.n_total))
         _check_positive("loss_bound", self.loss_bound)
         if not 0.0 <= self.mean <= self.loss_bound:
             raise ValueError(f"mean must lie in [0, loss_bound], got {self.mean}")
@@ -47,7 +47,7 @@ class DeviationQuery:
     eps: float
 
     def __post_init__(self):
-        _check_size("m", self.m)
+        object.__setattr__(self, "m", _check_size("m", self.m))
         _check_nonnegative("eps", self.eps)
 
 

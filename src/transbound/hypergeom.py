@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._fork import beside, second_cpu
-from .records import (BoundValue, _check_choice, _check_mass, _check_nonnegative,
+from .records import (BoundValue, _check_choice, _check_integer, _check_mass, _check_nonnegative,
                       _check_probability, _check_size, _check_unit)
 
 VARIANTS = ("relative", "absolute")
@@ -97,9 +97,9 @@ class HypergeomSpec:
     k: int
 
     def __post_init__(self):
-        _check_size("m", self.m)
-        _check_size("u", self.u)
-        _check_size("k", self.k, 0, self.m + self.u)
+        object.__setattr__(self, "m", _check_size("m", self.m))
+        object.__setattr__(self, "u", _check_size("u", self.u))
+        object.__setattr__(self, "k", _check_size("k", self.k, 0, self.m + self.u))
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,8 @@ def log_binomial(n: int, r: int) -> float:
     math.lgamma, large n through 30-digit mpmath so the only error left is
     the final rounding to a double.
     """
-    _check_size("n", n, 0)
-    _check_size("r", r, 0, n)
+    n = _check_size("n", n, 0)
+    r = _check_size("r", r, 0, n)
     if r == 0 or r == n:
         return 0.0
     if n <= _LGAMMA_SAFE_N:
@@ -167,8 +167,9 @@ def hypergeom_pmf(r: int, spec: HypergeomSpec) -> float:
     """Probability that exactly r of the k errors land in the training set.
 
     Zero outside the feasible range max(k-u, 0) <= r <= min(m, k); computed
-    in log space and exponentiated.
+    in log space and exponentiated.  A fractional r raises a ValueError.
     """
+    r = _check_integer("r", r)
     k, m, u = spec.k, spec.m, spec.u
     if r < max(k - u, 0) or r > min(m, k):
         return 0.0
@@ -342,9 +343,8 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
     above ``MAX_ENVELOPE_MU`` or m + u above ``MAX_ENVELOPE_N`` raises
     ValueError before any table is built.
     """
-    _check_size("m", m)
-    _check_size("u", u)
-    m, u = int(m), int(u)  # a numpy int32 m*u could wrap below the limits
+    m = _check_size("m", m)
+    u = _check_size("u", u)
     n = m + u
     if m * u > MAX_ENVELOPE_MU or n > MAX_ENVELOPE_N:
         raise ValueError(f"m={m}, u={u} is too large for the exact worst-case tail: m*u = "
@@ -427,7 +427,7 @@ def _vapnik_raw(variant: str, emp_risk, e: float, m: int, u: int):
 def vapnik_bound(emp_risk: float, eps_star: EpsilonStar, m: int, u: int) -> BoundValue:
     """Test-risk bound implied by an inverted deviation threshold; see ``_vapnik_raw``."""
     _check_unit("emp_risk", emp_risk)
-    _check_size("m", m)
-    _check_size("u", u)
+    m = _check_size("m", m)
+    u = _check_size("u", u)
     raw = float(_vapnik_raw(eps_star.variant, emp_risk, eps_star.value, m, u))
     return BoundValue(raw=raw, name=f"vapnik_{eps_star.variant}")

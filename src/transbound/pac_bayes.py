@@ -69,8 +69,8 @@ class BoundInputs:
     loss_bound: float = 1.0
 
     def __post_init__(self):
-        _check_size("m", self.m)
-        _check_size("u", self.u)
+        object.__setattr__(self, "m", _check_size("m", self.m))
+        object.__setattr__(self, "u", _check_size("u", self.u))
         _check_probability("delta", self.delta)
         _check_positive("loss_bound", self.loss_bound)
         if not 0.0 <= self.emp_risk <= self.loss_bound:
@@ -106,8 +106,8 @@ def full_to_test(full_excess: float, m: int, u: int) -> float:
     """Convert a finite bound excess over the full-sample risk into one over the test risk."""
     if not math.isfinite(full_excess):
         raise ValueError(f"full_excess must be finite, got {full_excess}")
-    _check_size("m", m)
-    _check_size("u", u)
+    m = _check_size("m", m)
+    u = _check_size("u", u)
     return (m + u) / u * full_excess
 
 
@@ -115,8 +115,8 @@ def risk_mix(r_m: float, r_u: float, m: int, u: int) -> float:
     """Full-sample risk as the exact convex mixture of train and test risks."""
     _check_unit("r_m", r_m)
     _check_unit("r_u", r_u)
-    _check_size("m", m)
-    _check_size("u", u)
+    m = _check_size("m", m)
+    u = _check_size("u", u)
     return (m * r_m + u * r_u) / (m + u)
 
 
@@ -152,7 +152,8 @@ def gibbs_raw(variant: str, emp_risk, kl_value, m: int, u: int, delta: float):
         R + sqrt((2 R (m+u)/u) T / (m-1)) + 2 T / (m-1),
         T = D + ln(m/delta) + 7 ln(m+u+1)
     """
-    _check_size("m", m, 2)
+    m = _check_size("m", m, 2)
+    u = _check_size("u", u)
     r = emp_risk
     if variant == "reduction":
         k = _reduction_complexity(kl_value, m, delta)
@@ -257,8 +258,8 @@ def graepel_inductive_bound(emp_risk: float, m: int, s: int, delta: float) -> Bo
     (m/(m-s)) R + sqrt((s ln(2em/s) + ln(1/delta) + 2 ln m) / (2(m-s))),
     with the s ln(2em/s) term read as 0 at s = 0.
     """
-    _check_size("m", m)
-    _check_size("s", s, 0, m - 1)
+    m = _check_size("m", m)
+    s = _check_size("s", s, 0, m - 1)
     _check_unit("emp_risk", emp_risk)
     _check_probability("delta", delta)
     s_term = 0.0 if s == 0 else s * math.log(2.0 * math.e * m / s)

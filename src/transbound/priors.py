@@ -31,8 +31,9 @@ def compression_complexity(s: int, m: int, u: int, variant: str = "relaxed") -> 
     ``relaxed`` is the closed form s ln(2e(m+u)/s) + ln m obtained from
     C(m+u, s) <= (e(m+u)/s)^s; ``exact`` is ln m + s ln 2 + ln C(m+u, s).
     """
-    _check_size("m", m)
-    _check_size("s", s, 1, m)
+    m = _check_size("m", m)
+    s = _check_size("s", s, 1, m)
+    u = _check_size("u", u)
     if variant == "relaxed":
         return s * math.log(2.0 * math.e * (m + u) / s) + math.log(m)
     if variant == "exact":
@@ -53,8 +54,8 @@ def _serfling_bound(emp_risk: float, complexity: float, m: int, u: int, delta: f
     """``_serfling_raw`` at one checked point."""
     _check_probability("delta", delta)
     _check_unit("emp_risk", emp_risk)
-    _check_size("m", m)
-    _check_size("u", u)
+    m = _check_size("m", m)
+    u = _check_size("u", u)
     return BoundValue(raw=_serfling_raw(emp_risk, complexity, m, u, delta, m_factor), name=name)
 
 
@@ -78,9 +79,9 @@ def clustering_complexity(tau: int, c: int, k_ensemble: int = 1,
     ``printed``: tau + ln(kc); ``exact``: tau ln 2 + ln(kc), which equals
     ln(1/p(h)) for the mass p(h) = 2^-tau / (kc).
     """
-    _check_size("c", c)
-    _check_size("tau", tau, 1, c)
-    _check_size("k_ensemble", k_ensemble)
+    c = _check_size("c", c)
+    tau = _check_size("tau", tau, 1, c)
+    k_ensemble = _check_size("k_ensemble", k_ensemble)
     if variant == "printed":
         return tau + math.log(k_ensemble * c)
     if variant == "exact":

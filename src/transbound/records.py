@@ -5,7 +5,8 @@ Each ``_check_*`` raises a ValueError naming the argument and its value.  Its te
 ``_check_labels`` tests membership in a set of labels, which NaN fails too, and ``_check_integers``
 refuses a fractional part or a value beyond int64, which an int64 cast would truncate or wrap.
 Every count (a size, an error or cluster count, a number of trials) goes through ``_check_size``:
-a ``numbers.Integral`` in lo..hi, numpy integers included, so even a whole float like 10.0 fails."""
+a ``numbers.Integral`` in lo..hi, numpy integers included, so even a whole float like 10.0 fails.
+It and ``_check_integer`` (any integer, such as a seed) return a Python int for callers to use."""
 
 from dataclasses import dataclass
 import math
@@ -64,11 +65,18 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
-def _check_size(name: str, value: int, lo: int = 1, hi: int | None = None) -> None:
+def _check_size(name: str, value: int, lo: int = 1, hi: int | None = None) -> int:
     if not (isinstance(value, numbers.Integral) and lo <= value and (hi is None or value <= hi)):
         rule = (f"an integer in {lo}..{hi}" if hi is not None else
                 "a positive integer" if lo == 1 else f"an integer >= {lo}")
         raise ValueError(f"{name} must be {rule}, got {value}")
+    return int(value)
+
+
+def _check_integer(name: str, value: int) -> int:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def _check_choice(name: str, value: str, choices: tuple) -> None:

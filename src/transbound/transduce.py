@@ -11,11 +11,12 @@ random choice of the training subset.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from ._fork import beside, second_cpu
+from ._fork import second_cpu, shared
 from .clustering import agglomerative_sweep, condensed_distances, kmeans_labels
 from .pac_bayes import BOUNDS
 from .priors import clustering_complexity
@@ -95,7 +96,7 @@ class Partition:
     def __post_init__(self):
         a = _check_integers("assignment", self.assignment)
         object.__setattr__(self, "assignment", a)
-        _check_size("tau", self.tau)
+        object.__setattr__(self, "tau", _check_size("tau", self.tau))
         if a.size == 0:
             raise ValueError("assignment must be nonempty")
         if a.min() < 0 or a.max() >= self.tau:
@@ -135,13 +136,13 @@ class TransduceConfig:
         for a in self.algorithms:
             _check_choice("clustering algorithm", a, ALGORITHMS)
         _check_choice("bound", self.bound_name, BOUND_NAMES)
-        _check_size("c", self.c)
+        object.__setattr__(self, "c", _check_size("c", self.c))
         _check_probability("delta", self.delta)
 
 
 def _checked_points(data: Dataset, algorithms, c: int) -> np.ndarray:
     """The points by id, once every algorithm is known and c rows are distinct."""
-    _check_size("c", c)
+    c = _check_size("c", c)
     for algo in algorithms:
         _check_choice("clustering algorithm", algo, ALGORITHMS)
     pts = data.points_by_id()
@@ -151,20 +152,6 @@ def _checked_points(data: Dataset, algorithms, c: int) -> np.ndarray:
     return pts
 
 
-def _sweep(pts: np.ndarray, algorithm: str, c: int, clusterer_id: int,
-           dists: np.ndarray | None) -> list[Partition]:
-    """``cluster_sweep`` of the ``_checked_points``."""
-    if algorithm == "kmeans":
-        by_tau = {tau: kmeans_labels(pts, tau) for tau in range(1, c + 1)}
-    else:
-        method = algorithm.removeprefix("agglomerative_")
-        by_tau = agglomerative_sweep(pts, c, method, dists)
-    return [
-        Partition(tau=tau, assignment=by_tau[tau], clusterer_id=clusterer_id)
-        for tau in range(1, c + 1)
-    ]
-
-
 def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) -> list[Partition]:
     """Partitions of the full sample into tau = 1..c clusters.
 
@@ -172,51 +159,46 @@ def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) 
     consumes randomness.  Points are addressed by id, so presentation order
     of the dataset rows is irrelevant.
     """
-    return _sweep(_checked_points(data, (algorithm,), c), algorithm, c, clusterer_id, None)
+    return [Partition(tau=p.tau, assignment=p.assignment, clusterer_id=clusterer_id)
+            for p in ensemble_sweep(data, (algorithm,), c)]
 
 
-# Smallest n at which ensemble_sweep runs the k-means sweeps in a forked
-# worker while the caller runs the linkage sweeps.  Starting and reaping the
-# worker takes about 3.4 ms, and while both run each pays for the pages the
-# other still shares.  ensemble_sweep of all three clusterers at c = 20 on
-# 6-centre blobs, in-process against forked, medians of 15 alternating calls
-# (ms, 2 vCPUs, one BLAS thread):
-#   n      500        1000        1500        2000        3000
-#   d = 2  30 / 43    54 / 70    114 / 123   204 / 138   427 / 278
-#   d = 8  52 / 52   119 / 121   254 / 234   415 / 304   652 / 341
-# At n = 1500 and d = 2 a second series of 25 read 112 / 106.
-_FORK_MIN_N = 1500
+# Smallest n at which ensemble_sweep shares its jobs with a forked worker.
+# Starting and reaping the worker takes a few ms, and while both run each
+# pays for the pages the other still shares.  ensemble_sweep of all three
+# clusterers at c = 20 on 6-centre blobs, in-process against forked, medians
+# of 25 alternating calls (ms, 2 vCPUs, one BLAS thread):
+#   n      500        1000       1500        2000        3000
+#   d = 2  29 / 39    68 / 47    88 / 65    168 / 117   348 / 220
+#   d = 8  51 / 39    98 / 70   183 / 123   277 / 153   460 / 299
+_FORK_MIN_N = 1000
 
 
 def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
     """``cluster_sweep`` of every algorithm, clusterer id = position in ``algorithms``.
 
-    The points are checked for c distinct rows once.  Two or more linkages
-    share one condensed distance matrix, dropped after the last of them.
-    Where the ensemble holds k-means and a linkage, n is at least
-    ``_FORK_MIN_N`` and a ``second_cpu`` is usable, the caller runs the
-    linkage sweeps while a forked worker runs the k-means sweeps
-    (``_fork.beside``).  Every sweep is a pure function of the points, so
-    either way the partitions are the same.
+    The points are checked for c distinct rows once.  The jobs, longest
+    first, are each linkage sweep, then each (k-means clusterer, tau) from
+    tau = c down.  With k-means and a linkage, n >= ``_FORK_MIN_N`` and a
+    ``second_cpu``, a forked worker shares them (``_fork.shared``); the
+    condensed distances are then built once before the fork, as for two or
+    more linkages.  Every job is a pure function of the points.
     """
     pts = _checked_points(data, algorithms, c)
-    kmeans = [i for i, algo in enumerate(algorithms) if algo == "kmeans"]
     linkages = [i for i, algo in enumerate(algorithms) if algo in LINKAGES]
-
-    def linkage_sweeps():
-        dists = condensed_distances(pts) if len(linkages) > 1 else None
-        return [_sweep(pts, algorithms[i], c, i, dists) for i in linkages]
-
-    def kmeans_sweeps():
-        return [_sweep(pts, "kmeans", c, i, None) for i in kmeans]
-
-    if kmeans and linkages and len(pts) >= _FORK_MIN_N and second_cpu():
-        # the worker runs the k-means sweeps
-        by_linkage, by_kmeans = beside(linkage_sweeps, kmeans_sweeps)
-    else:
-        by_linkage, by_kmeans = linkage_sweeps(), kmeans_sweeps()
-    sweeps = dict(zip(linkages + kmeans, by_linkage + by_kmeans))
-    return [p for i in range(len(algorithms)) for p in sweeps[i]]
+    kmeans = [i for i, algo in enumerate(algorithms) if algo == "kmeans"]
+    fork = kmeans and linkages and len(pts) >= _FORK_MIN_N and second_cpu()
+    dists = condensed_distances(pts) if fork or len(linkages) > 1 else None
+    jobs = [partial(agglomerative_sweep, pts, c, algorithms[i].removeprefix("agglomerative_"),
+                    dists) for i in linkages]
+    jobs += [lambda tau=tau: {tau: kmeans_labels(pts, tau)} for _ in kmeans
+             for tau in range(c, 0, -1)]
+    by_tau = {i: {} for i in range(len(algorithms))}
+    for i, labels in zip(linkages + [i for i in kmeans for _ in range(c)],
+                         shared(jobs) if fork else [job() for job in jobs]):
+        by_tau[i].update(labels)
+    return [Partition(tau=tau, assignment=by_tau[i][tau], clusterer_id=i)
+            for i in range(len(algorithms)) for tau in range(1, c + 1)]
 
 
 # Every summand of a count product is 0 or 1, so a float product returns the

@@ -36,7 +36,7 @@ from .concentration import (
 )
 from .hypergeom import HypergeomSpec, _log_inverse, epsilon_star, hypergeom_pmf
 from .pac_bayes import BOUNDS, kl_divergence
-from .records import _check_choice, _check_labels, _check_probability, _check_size
+from .records import _check_choice, _check_integer, _check_labels, _check_probability, _check_size
 from .transduce import (
     ALGORITHMS,
     BOUND_NAMES,
@@ -82,9 +82,8 @@ def splitmix64(master_seed: int, trial_index: int) -> int:
 
 def check_mc_cells(rows: int, cols: int, what: str) -> None:
     """Reject a Monte-Carlo array of rows x cols cells above ``MAX_MC_CELLS``."""
-    cells = int(rows) * int(cols)  # a numpy int32 product could wrap below the limit
-    if cells > MAX_MC_CELLS:
-        raise ValueError(f"{what} = {rows} x {cols} = {cells} cells exceeds the "
+    if rows * cols > MAX_MC_CELLS:
+        raise ValueError(f"{what} = {rows} x {cols} = {rows * cols} cells exceeds the "
                          f"Monte-Carlo limit of {MAX_MC_CELLS}")
 
 
@@ -97,8 +96,9 @@ class SplitSampler:
     master_seed: int
 
     def __post_init__(self):
-        _check_size("n_total", self.n_total, 2)
-        _check_size("m", self.m, 1, self.n_total - 1)
+        object.__setattr__(self, "n_total", _check_size("n_total", self.n_total, 2))
+        object.__setattr__(self, "m", _check_size("m", self.m, 1, self.n_total - 1))
+        object.__setattr__(self, "master_seed", _check_integer("master_seed", self.master_seed))
 
 
 def sample_split(sampler: SplitSampler, trial_index: int) -> np.ndarray:
@@ -412,7 +412,7 @@ def check_unbiasedness(errors, m: int) -> UnbiasednessReport:
     """
     errors = _check_labels("errors", errors, (0, 1)).tolist()
     n = len(errors)
-    _check_size("m", m, 1, n)
+    m = _check_size("m", m, 1, n)
     if n > 25:
         raise ValueError("exhaustive check limited to n <= 25; use mc_concentration")
     dist = _exhaustive_error_distribution(errors, m)
@@ -431,7 +431,8 @@ def mc_concentration(population, m: int, eps_grid, trials: int, seed: int,
     probability; the bound check is deterministic (exact <= bound).  The last
     chunk of split masks stays referenced until a draw of other splits.
     """
-    _check_size("trials", trials, 1000)  # fewer give no meaningful tolerance
+    trials = _check_size("trials", trials, 1000)  # fewer give no meaningful tolerance
+    seed = _check_integer("seed", seed)
     population = _check_labels("population", population, (0, 1))
     n = len(population)
     if n == 0:
@@ -495,7 +496,7 @@ class FiniteHypothesisInstance:
             raise ValueError("errors must be a 0/1 matrix")
         if p.shape != (e.shape[0],) or abs(p.sum() - 1.0) > 1e-12 or (p <= 0).any():
             raise ValueError("prior must be a positive distribution over hypotheses")
-        _check_size("m", self.m, 1, e.shape[1] - 1)
+        object.__setattr__(self, "m", _check_size("m", self.m, 1, e.shape[1] - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,16 +521,17 @@ class ClusteringInstance:
             _check_choice("clustering algorithm", algo, ALGORITHMS)
         if len(t) != len(self.points):
             raise ValueError("one target label per point required")
-        _check_size("m", self.m, 1, len(t) - 1)
-        _check_size("c", self.c, 1, self.m)
+        object.__setattr__(self, "m", _check_size("m", self.m, 1, len(t) - 1))
+        object.__setattr__(self, "c", _check_size("c", self.c, 1, self.m))
         _check_choice("clustering bound", self.bound_name, BOUND_NAMES)
 
 
 def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> FiniteHypothesisInstance:
     """Random +-1 labelings against a random target, uniform prior."""
-    _check_size("n_total", n_total, 2)
-    _check_size("m", m, 1, n_total - 1)
-    _check_size("n_hyp", n_hyp)
+    n_total = _check_size("n_total", n_total, 2)
+    m = _check_size("m", m, 1, n_total - 1)
+    n_hyp = _check_size("n_hyp", n_hyp)
+    seed = _check_integer("seed", seed)
     check_mc_cells(n_hyp, n_total, "hypotheses x n_total")
     rng = np.random.Generator(np.random.PCG64(splitmix64(seed, 0)))
     target = rng.choice([-1, 1], size=n_total)
@@ -631,7 +633,8 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     held for the next call on the same splits until other splits are drawn.
     """
     _check_choice("scenario", scenario, SCENARIOS)
-    _check_size("trials", trials)
+    trials = _check_size("trials", trials)
+    seed = _check_integer("seed", seed)
     _check_probability("delta", delta)
 
     if scenario == "clustering":

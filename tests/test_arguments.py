@@ -10,12 +10,17 @@ argument's range, fractional labels among them, each rule's message coming
 from its one checker in ``records``.  A fourth lists every public entry point
 that takes a count, with valid arguments and the counts it takes: each count
 set to 2.5 or to the whole float 10.0 must raise a ValueError naming it, and
-every count given as an ``np.int64`` or ``np.int32`` must be accepted.
+every count given as an ``np.int64`` or ``np.int32`` must be accepted.  A
+fifth sets counts whose sums or products pass the int32 range: given as
+``np.int32`` they must give what Python ints give, with no warning.  A last
+table lists the seeded entry points: a non-integer seed must raise a
+ValueError naming it, and every integer, numpy or beyond 64 bits, must seed.
 """
 
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +71,7 @@ from transbound.validation import (
     mc_bound_validity,
     mc_concentration,
     random_hypothesis_instance,
+    sample_split,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -284,13 +290,15 @@ COUNTS = {
                      ("m", "u")),
     "BoundInputs": (BoundInputs, {**_BOUND_INPUTS, "prior_mass": 0.5}, ("m", "u")),
     "gibbs_raw": (functools.partial(gibbs_raw, "direct"),
-                  {"emp_risk": 0.1, "kl_value": 0.5, "m": 10, "u": 10, "delta": 0.05}, ("m",)),
+                  {"emp_risk": 0.1, "kl_value": 0.5, "m": 10, "u": 10, "delta": 0.05},
+                  ("m", "u")),
     "full_to_test": (full_to_test, {"full_excess": 0.1, "m": 10, "u": 5}, ("m", "u")),
     "risk_mix": (risk_mix, {"r_m": 0.1, "r_u": 0.2, "m": 10, "u": 5}, ("m", "u")),
     "graepel_inductive_bound": (graepel_inductive_bound,
                                 {"emp_risk": 0.1, "m": 100, "s": 10, "delta": 0.05},
                                 ("m", "s")),
-    "compression_complexity": (compression_complexity, {"s": 3, "m": 20, "u": 20}, ("s", "m")),
+    "compression_complexity": (compression_complexity, {"s": 3, "m": 20, "u": 20},
+                               ("s", "m", "u")),
     "compression_bound": (compression_bound,
                           {"emp_risk": 0.1, "s": 3, "m": 20, "u": 20, "delta": 0.05},
                           ("s", "m", "u")),
@@ -360,3 +368,64 @@ def test_non_integer_count_is_named(case, count, bad):
 def test_numpy_integer_counts_are_accepted(case, dtype):
     func, kwargs, counts = COUNTS[case]
     func(**{**kwargs, **{count: dtype(kwargs[count]) for count in counts}})
+
+
+BIG = 2 ** 30  # m + u = 2**31 wraps in int32
+# case of COUNTS: counts whose sums or products pass the int32 range
+WIDE = {
+    **{f"evaluate_bound-{name}": {"m": BIG, "u": BIG}
+       for name in EVAL_BOUNDS if not name.startswith("vapnik")},
+    "HypergeomSpec": {"m": BIG, "u": BIG - 1, "k": 2 ** 31 - 1},
+    "log_binomial": {"n": 2 ** 31 - 1, "r": BIG},
+    "BoundInputs": {"m": BIG, "u": BIG},
+    "gibbs_raw": {"m": BIG, "u": BIG},
+    "full_to_test": {"m": BIG, "u": BIG},
+    "risk_mix": {"m": BIG, "u": BIG},
+    "graepel_inductive_bound": {"m": 2 ** 31 - 1, "s": 2 ** 31 - 2},
+    "compression_complexity": {"s": BIG, "m": BIG, "u": BIG},
+    "compression_bound": {"m": BIG, "u": BIG},
+    "clustering_complexity": {"tau": BIG, "c": 2 ** 31 - 1, "k_ensemble": 2 ** 31 - 1},
+    "clustering_bound": {"m": BIG, "u": BIG},
+    "PopulationSummary": {"n_total": 2 ** 31 - 1},
+}
+
+
+@pytest.mark.parametrize("case", WIDE)
+def test_int32_counts_compute_as_python_ints(case):
+    # int32 arithmetic would wrap and warn; each checked count is a Python
+    # int before any arithmetic, so the result is that of Python ints
+    func, kwargs, counts = COUNTS[case]
+    kwargs = {**kwargs, **WIDE[case]}
+    want = func(**kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = func(**{**kwargs, **{count: np.int32(kwargs[count]) for count in counts}})
+    assert repr(got) == repr(want)
+
+
+# name: (callable, valid keyword arguments, its seed argument); the sampler
+# is read through its first split, which the seed decides
+SEEDS = {
+    "SplitSampler": (lambda **kwargs: sample_split(SplitSampler(**kwargs), 0),
+                     COUNTS["SplitSampler"][1], "master_seed"),
+    **{case: (*COUNTS[case][:2], "seed")
+       for case in ("mc_concentration", "random_hypothesis_instance",
+                    "mc_bound_validity-serfling", "mc_bound_validity-clustering")},
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 3.0, "3"])
+@pytest.mark.parametrize("case", SEEDS)
+def test_non_integer_seed_is_named(case, bad):
+    func, kwargs, seed = SEEDS[case]
+    with pytest.raises(ValueError, match=rf"^{seed} must be an integer, got {re.escape(str(bad))}$"):
+        func(**{**kwargs, seed: bad})
+
+
+@pytest.mark.parametrize("case", SEEDS)
+def test_every_integer_is_a_seed(case):
+    # seeds act modulo 2**64, whatever their integer type
+    func, kwargs, seed = SEEDS[case]
+    for given, same in ((-1, 2 ** 64 - 1), (2 ** 64 + 5, 5), (np.int32(3), 3),
+                        (np.uint64(2 ** 64 - 1), 2 ** 64 - 1)):
+        assert repr(func(**{**kwargs, seed: given})) == repr(func(**{**kwargs, seed: same}))

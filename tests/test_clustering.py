@@ -36,6 +36,19 @@ def _ref_canonical_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ref_seeds(points: np.ndarray, tau: int) -> list:
+    """Farthest-first seeds: the point nearest the centroid, then the farthest ones."""
+    centroid = points.mean(axis=0)
+    first = int(np.argmin(((points - centroid) ** 2).sum(axis=1)))
+    seeds = [first]
+    nearest = ((points - points[first]) ** 2).sum(axis=1)
+    while len(seeds) < tau:
+        nxt = int(np.argmax(nearest))
+        seeds.append(nxt)
+        nearest = np.minimum(nearest, ((points - points[nxt]) ** 2).sum(axis=1))
+    return seeds
+
+
 def _ref_kmeans_labels(points: np.ndarray, tau: int, repairs: list | None = None) -> np.ndarray:
     """Lloyd's algorithm with farthest-first seeding, fully deterministic.
 
@@ -46,15 +59,7 @@ def _ref_kmeans_labels(points: np.ndarray, tau: int, repairs: list | None = None
     if tau == 1:
         return np.zeros(n, dtype=np.int64)
 
-    centroid = points.mean(axis=0)
-    first = int(np.argmin(((points - centroid) ** 2).sum(axis=1)))
-    seeds = [first]
-    nearest = ((points - points[first]) ** 2).sum(axis=1)
-    while len(seeds) < tau:
-        nxt = int(np.argmax(nearest))
-        seeds.append(nxt)
-        nearest = np.minimum(nearest, ((points - points[nxt]) ** 2).sum(axis=1))
-    centers = points[seeds].astype(float).copy()
+    centers = points[_ref_seeds(points, tau)].astype(float).copy()
 
     labels = np.zeros(n, dtype=np.int64)
     for it in range(KMEANS_MAX_ITER):
@@ -308,8 +313,9 @@ class TestKmeans:
 class TestPrunedKmeans:
     """Inputs that once ran k-means with its distance pruning forced on.
 
-    The pruning is gone; every iteration computes every distance, and these
-    inputs still check the labels against the reference.
+    That pruning is gone; each iteration now keeps the distance rows of the
+    centers that did not move.  These inputs check the labels against the
+    reference, and the kept matrix against fresh distances.
     """
 
     @pytest.mark.parametrize("d", DIMS)
@@ -341,27 +347,52 @@ class TestPrunedKmeans:
                 _assert_same(got, _ref_kmeans_labels(points, tau))
                 assert 0 in axes
 
+    @staticmethod
+    def _kept_and_fresh(monkeypatch, points: np.ndarray, tau: int):
+        """Each iteration's distance matrix and a fresh ``_sq_dists`` of its centers."""
+        kept, centers = [], []
+        nearest, updated = clustering._nearest, clustering._updated_centers
+
+        def recording_nearest(dists):
+            kept.append(dists.copy())
+            return nearest(dists)
+
+        def recording_centers(*args):
+            centers.append(updated(*args))
+            return centers[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(clustering, "_nearest", recording_nearest)
+            m.setattr(clustering, "_updated_centers", recording_centers)
+            labels = kmeans_labels(points, tau)
+        coords = points.T[:, None, :]
+        fresh = [clustering._sq_dists(coords, at.T[:, :, None])
+                 for at in [points[_ref_seeds(points, tau)]] + centers[:len(kept) - 1]]
+        return labels, kept, fresh
+
     def test_no_skip_when_every_distance_overflows(self, monkeypatch):
-        # at 1e300 every squared difference overflows; Lloyd's iterations go
-        # on past the first (which reuses the seeding's rows), and each later
-        # one computes every point against every center
-        points = _blobs(150, 2, np.random.default_rng(5)) * 1e300
-        shapes = []
-        sq_dists = clustering._sq_dists
-
-        def recording(a, b):
-            out = sq_dists(a, b)
-            shapes.append(out.shape)
-            return out
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = _ref_kmeans_labels(points, 5)
-            with monkeypatch.context() as m:
-                m.setattr(clustering, "_sq_dists", recording)
-                got = kmeans_labels(points, 5)
-        _assert_same(got, want)
-        iterations = [s for s in shapes if len(s) == 2]
-        assert iterations and all(s == (5, 150) for s in iterations)
+        # at 1e300 every squared difference overflows; a NaN point makes its
+        # cluster's center NaN, whose row is rebuilt in every iteration; and
+        # coordinates over 12 decades make every summation order visible.
+        # The matrix each iteration reads equals a fresh _sq_dists of its
+        # centers bit for bit, NaN payloads included, whichever rows were kept.
+        for kind in ("overflow", "nan", "decades"):
+            for d in (1, 2, 7, 8, 9, 15, 16, 17):
+                rng = np.random.default_rng([d, 5])
+                points = _blobs(150, d, rng)
+                if kind == "overflow":
+                    points *= 1e300
+                elif kind == "nan":
+                    points[[3, 40, 97], rng.integers(0, d, size=3)] = np.nan
+                else:
+                    points *= 10.0 ** rng.uniform(-6, 6, size=d)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = _ref_kmeans_labels(points, 5)
+                    got, kept, fresh = self._kept_and_fresh(monkeypatch, points, 5)
+                _assert_same(got, want)
+                assert len(kept) > 1, (kind, d)
+                for t, (a, b) in enumerate(zip(kept, fresh)):
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (kind, d, t)
 
 
 class TestAgglomerative:

@@ -151,6 +151,15 @@ class TestPmf:
         assert hypergeom_pmf(0, spec) == 0.0  # k - u = 2 > 0
         assert hypergeom_pmf(4, spec) == 0.0  # r > m
 
+    def test_r_must_be_an_integer(self):
+        # a fractional r lies outside the support too, but is an input error
+        spec = HypergeomSpec(m=5, u=5, k=3)
+        for bad in (0.5, 1.0, np.float64(2.5)):
+            with pytest.raises(ValueError, match=rf"^r must be an integer, got {bad}$"):
+                hypergeom_pmf(bad, spec)
+        assert hypergeom_pmf(-1, spec) == 0.0
+        assert hypergeom_pmf(np.int32(1), spec) == hypergeom_pmf(1, spec) > 0.0
+
     @pytest.mark.parametrize("m,u,k", [(3, 4, 2), (5, 5, 7), (2, 6, 0), (4, 4, 8)])
     def test_matches_enumeration(self, m, u, k):
         for r in range(0, m + 1):

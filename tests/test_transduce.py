@@ -1,9 +1,11 @@
 """Cluster-then-label pipeline: determinism, vote rules, bound selection."""
 
 import errno
+import functools
 import importlib
 import math
 import multiprocessing
+import multiprocessing.synchronize
 import os
 import sys
 import time
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from transbound import clustering
+from transbound import _fork, clustering
 from transbound.hypergeom import epsilon_star, vapnik_bound
 from transbound.pac_bayes import BoundInputs, det_bound
 from transbound.priors import clustering_bound, clustering_complexity
@@ -295,13 +297,13 @@ class TestEnsembleSweep:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the worker is forked on Linux only")
 class TestKmeansWorker:
-    """The k-means sweeps in a forked worker, with the size threshold patched down."""
+    """Sweep jobs shared with a forked worker, with the size threshold patched down."""
 
     ENSEMBLE = ("agglomerative_complete", "kmeans", "agglomerative_single", "kmeans")
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The k-means calls made in this process: none when the worker ran them."""
+        """The k-means calls made in this process, not those the worker ran."""
         monkeypatch.setattr(transduce_module, "_FORK_MIN_N", 0)
         made = []
 
@@ -322,13 +324,38 @@ class TestKmeansWorker:
         assert [(p.tau, p.clusterer_id) for p in got] == [(p.tau, p.clusterer_id) for p in want]
         assert all(np.array_equal(a.assignment, b.assignment) for a, b in zip(got, want))
 
+    @staticmethod
+    def _meeting(monkeypatch, calls, in_worker):
+        """k-means jobs that both processes run, the caller's counted in ``calls``.
+
+        Each process's first k-means job waits, up to 10 s, until the other
+        process has begun one, so neither can take every job.  The worker's
+        jobs run ``in_worker``.
+        """
+        context = multiprocessing.get_context("fork")
+        began = {"caller": context.Event(), "worker": context.Event()}
+        caller = os.getpid()
+
+        def meeting(pts, tau):
+            mine, other = ("caller", "worker") if os.getpid() == caller else ("worker", "caller")
+            began[mine].set()
+            began[other].wait(10)
+            if mine == "worker":
+                return in_worker(pts, tau)
+            calls.append(tau)
+            return clustering.kmeans_labels(pts, tau)
+
+        monkeypatch.setattr(transduce_module, "kmeans_labels", meeting)
+
     def test_worker_partitions_equal_the_in_process_ones(self, two_blob, monkeypatch, calls):
         data = two_blob[0]
         want = self._in_process(data, monkeypatch)
         assert len(calls) == 2 * 9
         calls.clear()
+        self._meeting(monkeypatch, calls, clustering.kmeans_labels)
         got = ensemble_sweep(data, self.ENSEMBLE, 9)
-        assert calls == []
+        # the caller ran some k-means jobs and the worker returned the rest
+        assert 0 < len(calls) < 2 * 9
         self._same(got, want)
         assert multiprocessing.active_children() == []
 
@@ -336,7 +363,7 @@ class TestKmeansWorker:
         def failing(pts, tau):
             raise ValueError(f"k-means failed in process {os.getpid()}")
 
-        monkeypatch.setattr(transduce_module, "kmeans_labels", failing)
+        self._meeting(monkeypatch, calls, failing)
         with pytest.raises(ValueError, match="k-means failed in process") as err:
             ensemble_sweep(two_blob[0], self.ENSEMBLE, 9)
         assert str(err.value) != f"k-means failed in process {os.getpid()}"
@@ -385,6 +412,69 @@ class TestKmeansWorker:
         got = ensemble_sweep(data, self.ENSEMBLE, 9)
         assert len(calls) == 2 * 9
         self._same(got, want)
+        assert multiprocessing.active_children() == []
+
+    def test_no_semaphores_sweeps_in_process(self, two_blob, monkeypatch, calls):
+        data = two_blob[0]
+        want = self._in_process(data, monkeypatch)
+        calls.clear()
+
+        def no_semaphores(lock, *args, **kwargs):
+            raise OSError(errno.ENOSYS, "Function not implemented")
+
+        monkeypatch.setattr(multiprocessing.synchronize.SemLock, "__init__", no_semaphores)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        got = ensemble_sweep(data, self.ENSEMBLE, 9)
+        assert len(calls) == 2 * 9
+        self._same(got, want)
+
+    def test_worker_killed_holding_the_counter_lock(self, monkeypatch):
+        # the caller stops waiting for the lock after _CLAIM_WAIT_S and runs
+        # every job the worker did not return
+        monkeypatch.setattr(_fork, "_CLAIM_WAIT_S", 0.2)
+        context = multiprocessing.get_context("fork")
+        counters = []
+
+        def value(*args, _make=context.Value):
+            counters.append(_make(*args))
+            return counters[-1]
+
+        monkeypatch.setattr(context, "Value", value)
+        caller = os.getpid()
+
+        def job(i):
+            if os.getpid() != caller:
+                counters[0].get_lock().acquire()
+                os._exit(1)
+            time.sleep(0.02)  # so the worker takes a job before the caller takes them all
+            return i
+
+        start = time.monotonic()
+        assert _fork.shared([functools.partial(job, i) for i in range(20)]) == list(range(20))
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+
+    def test_linkage_only_ensemble_never_forks(self, two_blob, monkeypatch, calls):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        ensemble = ("agglomerative_single", "agglomerative_complete")
+        got = ensemble_sweep(two_blob[0], ensemble, 9)
+        self._same(got, [p for i, algo in enumerate(ensemble)
+                         for p in cluster_sweep(two_blob[0], algo, 9, clusterer_id=i)])
+
+    def test_shared_runs_each_job_once(self, tmp_path):
+        # both processes append each job they run to one log; a job taken
+        # twice, or by neither, would show there.  Short jobs make the two
+        # processes take the next job at nearly the same time, often.
+        log = tmp_path / "jobs"
+
+        def job(i):
+            with open(log, "a") as out:
+                out.write(f"{i}\n")
+            return i
+
+        jobs = [functools.partial(job, i) for i in range(3000)]
+        assert _fork.shared(jobs) == list(range(3000))
+        assert sorted(map(int, log.read_text().split())) == list(range(3000))
         assert multiprocessing.active_children() == []
 
 
