@@ -177,28 +177,28 @@ _FORK_MIN_N = 1000
 def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
     """``cluster_sweep`` of every algorithm, clusterer id = position in ``algorithms``.
 
-    The points are checked for c distinct rows once.  The jobs, longest
-    first, are each linkage sweep, then each (k-means clusterer, tau) from
-    tau = c down.  With k-means and a linkage, n >= ``_FORK_MIN_N`` and a
-    ``second_cpu``, a forked worker shares them (``_fork.shared``); the
-    condensed distances are then built once before the fork, as for two or
-    more linkages.  Every job is a pure function of the points.
+    The points are checked for c distinct rows once.  Each distinct
+    algorithm sweeps once, and every position that lists it gets that
+    sweep's partitions.  The jobs, longest first, are each linkage sweep,
+    then each k-means tau from tau = c down.  With k-means and a linkage,
+    n >= ``_FORK_MIN_N`` and a ``second_cpu``, a forked worker shares them
+    (``_fork.shared``); the condensed distances are then built once before
+    the fork, as for two linkages.  Every job is a pure function of the points.
     """
     pts = _checked_points(data, algorithms, c)
-    linkages = [i for i, algo in enumerate(algorithms) if algo in LINKAGES]
-    kmeans = [i for i, algo in enumerate(algorithms) if algo == "kmeans"]
-    fork = kmeans and linkages and len(pts) >= _FORK_MIN_N and second_cpu()
+    linkages = [algo for algo in dict.fromkeys(algorithms) if algo in LINKAGES]
+    taus = range(c, 0, -1) if "kmeans" in algorithms else ()
+    fork = taus and linkages and len(pts) >= _FORK_MIN_N and second_cpu()
     dists = condensed_distances(pts) if fork or len(linkages) > 1 else None
-    jobs = [partial(agglomerative_sweep, pts, c, algorithms[i].removeprefix("agglomerative_"),
-                    dists) for i in linkages]
-    jobs += [lambda tau=tau: {tau: kmeans_labels(pts, tau)} for _ in kmeans
-             for tau in range(c, 0, -1)]
-    by_tau = {i: {} for i in range(len(algorithms))}
-    for i, labels in zip(linkages + [i for i in kmeans for _ in range(c)],
-                         shared(jobs) if fork else [job() for job in jobs]):
-        by_tau[i].update(labels)
-    return [Partition(tau=tau, assignment=by_tau[i][tau], clusterer_id=i)
-            for i in range(len(algorithms)) for tau in range(1, c + 1)]
+    jobs = [partial(agglomerative_sweep, pts, c, algo.removeprefix("agglomerative_"), dists)
+            for algo in linkages]
+    jobs += [lambda tau=tau: {tau: kmeans_labels(pts, tau)} for tau in taus]
+    by_tau = {algo: {} for algo in algorithms}
+    for algo, labels in zip(linkages + ["kmeans"] * len(taus),
+                            shared(jobs) if fork else [job() for job in jobs]):
+        by_tau[algo].update(labels)
+    return [Partition(tau=tau, assignment=by_tau[algo][tau], clusterer_id=i)
+            for i, algo in enumerate(algorithms) for tau in range(1, c + 1)]
 
 
 # Every summand of a count product is 0 or 1, so a float product returns the

@@ -18,11 +18,13 @@ draw.  A trial where numpy would reject a Lemire draw, and every trial of
 any other shape, takes its split from ``sample_split`` itself.  So the
 masks equal ``sample_split``'s bit for bit;
 ``tests/test_validation.py::TestSplitKernel`` pins that equality.  The last
-batch stays held, read-only, so scenarios validated on one seed share a draw.
+batch stays held, read-only, so scenarios validated on one seed share a draw,
+and with it the risks and Gibbs terms derived from it (``_per_batch``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import math
 
 import numpy as np
@@ -61,7 +63,9 @@ SCENARIOS = (
 # per 10**6 cells (gibbs_direct, hypotheses x trials from 2*10**6 to 4*10**6;
 # serfling, clustering and mc-concentration grew less), so this cap keeps a run
 # near 2 GB, five times the 10**5 trials x 100 points of the README example.
-# So the batch of masks ``_split_masks`` holds between calls is at most 50 MB.
+# Between calls ``_split_masks`` holds the last batch of masks, at most 50 MB, and
+# ``_per_batch`` the risks (16 bytes per hypothesis x trial) and Gibbs terms (24 per
+# trial) derived from it; six scenarios at 40 x 10**5 peak at 229 MB with or without.
 MAX_MC_CELLS = 50_000_000
 
 # SplitMix64 constants (Steele, Lea & Flood's generator): the per-trial seed
@@ -178,6 +182,7 @@ _FLOYD_MAX_N, _TAIL_FRACTION = 10_000, 50
 _KERNEL_MAX_M = 1000
 _CHUNK_TRIALS = 1 << 14  # trials per chunk
 _held = None  # ((sampler, trials, offset), read-only masks) of the last batch drawn
+_derived = None  # (held masks, {(instance, function): read-only result}), see ``_per_batch``
 
 
 def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
@@ -194,13 +199,13 @@ def _split_masks(sampler: SplitSampler, trials: int, offset: int) -> np.ndarray:
     working memory beside the masks grows with the chunk, not with m.
     A call with the held batch's key gets that read-only array back undrawn.
     """
-    global _held
+    global _held, _derived
     held = _held  # a local, so a thread that swaps the slot meanwhile changes no return
     if held is None or held[0] != (sampler, trials, offset):
-        _held = held = None  # drop the old batch first: two never live at once
+        _held = _derived = held = None  # drop the old batch first: two never live at once
         held = (sampler, trials, offset), _draw_masks(sampler, trials, offset)
         held[1].flags.writeable = False
-        _held = held
+        _held, _derived = held, (held[1], {})
     return held[1]
 
 
@@ -489,7 +494,9 @@ class FiniteHypothesisInstance:
 
     def __post_init__(self):
         e = _check_labels("errors", self.errors, (0, 1))
-        p = np.asarray(self.prior, dtype=float)
+        p = np.array(self.prior, dtype=float)
+        # both are this instance's own copies, read-only: risks derived from them stay valid
+        e.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "errors", e)
         object.__setattr__(self, "prior", p)
         if e.ndim != 2:
@@ -550,6 +557,23 @@ def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> F
 _RISK_CELLS = 1 << 22
 
 
+def _per_batch(func):
+    """``func(instance, masks)`` with its arrays read-only, computed once per instance
+    on the held batch: scenarios on one batch share it.  Other masks, writable ones
+    included, recompute on every call."""
+    @functools.wraps(func)
+    def per_batch(instance, masks):
+        derived = _derived  # a local, as in ``_split_masks``
+        memo = derived[1] if derived is not None and derived[0] is masks else {}
+        if (instance, func) not in memo:
+            memo[instance, func] = func(instance, masks)
+            for array in memo[instance, func]:
+                array.flags.writeable = False
+        return memo[instance, func]
+    return per_batch
+
+
+@_per_batch
 def _risks(instance: FiniteHypothesisInstance, masks: np.ndarray):
     """Training and test risks per (hypothesis, trial) from boolean masks.
 
@@ -587,6 +611,7 @@ def _vapnik_violations(instance, masks, delta, variant):
     return int(violated.sum()), int(boundary.sum())
 
 
+@_per_batch
 def _gibbs_terms(instance, masks):
     """KL to the prior, training and test risk of the Gibbs posterior, one per trial."""
     r_m, r_u = _risks(instance, masks)
@@ -629,8 +654,11 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     boundary (deviation == eps*), matching the bound's published reading; the
     count of exact boundary hits is reported separately since only the strict
     event is controlled by the inversion.  All other scenarios use strict
-    exceedance of the stated bound.  The split masks (trials x n bytes) stay
-    held for the next call on the same splits until other splits are drawn.
+    exceedance of the stated bound.  Until other splits are drawn, the split
+    masks (trials x n bytes) stay held for the next call on the same splits,
+    and so do the instance's training and test risks (16 bytes per hypothesis
+    x trial) and, after a ``gibbs_*`` scenario, its Gibbs terms (24 bytes per
+    trial): every later scenario on that instance and batch reads them.
     """
     _check_choice("scenario", scenario, SCENARIOS)
     trials = _check_size("trials", trials)

@@ -36,7 +36,8 @@ def envelope_work(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_split_masks():
-    """Every test draws its own splits: no batch held by ``_split_masks`` carries over."""
-    validation._held = None
+    """Every test draws its own splits: no batch held by ``_split_masks``, nor anything
+    derived from one, carries over."""
+    validation._held = validation._derived = None
     yield
-    validation._held = None
+    validation._held = validation._derived = None

@@ -275,6 +275,26 @@ class TestEnsembleSweep:
         assert [(p.tau, p.clusterer_id) for p in got] == [(p.tau, p.clusterer_id) for p in want]
         assert all(np.array_equal(a.assignment, b.assignment) for a, b in zip(got, want))
 
+    @pytest.mark.parametrize("algorithms", [
+        ("kmeans", "kmeans"),
+        ("agglomerative_single", "kmeans", "agglomerative_single", "kmeans", "kmeans"),
+    ])
+    def test_a_clusterer_listed_twice_sweeps_once(self, two_blob, monkeypatch, algorithms):
+        data = two_blob[0]
+        want = [p for i, algo in enumerate(algorithms)
+                for p in cluster_sweep(data, algo, 9, clusterer_id=i)]
+        calls = {"kmeans_labels": 0, "agglomerative_sweep": 0}
+        for name in calls:
+            def counted(*args, real=getattr(transduce_module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(transduce_module, name, counted)
+        got = ensemble_sweep(data, algorithms, 9)
+        assert calls == {"kmeans_labels": 9,
+                         "agglomerative_sweep": int("agglomerative_single" in algorithms)}
+        assert [(p.tau, p.clusterer_id) for p in got] == [(p.tau, p.clusterer_id) for p in want]
+        assert all(np.array_equal(a.assignment, b.assignment) for a, b in zip(got, want))
+
     def test_one_distinct_point_check(self, two_blob, monkeypatch):
         checks = []
         unique = np.unique
@@ -299,6 +319,7 @@ class TestEnsembleSweep:
 class TestKmeansWorker:
     """Sweep jobs shared with a forked worker, with the size threshold patched down."""
 
+    # k-means is listed twice and sweeps once: 9 k-means jobs at c = 9
     ENSEMBLE = ("agglomerative_complete", "kmeans", "agglomerative_single", "kmeans")
 
     @pytest.fixture
@@ -350,12 +371,12 @@ class TestKmeansWorker:
     def test_worker_partitions_equal_the_in_process_ones(self, two_blob, monkeypatch, calls):
         data = two_blob[0]
         want = self._in_process(data, monkeypatch)
-        assert len(calls) == 2 * 9
+        assert len(calls) == 9
         calls.clear()
         self._meeting(monkeypatch, calls, clustering.kmeans_labels)
         got = ensemble_sweep(data, self.ENSEMBLE, 9)
         # the caller ran some k-means jobs and the worker returned the rest
-        assert 0 < len(calls) < 2 * 9
+        assert 0 < len(calls) < 9
         self._same(got, want)
         assert multiprocessing.active_children() == []
 
@@ -392,7 +413,7 @@ class TestKmeansWorker:
 
         monkeypatch.setattr(os, "fork", no_fork)
         got = ensemble_sweep(data, self.ENSEMBLE, 9)
-        assert len(calls) == 2 * 9
+        assert len(calls) == 9
         self._same(got, want)
         assert multiprocessing.active_children() == []
 
@@ -410,7 +431,7 @@ class TestKmeansWorker:
 
         monkeypatch.setattr(transduce_module, "kmeans_labels", dies_in_worker)
         got = ensemble_sweep(data, self.ENSEMBLE, 9)
-        assert len(calls) == 2 * 9
+        assert len(calls) == 9
         self._same(got, want)
         assert multiprocessing.active_children() == []
 
@@ -425,7 +446,7 @@ class TestKmeansWorker:
         monkeypatch.setattr(multiprocessing.synchronize.SemLock, "__init__", no_semaphores)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         got = ensemble_sweep(data, self.ENSEMBLE, 9)
-        assert len(calls) == 2 * 9
+        assert len(calls) == 9
         self._same(got, want)
 
     def test_worker_killed_holding_the_counter_lock(self, monkeypatch):

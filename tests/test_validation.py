@@ -593,6 +593,88 @@ class TestHeldBatch:
             assert full.boundary_hits == head.boundary_hits + tail.boundary_hits
 
 
+def counting(monkeypatch, name):
+    """Patch ``validation.<name>`` to record each call; returns the record."""
+    real, made = getattr(validation, name), []
+    monkeypatch.setattr(validation, name, lambda *args: made.append(args) or real(*args))
+    return made
+
+
+class TestPerBatch:
+    """``_risks`` and ``_gibbs_terms`` run once per instance on the held batch of masks."""
+
+    SAMPLER = SplitSampler(n_total=30, m=12, master_seed=3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seven_scenarios_on_one_batch_match_fresh_runs(self, monkeypatch, two_blob, seed):
+        data, _, truth = two_blob  # n = 100, as the hypotheses: one batch serves all seven
+        hypotheses = random_hypothesis_instance(n_total=100, m=50, n_hyp=16, seed=seed + 7)
+        clustering = ClusteringInstance(points=data.points, target=truth, m=50, c=5)
+        runs = [functools.partial(mc_bound_validity, scenario,
+                                  clustering if scenario == "clustering" else hypotheses,
+                                  0.05, 2000, seed) for scenario in validation.SCENARIOS]
+        fresh = []
+        for run in runs:
+            validation._held = None
+            fresh.append(run())
+        validation._held = None
+        risks = counting(monkeypatch, "_count_dtype")  # once in each _risks computation
+        gibbs = counting(monkeypatch, "kl_divergence")  # once in each _gibbs_terms one
+        assert [run() for run in runs] == fresh
+        assert len(risks) == len(gibbs) == 1
+
+    def test_two_instances_on_one_batch_get_their_own(self):
+        a, b = (small_instance(seed=seed, n=30, m=12, n_hyp=5) for seed in (1, 2))
+        masks = validation._split_masks(self.SAMPLER, 200, 0)
+        for derive in (validation._risks, validation._gibbs_terms):
+            for inst in (a, b, a, b):
+                got, want = derive(inst, masks), derive(inst, masks.copy())
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                assert got is derive(inst, masks)
+                assert not any(array.flags.writeable for array in got)
+            assert not np.array_equal(derive(a, masks)[0], derive(b, masks)[0])
+
+    def test_writable_masks_are_never_memoized(self):
+        inst = small_instance(seed=4, n=30, m=12, n_hyp=5)
+        held = validation._split_masks(self.SAMPLER, 200, 0)
+        masks = held.copy()
+        for derive in (validation._risks, validation._gibbs_terms):
+            before = derive(inst, masks)
+            masks[:] = masks[::-1]  # the same rows in reverse order
+            after = derive(inst, masks)
+            masks[:] = held
+            assert all(np.array_equal(a, b[..., ::-1]) for a, b in zip(after, before))
+        read_only = held.copy()
+        read_only.flags.writeable = False  # not the held batch either
+        assert validation._risks(inst, read_only) is not validation._risks(inst, read_only)
+        assert validation._derived == (held, {})
+
+    def test_a_new_draw_frees_the_old_batch_and_what_was_derived(self, monkeypatch):
+        inst = small_instance(seed=4, n=30, m=12, n_hyp=5)
+        masks = validation._split_masks(self.SAMPLER, 200, 0)
+        derived = validation._risks(inst, masks) + validation._gibbs_terms(inst, masks)
+        old = [weakref.ref(array) for array in (masks,) + derived]
+        del masks, derived
+        draws = []
+        floyd = validation._floyd
+
+        def checked(*args):
+            draws.append([ref() is None for ref in old])
+            return floyd(*args)
+
+        monkeypatch.setattr(validation, "_floyd", checked)
+        validation._split_masks(SplitSampler(n_total=30, m=12, master_seed=4), 200, 0)
+        assert draws == [[True] * 6]
+
+    def test_instance_owns_read_only_copies(self):
+        errors, prior = np.array([[0, 1, 1, 0], [1, 0, 0, 0]]), np.array([0.25, 0.75])
+        inst = FiniteHypothesisInstance(errors=errors, prior=prior, m=2)
+        for own, given in ((inst.errors, errors), (inst.prior, prior)):
+            with pytest.raises(ValueError, match="read-only"):
+                own[0] = 1
+            assert given.flags.writeable and not np.shares_memory(own, given)
+
+
 # The Gibbs scenarios once computed each trial's KL and posterior-weighted risks
 # in a Python loop, one masked KL sum and two dot products per trial.  That loop
 # is the reference for the column-wise form; sums in another order may differ in
