@@ -1,15 +1,17 @@
-"""One forked worker beside the caller, for work split across two CPUs.
+"""One forked worker beside the caller, for jobs split across two CPUs.
 
-``hypergeom._envelopes`` runs one part of a pure computation in the worker
-while the caller runs the other (``beside``); ``transduce.ensemble_sweep``'s
-two processes take jobs from one list (``shared``).  Where the worker cannot
-start or dies, the caller runs its part too, so results never depend on it.
-Fork is safe for both: a worker runs NumPy's elementwise kernels, sorts,
-scipy's linkage, pickling and one pipe write, so it makes no BLAS call and
-takes no lock that another thread of the caller could hold at the fork.
+``shared(jobs)`` runs a list of jobs in the caller and one forked worker,
+which take job indices from one queue: ``hypergeom._envelopes`` hands it the
+two halves of an envelope build, ``transduce.ensemble_sweep`` its sweeps.
+Where the worker cannot start or dies, the caller runs its jobs too, so
+results never depend on it.  Fork is safe for both: a worker reads the
+queue, runs NumPy's elementwise kernels, sorts, scipy's linkage, pickling
+and one pipe write, so it makes no BLAS call and takes no lock that another
+thread of the caller could hold at the fork.
 """
 
 import os
+import signal
 import sys
 import traceback
 
@@ -28,78 +30,64 @@ def _send_result(conn, func) -> None:
     conn.send((error, result))
 
 
-def beside(local, remote):
-    """(local(), remote()), with ``remote()`` run in a forked worker meanwhile.
+def shared(jobs: list) -> list:
+    """[job() for job in jobs], run by this process and a forked worker meanwhile.
 
-    What ``remote`` raised in the worker is raised here, from a RuntimeError
-    holding the worker's traceback.  ``remote()`` runs in this process
-    instead, after ``local()``, if the fork fails (OSError: no pid or
-    memory), if the worker dies without sending, or if this process is
-    daemonic and so may not have children (a ``multiprocessing`` pool
-    worker).  The worker is stopped and reaped before this returns or
-    raises, on every path.
+    Before the fork every job index goes into a pipe as a 4-byte record;
+    each process then runs the job of each record it reads, until the pipe
+    is empty.  A read of one record is atomic, so each job is read once,
+    and a list ordered longest first keeps both processes busy.  A job the
+    worker read but never returned runs here last.  What a job raised in the
+    worker is raised here, from a RuntimeError holding the worker's
+    traceback.  Every job runs here, in order, if the indices do not fit the
+    empty pipe (16 384 at Linux's default 64 KiB), if the fork fails
+    (OSError: no pid or memory), or if this process is daemonic (a
+    ``multiprocessing`` pool worker, which may not have children).  The
+    worker is killed and reaped, and every pipe closed, on every path.
     """
     import multiprocessing  # here, on the only path that forks, not in every command's start
 
     if multiprocessing.current_process().daemon:
-        return local(), remote()
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_send_result, args=(sender, remote))
-    try:
-        worker.start()
-    except OSError:
-        worker = None
-    sender.close()  # with no worker holding it, recv meets end-of-file at once
-    try:
-        mine = local()
-        try:
-            reply = receiver.recv()
-        except EOFError:
-            reply = None
-    finally:
-        if worker:  # stopped before its pipe closes, so a send cannot fail loudly
-            worker.terminate()
-            worker.join()
-        receiver.close()
-    if reply is None:
-        return mine, remote()
-    error, theirs = reply
-    if error:
-        raise error[0] from RuntimeError(f"in the forked worker:\n{error[1]}")
-    return mine, theirs
-
-
-# A claim holds the job counter's lock for microseconds, and a process killed
-# in one never releases it: a wait this long means that its holder died.
-_CLAIM_WAIT_S = 1.0
-
-
-def shared(jobs: list) -> list:
-    """[job() for job in jobs], run by this process and a forked worker (``beside``).
-
-    Each takes the next job not yet taken, from a counter in memory shared
-    across the fork, so a list ordered longest first keeps both busy.  A job
-    the worker took but never returned runs here last, and so does every job
-    where the counter's lock cannot be made (no POSIX semaphores or /dev/shm).
-    """
-    import multiprocessing
-
-    try:
-        taken = multiprocessing.get_context("fork").Value("q", 0)
-    except OSError:
         return [job() for job in jobs]
+    records = b"".join(i.to_bytes(4, "little") for i in range(len(jobs)))
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb", buffering=0) as queue, open(write_end, "wb", buffering=0) as feed:
+        os.set_blocking(write_end, False)  # a write longer than the pipe comes back short
+        whole = feed.write(records) == len(records)
+        feed.close()  # so a read of the emptied queue meets end-of-file
 
-    def take():
-        done = {}
-        while taken.get_lock().acquire(timeout=_CLAIM_WAIT_S):
-            i, taken.value = taken.value, taken.value + 1
-            taken.get_lock().release()
-            if i >= len(jobs):
-                break
-            done[i] = jobs[i]()
-        return done
+        def take():
+            done = {}
+            while record := queue.read(4):
+                i = int.from_bytes(record, "little")
+                done[i] = jobs[i]()
+            return done
 
-    mine, theirs = beside(take, take)
-    done = mine | theirs
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        try:
+            pid = os.fork() if whole else None
+        except OSError:
+            pid = None
+        if pid == 0:  # the worker, which never returns into the caller's stack
+            try:
+                _send_result(sender, take)
+            finally:
+                os._exit(0)
+        sender.close()  # with no worker holding it, recv meets end-of-file at once
+        try:
+            done = take()
+            try:
+                reply = receiver.recv()
+            except EOFError:  # no worker, or it died without sending
+                reply = None
+        finally:
+            if pid:  # killed before its pipe closes, so a send cannot fail loudly
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            receiver.close()
+    if reply is not None:
+        error, theirs = reply
+        if error:
+            raise error[0] from RuntimeError(f"in the forked worker:\n{error[1]}")
+        done |= theirs
     return [done[i] if i in done else jobs[i]() for i in range(len(jobs))]

@@ -14,13 +14,13 @@ with a prior mass p(h) on the hypothesis.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 import math
 
 import numpy as np
 from scipy.special import gammaln
 
-from ._fork import beside, second_cpu
+from ._fork import second_cpu, shared
 from .records import (BoundValue, _check_choice, _check_integer, _check_mass, _check_nonnegative,
                       _check_probability, _check_size, _check_unit)
 
@@ -70,8 +70,8 @@ MAX_ENVELOPE_N = 200_000
 #   200 000    66 ms         217 ms        0.69 s         8.1 / 8.4 MB
 _BLOCK_CELLS = 100_000
 
-# Smallest m*u at which ``_envelopes`` builds the even k in a forked worker
-# while the caller builds the odd k.  Starting, reaping and copy-on-write
+# Smallest m*u at which ``_envelopes`` shares its two halves, the odd k and
+# the even k, with a forked worker.  Starting, reaping and copy-on-write
 # cost the fork 5-15 ms.  Both variants cold, in-process against forked,
 # medians of 15 alternating calls in one process (ms, 2 vCPUs):
 #   (m, u)  (250, 62)  (500, 500)  (1000, 250)  (600, 600)  (650, 650)
@@ -332,10 +332,11 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
     log-space rule.
 
     Where m*u is at least ``_FORK_MIN_MU`` and a ``second_cpu`` is usable,
-    the caller builds the odd k while a forked worker builds the even k
-    (``_fork.beside``), and one ``_change_points`` call merges each
-    variant's two sets of change points: those of the union are those of the
-    parts' change points together, so the bits are those of one build.
+    the odd k and the even k are two ``_fork.shared`` jobs; the forked
+    worker usually starts a few ms after the caller has taken the odd k, so
+    it builds the even k.  One ``_change_points`` call merges each variant's
+    two sets of change points: those of the union are those of the parts'
+    change points together, so the bits are those of one build.
 
     L sums ``gammaln`` table values, whose cancellation grows with n, so the
     log-tails are held to an absolute error of 1e-9 (measured at
@@ -352,9 +353,7 @@ def _envelopes(m: int, u: int, variants: tuple[str, ...]) -> dict[str, tuple]:
     table = gammaln(np.arange(1, n + 2, dtype=np.float64))  # table[j] = ln j!
     if m * u < _FORK_MIN_MU or not second_cpu():
         return _build(m, u, variants, 0, 1, table)
-    # the worker builds the even k
-    odd, even = beside(lambda: _build(m, u, variants, 0, 2, table),
-                       lambda: _build(m, u, variants, 1, 2, table))
+    odd, even = shared([partial(_build, m, u, variants, part, 2, table) for part in (0, 1)])
     return {v: _change_points(*map(np.concatenate, zip(odd[v], even[v])), n) for v in variants}
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
+from children import no_child_left
 from transbound import hypergeom
 from transbound.hypergeom import (
     EpsilonStar,
@@ -461,7 +462,7 @@ class TestEnvelopeBlocks:
 
 
 class TestEnvelopeWorker:
-    """The even k built in a forked worker, with the m*u threshold patched down."""
+    """The two halves shared with a forked worker, with the m*u threshold patched down."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -478,32 +479,66 @@ class TestEnvelopeWorker:
         yield made
         hypergeom._envelopes.cache_clear()
 
-    BOTH_PARTS = [(0, 2), (1, 2)]  # both built in this process
+    BOTH_PARTS = [(0, 2), (1, 2)]  # the odd k and the even k
 
     @staticmethod
     def _check(m, u, variants=hypergeom.VARIANTS):
         hypergeom._envelopes.cache_clear()
         got = hypergeom._envelopes(m, u, variants)
         assert all(_same_bits(got[v], _ref_envelope(m, u, v)) for v in variants)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
+
+    @pytest.fixture
+    def split(self, monkeypatch, tmp_path):
+        """``_check``, and that the caller and the worker built one half each.
+
+        Each process's build waits, up to 10 s, until the other process has
+        begun one (as in ``TestKmeansWorker._meeting``), so neither can take
+        both halves.  Both processes log each half they build to one file.
+        """
+        monkeypatch.setattr(hypergeom, "_FORK_MIN_MU", 0)
+        context = multiprocessing.get_context("fork")
+        began = {"caller": context.Event(), "worker": context.Event()}
+        caller = os.getpid()
+        log = tmp_path / "halves"
+
+        def meeting(m, u, variants, part, parts, table, build=hypergeom._build):
+            mine, other = ("caller", "worker") if os.getpid() == caller else ("worker", "caller")
+            began[mine].set()
+            began[other].wait(10)
+            with open(log, "a") as out:
+                out.write(f"{part} {parts} {os.getpid()}\n")
+            return build(m, u, variants, part, parts, table)
+
+        monkeypatch.setattr(hypergeom, "_build", meeting)
+
+        def check(m, u, variants=hypergeom.VARIANTS):
+            for event in began.values():
+                event.clear()
+            log.write_text("")
+            self._check(m, u, variants)
+            built = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+            assert [(part, parts) for part, parts, _ in built] == self.BOTH_PARTS
+            assert sorted(pid == caller for *_, pid in built) == [False, True]
+
+        hypergeom._envelopes.cache_clear()
+        yield check
+        hypergeom._envelopes.cache_clear()
 
     @pytest.mark.parametrize("m,u", [(1, 1), (1, 7), (7, 1), (2, 300), (97, 131), (250, 250),
                                      (1000, 1000)])
-    def test_equals_the_single_sort_build(self, m, u, builds):
+    def test_equals_the_single_sort_build(self, m, u, split):
         # each variant alone, as transduce asks for it, and both in one pass
         for variants in (("absolute",), ("relative",), hypergeom.VARIANTS):
-            builds.clear()
-            self._check(m, u, variants)
-            assert builds == [(0, 2)]
+            split(m, u, variants)
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("m,u", [(1, 1), (1, 7), (7, 1), (2, 300), (97, 131), (50, 2000)])
-    def test_bit_identical_in_small_blocks(self, m, u, rows, builds, monkeypatch):
+    def test_bit_identical_in_small_blocks(self, m, u, rows, split, monkeypatch):
         # blocks of 1 and 3 rows per part: a block cut short at k = u or
         # k = m + u may hold no row of one part
         monkeypatch.setattr(hypergeom, "_BLOCK_CELLS", rows * _row_cells(m, u))
-        self._check(m, u)
-        assert builds == [(0, 2)]
+        split(m, u)
 
     @pytest.mark.parametrize("rows", [1, 3, 1000])
     @pytest.mark.parametrize("m,u", [(1, 1), (1, 7), (7, 1), (2, 300), (97, 131), (50, 2000)])
@@ -566,7 +601,8 @@ class TestEnvelopeWorker:
 
         monkeypatch.setattr(hypergeom, "_build", dies_in_worker)
         self._check(250, 250)
-        assert builds == self.BOTH_PARTS
+        # a worker that runs before the caller reads can take the odd k first
+        assert sorted(builds) == self.BOTH_PARTS
 
     def test_caller_error_stops_the_worker(self, builds, monkeypatch):
         caller = os.getpid()
@@ -581,7 +617,7 @@ class TestEnvelopeWorker:
         with pytest.raises(ValueError, match="no odd k"):
             hypergeom._envelopes(250, 250, hypergeom.VARIANTS)
         assert time.monotonic() - start < 10
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
 
 def test_one_pair_pass_serves_both_variants(envelope_work, monkeypatch):

@@ -5,7 +5,6 @@ import functools
 import importlib
 import math
 import multiprocessing
-import multiprocessing.synchronize
 import os
 import sys
 import time
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from children import no_child_left
 from transbound import _fork, clustering
 from transbound.hypergeom import epsilon_star, vapnik_bound
 from transbound.pac_bayes import BoundInputs, det_bound
@@ -378,7 +378,7 @@ class TestKmeansWorker:
         # the caller ran some k-means jobs and the worker returned the rest
         assert 0 < len(calls) < 9
         self._same(got, want)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_worker_error_reaches_the_caller(self, two_blob, monkeypatch, calls):
         def failing(pts, tau):
@@ -389,7 +389,7 @@ class TestKmeansWorker:
             ensemble_sweep(two_blob[0], self.ENSEMBLE, 9)
         assert str(err.value) != f"k-means failed in process {os.getpid()}"
         assert "in failing" in str(err.value.__cause__)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_caller_error_stops_the_worker(self, two_blob, monkeypatch, calls):
         def no_distances(pts):
@@ -401,7 +401,7 @@ class TestKmeansWorker:
         with pytest.raises(ValueError, match="no distances"):
             ensemble_sweep(two_blob[0], self.ENSEMBLE, 9)
         assert time.monotonic() - start < 10
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_failed_fork_sweeps_in_process(self, two_blob, monkeypatch, calls):
         data = two_blob[0]
@@ -415,7 +415,7 @@ class TestKmeansWorker:
         got = ensemble_sweep(data, self.ENSEMBLE, 9)
         assert len(calls) == 9
         self._same(got, want)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_dead_worker_sweeps_in_process(self, two_blob, monkeypatch, calls):
         data = two_blob[0]
@@ -433,47 +433,7 @@ class TestKmeansWorker:
         got = ensemble_sweep(data, self.ENSEMBLE, 9)
         assert len(calls) == 9
         self._same(got, want)
-        assert multiprocessing.active_children() == []
-
-    def test_no_semaphores_sweeps_in_process(self, two_blob, monkeypatch, calls):
-        data = two_blob[0]
-        want = self._in_process(data, monkeypatch)
-        calls.clear()
-
-        def no_semaphores(lock, *args, **kwargs):
-            raise OSError(errno.ENOSYS, "Function not implemented")
-
-        monkeypatch.setattr(multiprocessing.synchronize.SemLock, "__init__", no_semaphores)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        got = ensemble_sweep(data, self.ENSEMBLE, 9)
-        assert len(calls) == 9
-        self._same(got, want)
-
-    def test_worker_killed_holding_the_counter_lock(self, monkeypatch):
-        # the caller stops waiting for the lock after _CLAIM_WAIT_S and runs
-        # every job the worker did not return
-        monkeypatch.setattr(_fork, "_CLAIM_WAIT_S", 0.2)
-        context = multiprocessing.get_context("fork")
-        counters = []
-
-        def value(*args, _make=context.Value):
-            counters.append(_make(*args))
-            return counters[-1]
-
-        monkeypatch.setattr(context, "Value", value)
-        caller = os.getpid()
-
-        def job(i):
-            if os.getpid() != caller:
-                counters[0].get_lock().acquire()
-                os._exit(1)
-            time.sleep(0.02)  # so the worker takes a job before the caller takes them all
-            return i
-
-        start = time.monotonic()
-        assert _fork.shared([functools.partial(job, i) for i in range(20)]) == list(range(20))
-        assert time.monotonic() - start < 10
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_linkage_only_ensemble_never_forks(self, two_blob, monkeypatch, calls):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
@@ -496,7 +456,7 @@ class TestKmeansWorker:
         jobs = [functools.partial(job, i) for i in range(3000)]
         assert _fork.shared(jobs) == list(range(3000))
         assert sorted(map(int, log.read_text().split())) == list(range(3000))
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
 
 class TestLabelAndSelect:
