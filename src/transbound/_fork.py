@@ -39,15 +39,16 @@ def shared(jobs: list) -> list:
     and a list ordered longest first keeps both processes busy.  A job the
     worker read but never returned runs here last.  What a job raised in the
     worker is raised here, from a RuntimeError holding the worker's
-    traceback.  Every job runs here, in order, if the indices do not fit the
-    empty pipe (16 384 at Linux's default 64 KiB), if the fork fails
-    (OSError: no pid or memory), or if this process is daemonic (a
-    ``multiprocessing`` pool worker, which may not have children).  The
-    worker is killed and reaped, and every pipe closed, on every path.
+    traceback.  Every job runs here, in order, if there are fewer than two,
+    if the indices do not fit the empty pipe (16 384 at Linux's default
+    64 KiB), if the fork fails (OSError: no pid or memory), or if this
+    process is daemonic (a ``multiprocessing`` pool worker, which may not
+    have children).  The worker is killed and reaped, and every pipe
+    closed, on every path.
     """
     import multiprocessing  # here, on the only path that forks, not in every command's start
 
-    if multiprocessing.current_process().daemon:
+    if len(jobs) < 2 or multiprocessing.current_process().daemon:
         return [job() for job in jobs]
     records = b"".join(i.to_bytes(4, "little") for i in range(len(jobs)))
     read_end, write_end = os.pipe()
@@ -64,27 +65,27 @@ def shared(jobs: list) -> list:
             return done
 
         receiver, sender = multiprocessing.Pipe(duplex=False)
-        try:
-            pid = os.fork() if whole else None
-        except OSError:
-            pid = None
-        if pid == 0:  # the worker, which never returns into the caller's stack
+        with receiver, sender:  # closed here even if the fork raises a BaseException
             try:
-                _send_result(sender, take)
+                pid = os.fork() if whole else None
+            except OSError:
+                pid = None
+            if pid == 0:  # the worker, which never returns into the caller's stack
+                try:
+                    _send_result(sender, take)
+                finally:
+                    os._exit(0)
+            sender.close()  # with no worker holding it, recv meets end-of-file at once
+            try:
+                done = take()
+                try:
+                    reply = receiver.recv()
+                except EOFError:  # no worker, or it died without sending
+                    reply = None
             finally:
-                os._exit(0)
-        sender.close()  # with no worker holding it, recv meets end-of-file at once
-        try:
-            done = take()
-            try:
-                reply = receiver.recv()
-            except EOFError:  # no worker, or it died without sending
-                reply = None
-        finally:
-            if pid:  # killed before its pipe closes, so a send cannot fail loudly
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            receiver.close()
+                if pid:  # killed before its pipe closes, so a send cannot fail loudly
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     if reply is not None:
         error, theirs = reply
         if error:

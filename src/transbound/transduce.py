@@ -165,13 +165,23 @@ def cluster_sweep(data: Dataset, algorithm: str, c: int, clusterer_id: int = 0) 
 
 # Smallest n at which ensemble_sweep shares its jobs with a forked worker.
 # Starting and reaping the worker takes a few ms, and while both run each
-# pays for the pages the other still shares.  ensemble_sweep of all three
-# clusterers at c = 20 on 6-centre blobs, in-process against forked, medians
-# of 25 alternating calls (ms, 2 vCPUs, one BLAS thread):
-#   n      500        1000       1500        2000        3000
-#   d = 2  29 / 39    68 / 47    88 / 65    168 / 117   348 / 220
-#   d = 8  51 / 39    98 / 70   183 / 123   277 / 153   460 / 299
-_FORK_MIN_N = 1000
+# pays for the pages the other still shares.  Cold first calls, one per fresh
+# process as every CLI command makes, on 6-centre blobs: in-process against
+# forked, medians of 12 (n <= 1250) or 24 calls, alternating, in ms (2 vCPUs,
+# one BLAS thread); "link" is single and complete linkage, "all" adds k-means:
+#   n               1000      1250       1500       1750       2000
+#   link d=2 c=5   39 / 41   57 / 59    69 / 72    99 / 104  145 / 113
+#   link d=2 c=20  42 / 48   60 / 55    70 / 74   106 / 101  134 / 110
+#   link d=8 c=5   38 / 43   56 / 60    79 / 79   125 / 100  162 / 143
+#   link d=8 c=20  35 / 46   51 / 62    77 / 71   114 / 107  146 / 140
+#   all  d=2 c=5   46 / 43   61 / 52    92 / 70   122 / 93   167 / 114
+#   all  d=2 c=20  97 / 74  117 / 93   135 / 103  240 / 151  293 / 175
+#   all  d=8 c=5   43 / 44   61 / 61    86 / 70   138 / 112  168 / 126
+#   all  d=8 c=20 124 / 87  181 / 125  199 / 149  243 / 166  379 / 213
+# Each side's interquartile range is 7-51 % of its median (30 % typical).
+# k-means at c = 20 gains from n = 1000, but a linkage-only ensemble still
+# reads slower forked at 1750, within that spread.
+_FORK_MIN_N = 2000
 
 
 def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
@@ -179,16 +189,19 @@ def ensemble_sweep(data: Dataset, algorithms, c: int) -> list[Partition]:
 
     The points are checked for c distinct rows once.  Each distinct
     algorithm sweeps once, and every position that lists it gets that
-    sweep's partitions.  The jobs, longest first, are each linkage sweep,
-    then each k-means tau from tau = c down.  With k-means and a linkage,
-    n >= ``_FORK_MIN_N`` and a ``second_cpu``, a forked worker shares them
-    (``_fork.shared``); the condensed distances are then built once before
-    the fork, as for two linkages.  Every job is a pure function of the points.
+    sweep's partitions.  The jobs are each linkage sweep, in the order of
+    ``algorithms``, then each k-means tau from tau = c down.  With a linkage
+    sweep and at least one other job, n >= ``_FORK_MIN_N`` and a
+    ``second_cpu``, a forked worker shares them (``_fork.shared``); the
+    condensed distances are then built once before the fork.  k-means alone
+    sweeps in this process.  The order decides which process runs complete
+    linkage and holds its copy of the distances: after single linkage, the
+    worker usually reads it.  Every job is a pure function of the points.
     """
     pts = _checked_points(data, algorithms, c)
     linkages = [algo for algo in dict.fromkeys(algorithms) if algo in LINKAGES]
     taus = range(c, 0, -1) if "kmeans" in algorithms else ()
-    fork = taus and linkages and len(pts) >= _FORK_MIN_N and second_cpu()
+    fork = linkages and len(linkages) + len(taus) > 1 and len(pts) >= _FORK_MIN_N and second_cpu()
     dists = condensed_distances(pts) if fork or len(linkages) > 1 else None
     jobs = [partial(agglomerative_sweep, pts, c, algo.removeprefix("agglomerative_"), dists)
             for algo in linkages]

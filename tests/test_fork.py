@@ -84,6 +84,11 @@ class TestCapacity:
         count = _pipe_size() // 4 + 1
         assert _fork.shared([functools.partial(int, i) for i in range(count)]) == list(range(count))
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_jobs_run_in_the_caller(self, same_descriptors, monkeypatch, count):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert _fork.shared([functools.partial(int, i) for i in range(count)]) == list(range(count))
+
 
 class _FailingWrite(io.FileIO):
     def write(self, data):
@@ -96,6 +101,10 @@ def _no_fork():
 
 def _raise(message):
     raise ValueError(message)
+
+
+def _raise_type(stop):
+    raise stop("stopped in os.fork")
 
 
 class TestNoLeakedDescriptor:
@@ -121,6 +130,17 @@ class TestNoLeakedDescriptor:
     def test_failed_fork(self, same_descriptors, monkeypatch):
         monkeypatch.setattr(os, "fork", _no_fork)
         assert _fork.shared([functools.partial(int, i) for i in range(50)]) == list(range(50))
+
+    @pytest.mark.parametrize("stop", [KeyboardInterrupt, pytest.fail.Exception])
+    def test_fork_raising_past_oserror(self, same_descriptors, monkeypatch, stop):
+        # no failed fork: it propagates, and while its traceback keeps
+        # shared's frame alive (here through ``caught``), no pipe end is open
+        before = sorted(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", lambda: _raise_type(stop))
+        with pytest.raises(stop) as caught:
+            _fork.shared([functools.partial(int, i) for i in range(50)])
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert "stopped in os.fork" in str(caught.value)
 
     def test_daemonic_process(self, same_descriptors, monkeypatch):
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)

@@ -346,27 +346,27 @@ class TestKmeansWorker:
         assert all(np.array_equal(a.assignment, b.assignment) for a, b in zip(got, want))
 
     @staticmethod
-    def _meeting(monkeypatch, calls, in_worker):
-        """k-means jobs that both processes run, the caller's counted in ``calls``.
+    def _meeting(monkeypatch, calls, in_worker, name="kmeans_labels"):
+        """Sweep jobs calling ``name`` that both processes run, the caller's counted in ``calls``.
 
-        Each process's first k-means job waits, up to 10 s, until the other
+        Each process's first such job waits, up to 10 s, until the other
         process has begun one, so neither can take every job.  The worker's
-        jobs run ``in_worker``.
+        jobs run ``in_worker``, the caller's ``clustering.<name>``.
         """
         context = multiprocessing.get_context("fork")
         began = {"caller": context.Event(), "worker": context.Event()}
         caller = os.getpid()
 
-        def meeting(pts, tau):
+        def meeting(pts, *args):
             mine, other = ("caller", "worker") if os.getpid() == caller else ("worker", "caller")
             began[mine].set()
             began[other].wait(10)
             if mine == "worker":
-                return in_worker(pts, tau)
-            calls.append(tau)
-            return clustering.kmeans_labels(pts, tau)
+                return in_worker(pts, *args)
+            calls.append(args)
+            return getattr(clustering, name)(pts, *args)
 
-        monkeypatch.setattr(transduce_module, "kmeans_labels", meeting)
+        monkeypatch.setattr(transduce_module, name, meeting)
 
     def test_worker_partitions_equal_the_in_process_ones(self, two_blob, monkeypatch, calls):
         data = two_blob[0]
@@ -435,12 +435,39 @@ class TestKmeansWorker:
         self._same(got, want)
         assert no_child_left()
 
-    def test_linkage_only_ensemble_never_forks(self, two_blob, monkeypatch, calls):
+    def test_linkage_only_ensemble_forks(self, two_blob, monkeypatch, calls):
+        data, ensemble = two_blob[0], ("agglomerative_single", "agglomerative_complete")
+        want = [p for i, algo in enumerate(ensemble) for p in cluster_sweep(data, algo, 9, clusterer_id=i)]
+        linkages = []
+        self._meeting(monkeypatch, linkages, clustering.agglomerative_sweep, "agglomerative_sweep")
+        got = ensemble_sweep(data, ensemble, 9)
+        # each process ran one of the two linkage sweeps
+        assert [method for c, method, dists in linkages] in (["single"], ["complete"])
+        self._same(got, want)
+        assert no_child_left()
+
+    def test_kmeans_only_ensemble_never_forks(self, two_blob, monkeypatch, calls):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        ensemble = ("agglomerative_single", "agglomerative_complete")
-        got = ensemble_sweep(two_blob[0], ensemble, 9)
-        self._same(got, [p for i, algo in enumerate(ensemble)
-                         for p in cluster_sweep(two_blob[0], algo, 9, clusterer_id=i)])
+        got = ensemble_sweep(two_blob[0], ("kmeans", "kmeans"), 9)
+        assert len(calls) == 9
+        self._same(got, [p for i in (0, 1) for p in cluster_sweep(two_blob[0], "kmeans", 9, clusterer_id=i)])
+
+    @pytest.mark.parametrize("below, forks", [(1, 0), (0, 1)], ids=["below", "at"])
+    def test_size_threshold(self, monkeypatch, below, forks):
+        # on one CPU too: the threshold, not the machine, decides here
+        n = transduce_module._FORK_MIN_N - below
+        points = np.random.default_rng(n).normal(size=(n, 2))
+        made = []
+
+        def counted(fork=os.fork):
+            made.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(transduce_module, "second_cpu", lambda: True)
+        monkeypatch.setattr(os, "fork", counted)
+        ensemble_sweep(Dataset(points=points, ids=np.arange(n)), ALGOS, 3)
+        assert len(made) == forks
+        assert no_child_left()
 
     def test_shared_runs_each_job_once(self, tmp_path):
         # both processes append each job they run to one log; a job taken
