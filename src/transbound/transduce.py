@@ -226,39 +226,70 @@ def _count_dtype(n: int):
     return np.float32 if n < _FLOAT32_COUNTS_BELOW else np.float64
 
 
-def _cluster_counts(weights: np.ndarray, positive: np.ndarray, partition: Partition):
-    """Training points per (cluster, mask row) with label -1 and with label +1.
+# Mask cells scored per chunk by ``label_and_select``: each chunk's masks are
+# converted to the count dtype, 4 bytes per cell as float32, and every
+# indicator multiplies that copy, so it should stay in cache while they do.
+# ``mc_bound_validity("clustering", ...)`` in a fresh process (c = 10, k-means,
+# 4-centre blobs; wall s / peak MB, ru_maxrss, three runs; 2 shared x86-64
+# vCPUs, one BLAS thread; before chunking: one (n, trials) float32 copy):
+#   cells per chunk      2**16             2**18             2**20             before
+#   n = 100, 10**4       0.025-0.034 / 75  0.024-0.034 / 75  0.027-0.036 / 75  0.032-0.034 / 83
+#   n = 100, 5*10**5     0.91-1.07 / 238   0.97-1.32 / 239   0.95-1.40 / 239   1.82-2.42 / 718
+#   n = 2000, 2.5*10**4  0.86-0.89 / 126   0.89-0.93 / 126   0.92-1.05 / 126   1.58-2.36 / 553
+# ``label_and_select`` alone took the same time at all three sizes (medians of
+# 3-15 calls: 7-9 ms, 0.35-0.38 s and 0.23-0.24 s); the masks and the
+# (candidate, mask) tables set the peak.
+_SELECT_CELLS = 1 << 18
 
-    ``weights`` holds the masks as (n, rows) columns in ``_count_dtype(n)``;
-    ``positive`` flags the ids whose target is +1.  One product of the
-    partition's sparse (sign, cluster) indicator rows with the mask columns
-    gives both (tau, rows) count arrays, at a cost that does not grow with
-    tau.
+
+def _indicators(partitions: list[Partition], positive: np.ndarray, dtype) -> list:
+    """Each partition's sparse (2 tau, n) indicator of (sign, cluster) per id.
+
+    Row ``cluster`` flags the ids of that cluster whose target is not +1, row
+    ``tau + cluster`` those whose target is +1.  Its product with masks held as
+    (n, rows) columns in ``dtype`` gives the training points per (cluster,
+    mask row) with each label, at a cost that does not grow with tau.  The
+    indicators share one array of ones and one column pointer, so each holds
+    only its n row indices.
     """
-    tau, n = partition.tau, len(positive)
+    n = len(positive)
     # int32 indices, where they fit, spare scipy a scan for the index dtype:
     # half of the indicator's cost on one mask
-    index = np.int32 if 2 * max(tau, n) <= np.iinfo(np.int32).max else np.int64
-    indicator = csc_matrix((np.ones(n, dtype=weights.dtype),
-                            (partition.assignment + tau * positive).astype(index),
-                            np.arange(n + 1, dtype=index)), shape=(2 * tau, n))
-    counts = indicator @ weights
-    return counts[:tau], counts[tau:]
+    c = max(p.tau for p in partitions)
+    index = np.int32 if 2 * max(c, n) <= np.iinfo(np.int32).max else np.int64
+    ones, column = np.ones(n, dtype=dtype), np.arange(n + 1, dtype=index)
+    return [csc_matrix((ones, (p.assignment + p.tau * positive).astype(index), column),
+                       shape=(2 * p.tau, n)) for p in partitions]
+
+
+def _mask_chunks(masks: np.ndarray, dtype):
+    """(row slice, columns) per chunk of at most ``_SELECT_CELLS`` mask cells (one
+    row at least): the chunk's masks as C-contiguous (n, rows) columns in ``dtype``."""
+    step = max(1, _SELECT_CELLS // masks.shape[1])
+    for start in range(0, len(masks), step):
+        rows = slice(start, start + step)
+        # transposed, then converted: a converting transpose took 6-9 times as long
+        yield rows, np.ascontiguousarray(masks[rows].T).astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)
 class Selection:
     """The smallest-bound hypothesis under each training mask of a batch.
 
-    A mask on which every candidate's bound is +inf or NaN has no winner: it
-    keeps tau = 0, clusterer id 0, empirical risk 0, bound +inf and +1 labels.
+    ``candidate`` indexes the winning partition in the list that was scored,
+    and row r of ``cluster_labels`` holds the label of each of its clusters,
+    so id i is labelled ``cluster_labels[r, partitions[candidate[r]].assignment[i]]``;
+    the columns from the winner's tau on hold +1.  A mask on which every
+    candidate's bound is +inf or NaN has no winner: it keeps candidate -1,
+    tau = 0, clusterer id 0, empirical risk 0, bound +inf and +1 labels.
     """
 
+    candidate: np.ndarray  # (masks,) int64: index into the partitions, -1 for no winner
     tau: np.ndarray
     clusterer_id: np.ndarray
     emp_risk: np.ndarray
     bound: np.ndarray  # raw bound
-    labels: np.ndarray  # (masks, n) int8: the winner's +-1 majority label per id
+    cluster_labels: np.ndarray  # (masks, c) int8: the winner's +-1 majority label per cluster
     c: int
     k_ensemble: int
 
@@ -277,15 +308,19 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     tau ln 2 + ln(kc) for every other bound, once per tau for all
     clusterers, and scored by ``BOUNDS[bound_name]``.
 
-    A scoring pass fills a table of empirical risk and raw bound per
-    (candidate, mask) from exact per-(mask, cluster, sign) training counts,
-    one sparse indicator product per partition.  The winner of a mask is its
-    first candidate, in (tau, clusterer id) order, whose bound is below every
-    earlier one and below +inf, so ties break toward smaller tau, then
-    smaller clusterer id, and a NaN bound never wins.  Labels are then
-    computed for the winners only: each cluster takes the majority label of
+    A scoring pass fills a table of empirical risk per (candidate, mask) from
+    exact per-(mask, cluster, sign) training counts: one sparse indicator
+    product per partition and chunk of at most ``_SELECT_CELLS`` mask cells,
+    each indicator built once per call.  Each candidate's bounds then come
+    from one ``BOUNDS`` call.  The winner of a mask is its first candidate, in
+    (tau, clusterer id) order, whose bound is below every earlier one and
+    below +inf, so ties break toward smaller tau, then smaller clusterer id,
+    and a NaN bound never wins.  A second pass over the chunks counts again
+    for the winners only: each of their clusters takes the majority label of
     its training points, and a tie or a cluster with no training point gets
     +1, a fixed choice made without test labels that keeps the guarantee.
+    Beside the masks and the (candidate, mask) tables, no array grows with
+    the batch times n.
     """
     _check_choice("bound", bound_name, BOUND_NAMES)
     _check_probability("delta", delta)
@@ -304,33 +339,43 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     complexity = {p.tau: clustering_complexity(p.tau, c, k, variant) for p in partitions}
     bound_of = BOUNDS[bound_name]
 
-    candidates = sorted(partitions, key=lambda p: (p.tau, p.clusterer_id))
-    weights = np.ascontiguousarray(masks.T).astype(_count_dtype(n))
+    order = sorted(range(len(partitions)),
+                   key=lambda i: (partitions[i].tau, partitions[i].clusterer_id))
+    candidates = [partitions[i] for i in order]
+    dtype = _count_dtype(n)
     positive = np.asarray(target) == 1
+    indicators = _indicators(candidates, positive, dtype)
     emp = np.empty((len(candidates), rows))
-    bound = np.empty((len(candidates), rows))
+    for at, weights in _mask_chunks(masks, dtype):
+        for j, (p, indicator) in enumerate(zip(candidates, indicators)):
+            counts = indicator @ weights
+            # a sum of counts is at most m, exact in the count dtype too
+            emp[j, at] = np.minimum(counts[:p.tau], counts[p.tau:]).sum(axis=0)
+    emp /= m
+    bound = np.empty_like(emp)
     for j, p in enumerate(candidates):
-        neg, pos = _cluster_counts(weights, positive, p)
-        emp[j] = np.minimum(neg, pos).sum(axis=0, dtype=np.float64) / m
         bound[j] = bound_of(emp[j], complexity[p.tau], m, n - m, delta)
 
-    key = np.where(np.isnan(bound), np.inf, bound)
-    win = key.argmin(axis=0)
+    bound[np.isnan(bound)] = np.inf  # a NaN bound never wins
+    win = bound.argmin(axis=0)
     every = np.arange(rows)
-    found = key[win, every] < np.inf
-    labels = np.ones((rows, n), dtype=np.int8)
-    for j in np.unique(win[found]):
-        p = candidates[j]
-        at = found & (win == j)
-        neg, pos = _cluster_counts(weights.compress(at, axis=1), positive, p)
-        labels[at] = np.where(pos >= neg, np.int8(1), np.int8(-1)).T[:, p.assignment]
+    found = bound[win, every] < np.inf
+    labels = np.ones((rows, c), dtype=np.int8)
+    for at, weights in _mask_chunks(masks, dtype):
+        chunk_win, chunk_found, chunk_labels = win[at], found[at], labels[at]
+        for j in np.unique(chunk_win[chunk_found]):
+            tau, won = candidates[j].tau, chunk_found & (chunk_win == j)
+            counts = indicators[j] @ (weights if won.all() else weights.compress(won, axis=1))
+            chunk_labels[won, :tau] = np.where(counts[tau:] >= counts[:tau],
+                                               np.int8(1), np.int8(-1)).T
     return Selection(
+        candidate=np.where(found, np.array(order, dtype=np.int64)[win], -1),
         tau=np.where(found, np.array([p.tau for p in candidates], dtype=np.int64)[win], 0),
         clusterer_id=np.where(found, np.array([p.clusterer_id for p in candidates],
                                               dtype=np.int64)[win], 0),
         emp_risk=np.where(found, emp[win, every], 0.0),
-        bound=np.where(found, bound[win, every], np.inf),
-        labels=labels, c=c, k_ensemble=k,
+        bound=bound[win, every],
+        cluster_labels=labels, c=c, k_ensemble=k,
     )
 
 
@@ -349,6 +394,8 @@ def select_by_bound(partitions: list[Partition], labeled: LabeledSubset, delta: 
     chosen = label_and_select(partitions, target, masks, delta, bound_name)
     test_ids = np.flatnonzero(~masks[0])
     clusterer_id = int(chosen.clusterer_id[0])
+    # with no winner every cluster label is +1, so any partition expands them
+    clusters = partitions[max(int(chosen.candidate[0]), 0)].assignment[test_ids]
     return Certificate(
         chosen_tau=int(chosen.tau[0]),
         clusterer_id=clusterer_id,
@@ -359,7 +406,7 @@ def select_by_bound(partitions: list[Partition], labeled: LabeledSubset, delta: 
         c=chosen.c,
         k_ensemble=chosen.k_ensemble,
         test_ids=test_ids,
-        predictions=chosen.labels[0, test_ids].astype(np.int64),
+        predictions=chosen.cluster_labels[0, clusters].astype(np.int64),
     )
 
 

@@ -63,6 +63,9 @@ SCENARIOS = (
 # per 10**6 cells (gibbs_direct, hypotheses x trials from 2*10**6 to 4*10**6;
 # serfling, clustering and mc-concentration grew less), so this cap keeps a run
 # near 2 GB, five times the 10**5 trials x 100 points of the README example.
+# The clustering scenario at the cap (c = 10, k-means) peaks at 238 MB with
+# n = 100 and at 126 MB with n = 2000 (ru_maxrss), against 718 and 553 MB when
+# it held a float copy and a label matrix of every mask.
 # Between calls ``_split_masks`` holds the last batch of masks, at most 50 MB, and
 # ``_per_batch`` the risks (16 bytes per hypothesis x trial) and Gibbs terms (24 per
 # trial) derived from it; six scenarios at 40 x 10**5 peak at 229 MB with or without.
@@ -637,12 +640,42 @@ def _bound_violations(instance, masks, delta, name):
     return int(viol.sum())
 
 
+def _test_errors(partitions, target, masks, chosen) -> np.ndarray:
+    """Test errors per mask of the labels ``label_and_select`` chose over ``partitions``.
+
+    A winner's test errors are its errors on the full sample, from the
+    target's sign counts per cluster, less its exact training errors, m times
+    its empirical risk.  Under a mask with no winner every id is labelled +1,
+    so its test errors are the test ids with target -1.  Both are counted in
+    chunks of ``_RISK_CELLS`` // n masks, so no temporary grows as masks x n.
+    """
+    rows, n = masks.shape
+    m = int(masks[0].sum())
+    negative = target == -1
+    step = max(1, _RISK_CELLS // n)
+    test_errors = np.empty(rows, dtype=np.int64)
+    for j in np.unique(chosen.candidate):
+        at = np.flatnonzero(chosen.candidate == j)
+        if j >= 0:
+            p = partitions[j]
+            neg = np.bincount(p.assignment[negative], minlength=p.tau)
+            pos = np.bincount(p.assignment[~negative], minlength=p.tau)
+        for start in range(0, len(at), step):
+            some = at[start:start + step]
+            if j < 0:
+                test_errors[some] = np.count_nonzero(negative > masks[some], axis=1)
+            else:
+                errors = np.where(chosen.cluster_labels[some, :p.tau] == 1, neg, pos).sum(axis=1)
+                test_errors[some] = errors - np.rint(chosen.emp_risk[some] * m).astype(np.int64)
+    return test_errors
+
+
 def _clustering_violations(instance: ClusteringInstance, masks, delta):
     n = len(instance.target)
     data = Dataset(points=instance.points, ids=np.arange(n))
     partitions = ensemble_sweep(data, instance.clusterers, instance.c)
     chosen = label_and_select(partitions, instance.target, masks, delta, instance.bound_name)
-    test_errors = ((chosen.labels != instance.target) & ~masks).sum(axis=1)
+    test_errors = _test_errors(partitions, instance.target, masks, chosen)
     return int((test_errors / (n - instance.m) > chosen.bound).sum())
 
 
@@ -658,7 +691,12 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     masks (trials x n bytes) stay held for the next call on the same splits,
     and so do the instance's training and test risks (16 bytes per hypothesis
     x trial) and, after a ``gibbs_*`` scenario, its Gibbs terms (24 bytes per
-    trial): every later scenario on that instance and batch reads them.
+    trial): every later scenario on that instance and batch reads them.  The
+    clustering scenario scores the masks in bounded chunks
+    (``transduce.label_and_select``): beside them it holds two float64 tables
+    per (partition, trial) and c bytes of cluster labels per trial, and counts
+    each trial's test errors per cluster, so nothing of trials x n bytes
+    exists but the masks.
     """
     _check_choice("scenario", scenario, SCENARIOS)
     trials = _check_size("trials", trials)

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -130,8 +131,9 @@ def _labels_alone(partition, labeled):
     chosen = label_and_select([partition], target, target[None, :] != 0, 0.05)
     assert chosen.tau[0] == partition.tau and np.isfinite(chosen.bound[0])
     label_pos, _ = _ref_votes(partition, 0, labeled.indices, labeled.labels == 1, 1)
-    assert np.array_equal(chosen.labels[0], np.where(label_pos[0], 1, -1)[partition.assignment])
-    return chosen.labels[0]
+    labels = _point_labels(chosen, [partition])[0]
+    assert np.array_equal(labels, np.where(label_pos[0], 1, -1)[partition.assignment])
+    return labels
 
 
 class TestMajorityLabel:
@@ -506,7 +508,8 @@ class TestLabelAndSelect:
                    float(batch.bound[t]))
             assert got == (cert.chosen_tau, cert.clusterer_id, cert.emp_risk, cert.bound.raw)
             assert got == _scalar_choice(partitions, labeled, 0.05, bound_name)
-            assert np.array_equal(batch.labels[t, cert.test_ids], cert.predictions)
+            assert np.array_equal(_point_labels(batch, partitions)[t, cert.test_ids],
+                                  cert.predictions)
             assert type(cert.bound.raw) is float and type(cert.emp_risk) is float
         assert len(set(batch.emp_risk.tolist())) > 1
 
@@ -539,8 +542,9 @@ def _ref_votes(partition, row, point, positive, rows):
 def _ref_label_and_select(partitions, target, masks, delta, bound_name):
     """``label_and_select`` as a running best over one ``bincount`` per partition.
 
-    Every candidate that beats the best so far writes its labels, so the
-    kernel's argmin and winner-only labels must reproduce these bytes.
+    Every candidate that beats the best so far writes its index and every
+    id's label, so the kernel's argmin and winner-only cluster labels must
+    reproduce these bytes.
     """
     rows, n = masks.shape
     m = int(masks[0].sum())
@@ -549,16 +553,20 @@ def _ref_label_and_select(partitions, target, masks, delta, bound_name):
     variant = "printed" if bound_name == "serfling_printed" else "exact"
     row, point = np.nonzero(masks)
     positive = np.asarray(target)[point] == 1
-    best = transduce_module.Selection(
+    best = types.SimpleNamespace(
+        candidate=np.full(rows, -1, dtype=np.int64),
         tau=np.zeros(rows, dtype=np.int64), clusterer_id=np.zeros(rows, dtype=np.int64),
         emp_risk=np.zeros(rows), bound=np.full(rows, np.inf),
         labels=np.ones((rows, n), dtype=np.int8), c=c, k_ensemble=k)
-    for p in sorted(partitions, key=lambda p: (p.tau, p.clusterer_id)):
+    for i in sorted(range(len(partitions)),
+                    key=lambda i: (partitions[i].tau, partitions[i].clusterer_id)):
+        p = partitions[i]
         label_pos, errors = _ref_votes(p, row, point, positive, rows)
         emp = errors / m
         complexity = clustering_complexity(p.tau, c, k, variant)
         bound = transduce_module.BOUNDS[bound_name](emp, complexity, m, n - m, delta)
         better = bound < best.bound
+        best.candidate[better] = i
         best.tau[better] = p.tau
         best.clusterer_id[better] = p.clusterer_id
         best.emp_risk[better] = emp[better]
@@ -574,11 +582,56 @@ def _random_masks(rng, rows, n, m):
     return masks
 
 
-def _assert_same_selection(got, want):
-    for field in ("tau", "clusterer_id", "emp_risk", "bound", "labels"):
+def _phased_bound(monkeypatch, bound_name, rows, c=7, k=3):
+    """Patch ``BOUNDS[bound_name]`` for candidates of c clusters and k clusterers.
+
+    By row % 3, which it returns: no candidate scores below +inf; tau 1 wins;
+    tau 3 wins after two NaN bounds.  Every other candidate scores +inf.
+    """
+    plain = transduce_module.BOUNDS[bound_name]
+    phase = np.arange(rows) % 3
+    variant = "printed" if bound_name == "serfling_printed" else "exact"
+    # with more than one clusterer, each tau has its own complexity
+    tau_of = {clustering_complexity(tau, c, k, variant): tau for tau in range(1, c + 1)}
+
+    def bound(emp, complexity, m, u, delta):
+        tau = tau_of[complexity]
+        if tau == 1:
+            return np.where(phase == 1, plain(emp, complexity, m, u, delta), np.nan)
+        if tau == 2:
+            return np.full(emp.shape, np.nan)
+        if tau == 3:
+            return np.where(phase == 2, plain(emp, complexity, m, u, delta), np.inf)
+        return np.full(emp.shape, np.inf)
+
+    monkeypatch.setitem(transduce_module.BOUNDS, bound_name, bound)
+    return phase
+
+
+def _point_labels(selection, partitions):
+    """(masks, n) labels: each mask's cluster labels read through its winner's assignment.
+
+    A mask without a winner must hold +1 for every cluster, as must every
+    column from its winner's tau on.
+    """
+    rows, c = selection.cluster_labels.shape
+    assert selection.cluster_labels.dtype == np.int8
+    unused = np.arange(c) >= selection.tau[:, None]  # every column when tau = 0
+    assert (selection.cluster_labels[unused] == 1).all()
+    assert ((selection.candidate < 0) == (selection.tau == 0)).all()
+    labels = np.ones((rows, len(partitions[0].assignment)), dtype=np.int8)
+    for r in np.flatnonzero(selection.candidate >= 0):
+        labels[r] = selection.cluster_labels[r, partitions[selection.candidate[r]].assignment]
+    return labels
+
+
+def _assert_same_selection(got, want, partitions):
+    for field in ("candidate", "tau", "clusterer_id", "emp_risk", "bound"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), field
         assert a.tobytes() == b.tobytes(), field
+    assert got.cluster_labels.shape == (len(got.tau), got.c)
+    assert _point_labels(got, partitions).tobytes() == want.labels.tobytes()
     assert (got.c, got.k_ensemble) == (want.c, want.k_ensemble)
 
 
@@ -602,7 +655,8 @@ class TestScoreTable:
         for m in (2 if bound_name == "direct" else 1, 8, 30, 59):
             masks = _random_masks(rng, 25, 60, m)
             _assert_same_selection(label_and_select(sweep, target, masks, 0.05, bound_name),
-                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name))
+                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name),
+                                   sweep)
 
     @pytest.mark.parametrize("bound_name", BOUND_NAMES)
     def test_a_partition_under_two_ids_ties(self, sweep, bound_name):
@@ -612,7 +666,8 @@ class TestScoreTable:
                  for q in (p, Partition(tau=p.tau, assignment=p.assignment, clusterer_id=3))]
         masks = _random_masks(rng, 40, 60, 20)
         got = label_and_select(twice, target, masks, 0.05, bound_name)
-        _assert_same_selection(got, _ref_label_and_select(twice, target, masks, 0.05, bound_name))
+        _assert_same_selection(got, _ref_label_and_select(twice, target, masks, 0.05, bound_name),
+                               twice)
         assert (got.clusterer_id == 1).all()
 
     @pytest.mark.parametrize("m", [1, 59])
@@ -621,7 +676,7 @@ class TestScoreTable:
         target = np.where(rng.random(60) < 0.4, -1, 1)
         masks = _random_masks(rng, 1, 60, m)
         want = _ref_label_and_select(sweep, target, masks, 0.05, "serfling_printed")
-        _assert_same_selection(label_and_select(sweep, target, masks, 0.05), want)
+        _assert_same_selection(label_and_select(sweep, target, masks, 0.05), want, sweep)
         ids = np.flatnonzero(masks[0])
         labeled = LabeledSubset(indices=ids, labels=target[ids])
         for p in sweep:
@@ -638,36 +693,56 @@ class TestScoreTable:
         target = np.where(rng.random(60) < 0.5, -1, 1)
         for bound_name in BOUND_NAMES:
             _assert_same_selection(label_and_select(sweep, target, masks, 0.05, bound_name),
-                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name))
+                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name),
+                                   sweep)
 
     def test_nan_never_wins_and_no_winner_keeps_the_default(self, sweep, monkeypatch):
-        # by row % 3: no candidate below +inf; tau 1 wins; tau 3 wins after two
-        # NaN bounds.  Every other candidate scores +inf.
-        plain = transduce_module.BOUNDS["serfling_printed"]
-        phase = np.arange(30) % 3
-        # the sweep holds 3 clusterers at c = 7: each tau has its own complexity
-        tau_of = {clustering_complexity(tau, 7, 3, "printed"): tau for tau in range(1, 8)}
-
-        def bound(emp, complexity, m, u, delta):
-            tau = tau_of[complexity]
-            if tau == 1:
-                return np.where(phase == 1, plain(emp, complexity, m, u, delta), np.nan)
-            if tau == 2:
-                return np.full(emp.shape, np.nan)
-            if tau == 3:
-                return np.where(phase == 2, plain(emp, complexity, m, u, delta), np.inf)
-            return np.full(emp.shape, np.inf)
-
-        monkeypatch.setitem(transduce_module.BOUNDS, "serfling_printed", bound)
+        phase = _phased_bound(monkeypatch, "serfling_printed", 30)
         rng = np.random.default_rng(6)
         target = np.where(rng.random(60) < 0.7, -1, 1)
         masks = _random_masks(rng, 30, 60, 15)
         got = label_and_select(sweep, target, masks, 0.05)
         _assert_same_selection(got, _ref_label_and_select(sweep, target, masks, 0.05,
-                                                          "serfling_printed"))
+                                                          "serfling_printed"), sweep)
         assert (got.tau == np.array([0, 1, 3])[phase]).all()
-        assert (got.labels[phase == 0] == 1).all() and np.isinf(got.bound[phase == 0]).all()
-        assert (got.labels[phase == 1] == -1).any()
+        labels = _point_labels(got, sweep)
+        assert (labels[phase == 0] == 1).all() and np.isinf(got.bound[phase == 0]).all()
+        assert (labels[phase == 1] == -1).any()
+
+    @pytest.mark.parametrize("bound_name", BOUND_NAMES)
+    def test_chunk_boundaries(self, sweep, monkeypatch, bound_name):
+        phase = _phased_bound(monkeypatch, bound_name, 30)
+        rng = np.random.default_rng(11)
+        target = np.where(rng.random(60) < 0.5, -1, 1)
+        # 8 training ids of each sign: every tau 1 winner ties, and gets +1
+        masks = np.zeros((30, 60), dtype=bool)
+        for row in masks:
+            for sign in (-1, 1):
+                row[rng.choice(np.flatnonzero(target == sign), size=8, replace=False)] = True
+        want = _ref_label_and_select(sweep, target, masks, 0.05, bound_name)
+        chunk_rows, mask_chunks = [], transduce_module._mask_chunks
+
+        def recorded(masks, dtype):
+            for rows, weights in mask_chunks(masks, dtype):
+                chunk_rows.append(weights.shape[1])
+                yield rows, weights
+
+        monkeypatch.setattr(transduce_module, "_mask_chunks", recorded)
+        selections = []
+        # 30, 1, 1, 4 and 7 masks per chunk: n = 60 cells per mask
+        for cells, rows in ((30 * 60, 30), (1, 1), (60, 1), (4 * 60, 4), (8 * 60 - 1, 7)):
+            monkeypatch.setattr(transduce_module, "_SELECT_CELLS", cells)
+            chunk_rows.clear()
+            selections.append(label_and_select(sweep, target, masks, 0.05, bound_name))
+            _assert_same_selection(selections[-1], want, sweep)
+            assert chunk_rows == 2 * ([rows] * (30 // rows) + [30 % rows] * (30 % rows > 0))
+        for got in selections[1:]:
+            for field in ("candidate", "tau", "clusterer_id", "emp_risk", "bound",
+                          "cluster_labels"):
+                assert getattr(got, field).tobytes() == getattr(selections[0], field).tobytes()
+        assert (want.tau == np.array([0, 1, 3])[phase]).all()
+        assert (want.emp_risk[phase == 1] == 0.5).all()
+        assert (selections[0].cluster_labels[phase != 2] == 1).all()
 
     @pytest.mark.parametrize("below", [60, 61])
     def test_either_count_dtype(self, sweep, monkeypatch, below):
@@ -681,7 +756,8 @@ class TestScoreTable:
         masks = _random_masks(rng, 30, 60, 24)
         for bound_name in BOUND_NAMES:
             _assert_same_selection(label_and_select(sweep, target, masks, 0.05, bound_name),
-                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name))
+                                   _ref_label_and_select(sweep, target, masks, 0.05, bound_name),
+                                   sweep)
         assert used == [np.float64 if below == 60 else np.float32] * len(BOUND_NAMES)
 
     def test_float32_counts_below_two_to_the_24(self):

@@ -15,6 +15,7 @@ from scipy.stats import chi2
 from transbound.hypergeom import HypergeomSpec, deviation_tail
 from transbound import validation
 from transbound.pac_bayes import BoundInputs, det_bound, gibbs_raw
+from transbound.priors import clustering_complexity
 from transbound.validation import (
     ClusteringInstance,
     FiniteHypothesisInstance,
@@ -451,6 +452,49 @@ class TestMcBoundValidity:
         inst = ClusteringInstance(points=data.points, target=truth, m=50, c=5,
                                   clusterers=["kmeans", "kmeans"])
         assert inst.clusterers == ("kmeans", "kmeans")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("cells", [1, 120, 1 << 22])
+    def test_test_errors_equal_the_label_matrix_count(self, monkeypatch, seed, cells):
+        # each candidate's masks counted in chunks of 1, 2 and every mask
+        monkeypatch.setattr(validation, "_RISK_CELLS", cells)
+        rng = np.random.default_rng(seed)
+        n, rows = 60, 45
+        blob = rng.integers(0, 3, size=n)
+        points = rng.normal(size=(n, 2)) + 4.0 * blob[:, None]
+        # blob 0 mostly +1, blob 1 a coin flip, blob 2 mostly -1
+        target = np.where(rng.random(n) < np.array([0.1, 0.5, 0.9])[blob], -1, 1)
+        partitions = transduce_module.ensemble_sweep(
+            transduce_module.Dataset(points=points, ids=np.arange(n)),
+            ("kmeans", "agglomerative_single"), 6)
+        plain = transduce_module.BOUNDS["serfling_printed"]
+        phase, one = np.arange(rows) % 3, clustering_complexity(1, 6, 2, "printed")
+
+        def bound(emp, complexity, *rest):  # by row % 3: no winner, tau 1, any winner
+            return np.where((phase == 0) | ((phase == 1) & (complexity != one)), np.inf,
+                            plain(emp, complexity, *rest))
+
+        monkeypatch.setitem(transduce_module.BOUNDS, "serfling_printed", bound)
+        # 8 training ids of each sign in every other mask, 16 of any sign in the rest
+        masks = np.zeros((rows, n), dtype=bool)
+        for r, row in enumerate(masks):
+            for ids in ([np.flatnonzero(target == sign) for sign in (-1, 1)] if r % 2 else
+                        [np.arange(n), np.arange(n)]):
+                row[rng.choice(ids[~row[ids]], size=8, replace=False)] = True
+        chosen = transduce_module.label_and_select(partitions, target, masks, 0.05)
+        labels = np.ones((rows, n), dtype=np.int8)
+        ties = 0
+        for r in np.flatnonzero(chosen.candidate >= 0):
+            p = partitions[chosen.candidate[r]]
+            labels[r] = chosen.cluster_labels[r, p.assignment]
+            train = p.assignment[masks[r]]
+            pos = np.bincount(train[target[masks[r]] == 1], minlength=p.tau)
+            ties += int(((pos > 0) & (2 * pos == np.bincount(train, minlength=p.tau))).sum())
+        assert ties > 0 and (chosen.tau == np.where(phase < 2, phase, chosen.tau)).all()
+        assert (chosen.tau[phase == 2] > 1).any()
+        want = ((labels != target) & ~masks).sum(axis=1)  # the label-matrix count
+        got = validation._test_errors(partitions, target, masks, chosen)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
