@@ -229,16 +229,17 @@ def _count_dtype(n: int):
 # Mask cells scored per chunk by ``label_and_select``: each chunk's masks are
 # converted to the count dtype, 4 bytes per cell as float32, and every
 # indicator multiplies that copy, so it should stay in cache while they do.
-# ``mc_bound_validity("clustering", ...)`` in a fresh process (c = 10, k-means,
-# 4-centre blobs; wall s / peak MB, ru_maxrss, three runs; 2 shared x86-64
-# vCPUs, one BLAS thread; before chunking: one (n, trials) float32 copy):
-#   cells per chunk      2**16             2**18             2**20             before
-#   n = 100, 10**4       0.025-0.034 / 75  0.024-0.034 / 75  0.027-0.036 / 75  0.032-0.034 / 83
-#   n = 100, 5*10**5     0.91-1.07 / 238   0.97-1.32 / 239   0.95-1.40 / 239   1.82-2.42 / 718
-#   n = 2000, 2.5*10**4  0.86-0.89 / 126   0.89-0.93 / 126   0.92-1.05 / 126   1.58-2.36 / 553
-# ``label_and_select`` alone took the same time at all three sizes (medians of
-# 3-15 calls: 7-9 ms, 0.35-0.38 s and 0.23-0.24 s); the masks and the
-# (candidate, mask) tables set the peak.
+# ``mc_bound_validity("clustering", ...)`` in a fresh process (c = 10 and
+# k-means unless given, 4-centre blobs; wall s / peak MB, ru_maxrss, three
+# runs; 2 shared x86-64 vCPUs, one BLAS thread):
+#   cells per chunk            2**16             2**18             2**20
+#   n = 100, 10**4             0.024-0.032 / 72  0.026-0.039 / 74  0.028-0.042 / 77
+#   n = 100, 5*10**5           1.10-1.38 / 156   1.10-1.28 / 156   1.07-1.57 / 158
+#   n = 2000, 2.5*10**4        1.21-1.96 / 120   0.95-1.00 / 121   1.00-1.29 / 128
+#   n = 100, 2*10**5, c = 50,  1.96-2.39 / 113   1.94-2.27 / 114   2.45-2.61 / 121
+#     k-means listed 3 times
+# With a float64 empirical risk and bound per (candidate, mask), 2**18 peaked
+# at 75, 239, 126 and 780 MB.
 _SELECT_CELLS = 1 << 18
 
 
@@ -281,13 +282,15 @@ class Selection:
     so id i is labelled ``cluster_labels[r, partitions[candidate[r]].assignment[i]]``;
     the columns from the winner's tau on hold +1.  A mask on which every
     candidate's bound is +inf or NaN has no winner: it keeps candidate -1,
-    tau = 0, clusterer id 0, empirical risk 0, bound +inf and +1 labels.
+    tau = 0, clusterer id 0, empirical risk 0, 0 training errors, bound +inf
+    and +1 labels.
     """
 
     candidate: np.ndarray  # (masks,) int64: index into the partitions, -1 for no winner
     tau: np.ndarray
     clusterer_id: np.ndarray
     emp_risk: np.ndarray
+    train_errors: np.ndarray  # (masks,) int64: the winner's training errors, m * emp_risk
     bound: np.ndarray  # raw bound
     cluster_labels: np.ndarray  # (masks, c) int8: the winner's +-1 majority label per cluster
     c: int
@@ -308,19 +311,19 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     tau ln 2 + ln(kc) for every other bound, once per tau for all
     clusterers, and scored by ``BOUNDS[bound_name]``.
 
-    A scoring pass fills a table of empirical risk per (candidate, mask) from
-    exact per-(mask, cluster, sign) training counts: one sparse indicator
-    product per partition and chunk of at most ``_SELECT_CELLS`` mask cells,
-    each indicator built once per call.  Each candidate's bounds then come
-    from one ``BOUNDS`` call.  The winner of a mask is its first candidate, in
-    (tau, clusterer id) order, whose bound is below every earlier one and
-    below +inf, so ties break toward smaller tau, then smaller clusterer id,
-    and a NaN bound never wins.  A second pass over the chunks counts again
-    for the winners only: each of their clusters takes the majority label of
-    its training points, and a tie or a cluster with no training point gets
-    +1, a fixed choice made without test labels that keeps the guarantee.
-    Beside the masks and the (candidate, mask) tables, no array grows with
-    the batch times n.
+    A candidate's bound depends on a mask only through its training error
+    count j in 0..m, so one ``BOUNDS`` call per tau gives its bound at every
+    j / m.  Each j comes from exact per-(mask, cluster, sign) training
+    counts: one sparse indicator product per partition and chunk of at most
+    ``_SELECT_CELLS`` mask cells, each indicator built once per call.  In
+    (tau, clusterer id) order, a mask keeps the first candidate whose bound
+    is below every earlier one and below +inf, so ties break toward smaller
+    tau, then smaller clusterer id, and a NaN bound never wins.  Then the
+    chunk's winners are counted again: each of their clusters takes the
+    majority label of its training points, and a tie or a cluster with no
+    training point gets +1, a fixed choice made without test labels that
+    keeps the guarantee.  Beside the masks, a mask holds its running best,
+    winner, count and c labels: no array grows as masks x n or x candidates.
     """
     _check_choice("bound", bound_name, BOUND_NAMES)
     _check_probability("delta", delta)
@@ -345,36 +348,38 @@ def label_and_select(partitions: list[Partition], target: np.ndarray, masks: np.
     dtype = _count_dtype(n)
     positive = np.asarray(target) == 1
     indicators = _indicators(candidates, positive, dtype)
-    emp = np.empty((len(candidates), rows))
-    for at, weights in _mask_chunks(masks, dtype):
-        for j, (p, indicator) in enumerate(zip(candidates, indicators)):
-            counts = indicator @ weights
-            # a sum of counts is at most m, exact in the count dtype too
-            emp[j, at] = np.minimum(counts[:p.tau], counts[p.tau:]).sum(axis=0)
-    emp /= m
-    bound = np.empty_like(emp)
-    for j, p in enumerate(candidates):
-        bound[j] = bound_of(emp[j], complexity[p.tau], m, n - m, delta)
-
-    bound[np.isnan(bound)] = np.inf  # a NaN bound never wins
-    win = bound.argmin(axis=0)
-    every = np.arange(rows)
-    found = bound[win, every] < np.inf
+    tables = {tau: bound_of(np.arange(m + 1) / m, charge, m, n - m, delta)
+              for tau, charge in complexity.items()}
+    win = np.zeros(rows, dtype=np.int64)
+    best = np.full(rows, np.inf)
+    errors = np.zeros(rows, dtype=np.int64)
     labels = np.ones((rows, c), dtype=np.int8)
     for at, weights in _mask_chunks(masks, dtype):
-        chunk_win, chunk_found, chunk_labels = win[at], found[at], labels[at]
-        for j in np.unique(chunk_win[chunk_found]):
-            tau, won = candidates[j].tau, chunk_found & (chunk_win == j)
-            counts = indicators[j] @ (weights if won.all() else weights.compress(won, axis=1))
-            chunk_labels[won, :tau] = np.where(counts[tau:] >= counts[:tau],
-                                               np.int8(1), np.int8(-1)).T
+        chunk_win, chunk_best, chunk_errors = win[at], best[at], errors[at]  # views
+        for i, (p, indicator) in enumerate(zip(candidates, indicators)):
+            counts = indicator @ weights
+            # a sum of counts is at most m, exact in the count dtype too
+            count = np.minimum(counts[:p.tau], counts[p.tau:]).sum(axis=0).astype(np.int64)
+            bound = tables[p.tau][count]
+            better = bound < chunk_best  # never where the bound is NaN
+            np.copyto(chunk_best, bound, where=better)
+            np.copyto(chunk_win, i, where=better)
+            np.copyto(chunk_errors, count, where=better)
+        found = chunk_best < np.inf
+        for i in np.unique(chunk_win[found]):
+            tau, won = candidates[i].tau, found & (chunk_win == i)
+            counts = indicators[i] @ (weights if won.all() else weights.compress(won, axis=1))
+            labels[at][won, :tau] = np.where(counts[tau:] >= counts[:tau],
+                                             np.int8(1), np.int8(-1)).T
+    found = best < np.inf
     return Selection(
         candidate=np.where(found, np.array(order, dtype=np.int64)[win], -1),
         tau=np.where(found, np.array([p.tau for p in candidates], dtype=np.int64)[win], 0),
         clusterer_id=np.where(found, np.array([p.clusterer_id for p in candidates],
                                               dtype=np.int64)[win], 0),
-        emp_risk=np.where(found, emp[win, every], 0.0),
-        bound=bound[win, every],
+        emp_risk=errors / m,
+        train_errors=errors,
+        bound=best,
         cluster_labels=labels, c=c, k_ensemble=k,
     )
 

@@ -19,7 +19,7 @@ any other shape, takes its split from ``sample_split`` itself.  So the
 masks equal ``sample_split``'s bit for bit;
 ``tests/test_validation.py::TestSplitKernel`` pins that equality.  The last
 batch stays held, read-only, so scenarios validated on one seed share a draw,
-and with it the risks and Gibbs terms derived from it (``_per_batch``).
+and with it the error counts and Gibbs terms derived from it (``_per_batch``).
 """
 
 from dataclasses import dataclass
@@ -59,16 +59,15 @@ SCENARIOS = (
 )
 
 # Largest cell count of one Monte-Carlo array: trials x n_total, hypotheses x
-# n_total or hypotheses x trials.  Peak resident memory grew by at most 39 MB
-# per 10**6 cells (gibbs_direct, hypotheses x trials from 2*10**6 to 4*10**6;
-# serfling, clustering and mc-concentration grew less), so this cap keeps a run
-# near 2 GB, five times the 10**5 trials x 100 points of the README example.
-# The clustering scenario at the cap (c = 10, k-means) peaks at 238 MB with
-# n = 100 and at 126 MB with n = 2000 (ru_maxrss), against 718 and 553 MB when
-# it held a float copy and a label matrix of every mask.
+# n_total or hypotheses x trials, five times the 10**5 trials x 100 points of
+# the README example.  At the cap (ru_maxrss), 500 hypotheses x 10**5 trials
+# (n = 40) peak at 360 MB under serfling, vapnik_absolute and gibbs_direct, and
+# the clustering scenario (c = 10, k-means) at 156 MB with n = 100 and 121 MB
+# with n = 2000.  Per 10**6 hypotheses x trials the peak grew by 6 MB (39 MB
+# when float64 risks were held).
 # Between calls ``_split_masks`` holds the last batch of masks, at most 50 MB, and
-# ``_per_batch`` the risks (16 bytes per hypothesis x trial) and Gibbs terms (24 per
-# trial) derived from it; six scenarios at 40 x 10**5 peak at 229 MB with or without.
+# ``_per_batch`` the training error counts (2 bytes per hypothesis x trial where
+# m < 2**15) and Gibbs terms (24 per trial) derived from it.
 MAX_MC_CELLS = 50_000_000
 
 # SplitMix64 constants (Steele, Lea & Flood's generator): the per-trial seed
@@ -554,103 +553,119 @@ def random_hypothesis_instance(n_total: int, m: int, n_hyp: int, seed: int) -> F
 
 
 # trials x n_total mask cells held per step: converted to the count dtype per
-# product in ``_risks`` (16 MB as float32), since converting all the masks at
+# product in ``_train_counts`` (16 MB as float32), since converting all the masks at
 # once would hold a float copy of every mask, 4 or 8 bytes per cell, next to
 # the masks; and drawn per chunk of ``mc_concentration``'s trials.
 _RISK_CELLS = 1 << 22
 
 
 def _per_batch(func):
-    """``func(instance, masks)`` with its arrays read-only, computed once per instance
-    on the held batch: scenarios on one batch share it.  Other masks, writable ones
-    included, recompute on every call."""
+    """``func(instance, masks)``, a read-only array, computed once per instance on the
+    held batch: scenarios on one batch share it.  Other masks, writable ones included,
+    recompute on every call."""
     @functools.wraps(func)
     def per_batch(instance, masks):
         derived = _derived  # a local, as in ``_split_masks``
         memo = derived[1] if derived is not None and derived[0] is masks else {}
         if (instance, func) not in memo:
             memo[instance, func] = func(instance, masks)
-            for array in memo[instance, func]:
-                array.flags.writeable = False
+            memo[instance, func].flags.writeable = False
         return memo[instance, func]
     return per_batch
 
 
 @_per_batch
-def _risks(instance: FiniteHypothesisInstance, masks: np.ndarray):
-    """Training and test risks per (hypothesis, trial) from boolean masks.
+def _train_counts(instance: FiniteHypothesisInstance, masks: np.ndarray):
+    """Training error count per (hypothesis, trial) from boolean masks, int16 where m < 2**15.
 
-    The training error counts are exact float BLAS products of the 0/1 error
-    and mask matrices (see ``transduce._count_dtype``).
+    The counts are exact float BLAS products of the 0/1 error and mask
+    matrices (see ``transduce._count_dtype``).
     """
     n_hyp, n = instance.errors.shape
-    m, u = instance.m, n - instance.m
     dtype = _count_dtype(n)
     errors = instance.errors.astype(dtype)
     step = max(1, _RISK_CELLS // n)
-    train_counts = np.empty((n_hyp, masks.shape[0]))
+    counts = np.empty((n_hyp, len(masks)), np.int16 if instance.m < 1 << 15 else np.int64)
     for t in range(0, masks.shape[0], step):
-        train_counts[:, t:t + step] = errors @ masks[t:t + step].T.astype(dtype)
-    k = instance.errors.sum(axis=1, keepdims=True)
-    r_m = train_counts / m
-    r_u = (k - train_counts) / u
-    return r_m, r_u
+        counts[:, t:t + step] = errors @ masks[t:t + step].T.astype(dtype)
+    return counts
 
 
-def _vapnik_violations(instance, masks, delta, variant):
+def _fail_tables(instance, delta, scenario):
+    """(hypotheses, m + 1) boolean tables over a hypothesis's training errors j = 0..m.
+
+    A hypothesis with k errors fails on a split through j alone, so its row
+    is computed from r_m = j / m and r_u = (k - j) / u: for ``vapnik_*``
+    where r_u - r_m (times sqrt(n / k) for ``relative``) reaches eps* at its
+    prior mass p, then where it equals eps*, a boundary hit; for the rest
+    where r_u exceeds ``BOUNDS[scenario]`` charged ln(1/p).
+    """
     n = instance.errors.shape[1]
     m, u = instance.m, n - instance.m
-    stars = {p: epsilon_star(p, delta, m, u, variant).value for p in set(instance.prior.tolist())}
-    thresholds = np.array([stars[p] for p in instance.prior.tolist()])
+    k = instance.errors.sum(axis=1, keepdims=True)
+    r_m, r_u = np.arange(m + 1) / m, (k - np.arange(m + 1)) / u
+    if scenario.startswith("vapnik_"):
+        variant = scenario.removeprefix("vapnik_")
+        stars = {p: epsilon_star(p, delta, m, u, variant).value
+                 for p in set(instance.prior.tolist())}
+        thresholds = np.array([stars[p] for p in instance.prior.tolist()])[:, None]
+        dev = r_u - r_m
+        if variant == "relative":  # the k = 0 rows are identically 0 by the convention
+            dev = dev * np.where(k > 0, np.sqrt(n / np.maximum(k, 1)), 0.0)
+        return [dev >= thresholds, dev == thresholds]
+    return [np.array([r_u[h] > BOUNDS[scenario](r_m, _log_inverse(float(p)), m, u, delta)
+                      for h, p in enumerate(instance.prior)])]
 
-    r_m, r_u = _risks(instance, masks)
-    dev = r_u - r_m
-    if variant == "relative":
-        k = instance.errors.sum(axis=1, keepdims=True)
-        scale = np.where(k > 0, np.sqrt(n / np.maximum(k, 1)), 0.0)
-        dev = dev * scale  # the k = 0 rows are identically 0 by the convention
-    violated = (dev >= thresholds[:, None]).any(axis=0)
-    boundary = (dev == thresholds[:, None]).any(axis=0)
-    return int(violated.sum()), int(boundary.sum())
+
+def _violations(instance, masks, delta, scenario):
+    """Trials on which a hypothesis scenario fails, and those with a boundary hit: the
+    Gibbs posterior charged D(q||p), or each hypothesis's ``_fail_tables`` at its count."""
+    if scenario.startswith("gibbs_"):
+        m, u = instance.m, instance.errors.shape[1] - instance.m
+        kl, emp, test = _gibbs_terms(instance, masks)
+        return int((test > BOUNDS[scenario](emp, kl, m, u, delta)).sum()), 0
+    counts = _train_counts(instance, masks)
+    hits = [int(functools.reduce(np.logical_or, map(np.take, table, counts)).sum())
+            for table in _fail_tables(instance, delta, scenario)]
+    return hits[0], sum(hits[1:])  # only vapnik_* has a table of boundary hits
+
+
+_GIBBS_CELLS = 1 << 13  # hypotheses x trials per chunk: some 0.6 MB of float temporaries
 
 
 @_per_batch
 def _gibbs_terms(instance, masks):
-    """KL to the prior, training and test risk of the Gibbs posterior, one per trial."""
-    r_m, r_u = _risks(instance, masks)
-    # posterior after seeing labels: mass proportional to exp(-m * training error)
-    logits = -instance.m * r_m
-    q = np.exp(logits - logits.max(axis=0, keepdims=True))
-    q /= q.sum(axis=0, keepdims=True)
-    return kl_divergence(q, instance.prior[:, None]), (q * r_m).sum(axis=0), (q * r_u).sum(axis=0)
-
-
-def _bound_violations(instance, masks, delta, name):
-    """Trials on which ``BOUNDS[name]`` fails for the Gibbs posterior (``gibbs_*``) or for any
-    hypothesis, each charged ln(1/p) of its own prior mass."""
+    """Rows of KL to the prior, training and test risk of the Gibbs posterior, one column
+    per trial, in chunks of trials.  No chunk holds one trial unless the batch does:
+    numpy sums a (hypotheses, 1) array pairwise, and a wider one row by row."""
+    counts = _train_counts(instance, masks)
+    n_hyp, trials = counts.shape
     m, u = instance.m, instance.errors.shape[1] - instance.m
-    if name.startswith("gibbs_"):
-        rows = [_gibbs_terms(instance, masks)]  # (KL, training risk, test risk) per trial
-    else:
-        r_m, r_u = _risks(instance, masks)
-        rows = [(_log_inverse(float(p)), r_m[j], r_u[j]) for j, p in enumerate(instance.prior)]
-    viol = np.zeros(masks.shape[0], dtype=bool)
-    for complexity, emp, test in rows:
-        viol |= test > BOUNDS[name](emp, complexity, m, u, delta)
-    return int(viol.sum())
+    k = instance.errors.sum(axis=1, keepdims=True)
+    terms = np.empty((3, trials))
+    starts = range(0, max(trials - 1, 1), max(2, _GIBBS_CELLS // n_hyp))
+    for start, stop in zip(starts, [*starts[1:], trials]):
+        train = counts[:, start:stop].astype(float)
+        r_m, r_u = train / m, (k - train) / u
+        # posterior after seeing labels: mass proportional to exp(-m * training error)
+        logits = -m * r_m
+        q = np.exp(logits - logits.max(axis=0, keepdims=True))
+        q /= q.sum(axis=0, keepdims=True)
+        terms[:, start:stop] = (kl_divergence(q, instance.prior[:, None]),
+                                (q * r_m).sum(axis=0), (q * r_u).sum(axis=0))
+    return terms
 
 
 def _test_errors(partitions, target, masks, chosen) -> np.ndarray:
     """Test errors per mask of the labels ``label_and_select`` chose over ``partitions``.
 
     A winner's test errors are its errors on the full sample, from the
-    target's sign counts per cluster, less its exact training errors, m times
-    its empirical risk.  Under a mask with no winner every id is labelled +1,
-    so its test errors are the test ids with target -1.  Both are counted in
-    chunks of ``_RISK_CELLS`` // n masks, so no temporary grows as masks x n.
+    target's sign counts per cluster, less its training errors.  Under a mask
+    with no winner every id is labelled +1, so its test errors are the test
+    ids with target -1.  Both are counted in chunks of ``_RISK_CELLS`` // n
+    masks, so no temporary grows as masks x n.
     """
     rows, n = masks.shape
-    m = int(masks[0].sum())
     negative = target == -1
     step = max(1, _RISK_CELLS // n)
     test_errors = np.empty(rows, dtype=np.int64)
@@ -666,7 +681,7 @@ def _test_errors(partitions, target, masks, chosen) -> np.ndarray:
                 test_errors[some] = np.count_nonzero(negative > masks[some], axis=1)
             else:
                 errors = np.where(chosen.cluster_labels[some, :p.tau] == 1, neg, pos).sum(axis=1)
-                test_errors[some] = errors - np.rint(chosen.emp_risk[some] * m).astype(np.int64)
+                test_errors[some] = errors - chosen.train_errors[some]
     return test_errors
 
 
@@ -689,14 +704,14 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     event is controlled by the inversion.  All other scenarios use strict
     exceedance of the stated bound.  Until other splits are drawn, the split
     masks (trials x n bytes) stay held for the next call on the same splits,
-    and so do the instance's training and test risks (16 bytes per hypothesis
-    x trial) and, after a ``gibbs_*`` scenario, its Gibbs terms (24 bytes per
-    trial): every later scenario on that instance and batch reads them.  The
-    clustering scenario scores the masks in bounded chunks
-    (``transduce.label_and_select``): beside them it holds two float64 tables
-    per (partition, trial) and c bytes of cluster labels per trial, and counts
-    each trial's test errors per cluster, so nothing of trials x n bytes
-    exists but the masks.
+    and so do the instance's training error counts (2 bytes per hypothesis x
+    trial where m < 2**15, else 8) and, after a ``gibbs_*`` scenario, its
+    Gibbs terms (24 bytes per trial): every later scenario on that instance
+    and batch reads them.  The clustering scenario scores the masks in
+    bounded chunks (``transduce.label_and_select``): beside them it holds
+    about 24 bytes of running best and c bytes of cluster labels per trial,
+    and counts each trial's test errors per cluster, so nothing of trials x n
+    bytes exists but the masks.
     """
     _check_choice("scenario", scenario, SCENARIOS)
     trials = _check_size("trials", trials)
@@ -712,12 +727,8 @@ def mc_bound_validity(scenario: str, instance, delta: float, trials: int, seed: 
     sampler = SplitSampler(n_total=n, m=instance.m, master_seed=seed)
     masks = _split_masks(sampler, trials, trial_offset)
 
-    boundary = 0
-    if scenario.startswith("vapnik_"):
-        violations, boundary = _vapnik_violations(instance, masks, delta,
-                                                  scenario.removeprefix("vapnik_"))
-    elif scenario == "clustering":
-        violations = _clustering_violations(instance, masks, delta)
+    if scenario == "clustering":
+        violations, boundary = _clustering_violations(instance, masks, delta), 0
     else:
-        violations = _bound_violations(instance, masks, delta, scenario)
+        violations, boundary = _violations(instance, masks, delta, scenario)
     return _make_report(trials, violations, delta, boundary)

@@ -556,8 +556,8 @@ def _ref_label_and_select(partitions, target, masks, delta, bound_name):
     best = types.SimpleNamespace(
         candidate=np.full(rows, -1, dtype=np.int64),
         tau=np.zeros(rows, dtype=np.int64), clusterer_id=np.zeros(rows, dtype=np.int64),
-        emp_risk=np.zeros(rows), bound=np.full(rows, np.inf),
-        labels=np.ones((rows, n), dtype=np.int8), c=c, k_ensemble=k)
+        emp_risk=np.zeros(rows), train_errors=np.zeros(rows, dtype=np.int64),
+        bound=np.full(rows, np.inf), labels=np.ones((rows, n), dtype=np.int8), c=c, k_ensemble=k)
     for i in sorted(range(len(partitions)),
                     key=lambda i: (partitions[i].tau, partitions[i].clusterer_id)):
         p = partitions[i]
@@ -570,9 +570,59 @@ def _ref_label_and_select(partitions, target, masks, delta, bound_name):
         best.tau[better] = p.tau
         best.clusterer_id[better] = p.clusterer_id
         best.emp_risk[better] = emp[better]
+        best.train_errors[better] = errors[better]
         best.bound[better] = bound[better]
         best.labels[better] = np.where(label_pos[better], np.int8(1), np.int8(-1))[:, p.assignment]
     return best
+
+
+def _argmin_label_and_select(partitions, target, masks, delta, bound_name):
+    """``label_and_select`` as a float64 empirical risk and bound per (candidate, mask),
+    an ``argmin`` over the candidates and a second pass over the chunks for the
+    winners' labels: the selection before the per-tau bound tables."""
+    masks = np.asarray(masks, dtype=bool)
+    rows, n = masks.shape
+    m = int(masks[0].sum())
+    c = max(p.tau for p in partitions)
+    k = len({p.clusterer_id for p in partitions})
+    variant = "printed" if bound_name == "serfling_printed" else "exact"
+    complexity = {p.tau: clustering_complexity(p.tau, c, k, variant) for p in partitions}
+    bound_of = transduce_module.BOUNDS[bound_name]
+    order = sorted(range(len(partitions)),
+                   key=lambda i: (partitions[i].tau, partitions[i].clusterer_id))
+    candidates = [partitions[i] for i in order]
+    dtype = transduce_module._count_dtype(n)
+    indicators = transduce_module._indicators(candidates, np.asarray(target) == 1, dtype)
+    emp = np.empty((len(candidates), rows))
+    for at, weights in transduce_module._mask_chunks(masks, dtype):
+        for j, (p, indicator) in enumerate(zip(candidates, indicators)):
+            counts = indicator @ weights
+            emp[j, at] = np.minimum(counts[:p.tau], counts[p.tau:]).sum(axis=0)
+    emp /= m
+    bound = np.empty_like(emp)
+    for j, p in enumerate(candidates):
+        bound[j] = bound_of(emp[j], complexity[p.tau], m, n - m, delta)
+    bound[np.isnan(bound)] = np.inf
+    win = bound.argmin(axis=0)
+    every = np.arange(rows)
+    found = bound[win, every] < np.inf
+    labels = np.ones((rows, c), dtype=np.int8)
+    for at, weights in transduce_module._mask_chunks(masks, dtype):
+        chunk_win, chunk_found, chunk_labels = win[at], found[at], labels[at]
+        for j in np.unique(chunk_win[chunk_found]):
+            tau, won = candidates[j].tau, chunk_found & (chunk_win == j)
+            counts = indicators[j] @ (weights if won.all() else weights.compress(won, axis=1))
+            chunk_labels[won, :tau] = np.where(counts[tau:] >= counts[:tau],
+                                               np.int8(1), np.int8(-1)).T
+    return types.SimpleNamespace(
+        candidate=np.where(found, np.array(order, dtype=np.int64)[win], -1),
+        tau=np.where(found, np.array([p.tau for p in candidates], dtype=np.int64)[win], 0),
+        clusterer_id=np.where(found, np.array([p.clusterer_id for p in candidates],
+                                              dtype=np.int64)[win], 0),
+        emp_risk=np.where(found, emp[win, every], 0.0),
+        bound=bound[win, every],
+        cluster_labels=labels,
+    )
 
 
 def _random_masks(rng, rows, n, m):
@@ -582,30 +632,41 @@ def _random_masks(rng, rows, n, m):
     return masks
 
 
-def _phased_bound(monkeypatch, bound_name, rows, c=7, k=3):
+def _phased_bound(monkeypatch, bound_name, c=7, k=3):
     """Patch ``BOUNDS[bound_name]`` for candidates of c clusters and k clusterers.
 
-    By row % 3, which it returns: no candidate scores below +inf; tau 1 wins;
-    tau 3 wins after two NaN bounds.  Every other candidate scores +inf.
+    By tau and training error count j: tau 1 scores where j % 3 == 2 and is
+    NaN elsewhere, tau 2 is NaN, tau 3 scores 100 above the bound where
+    j % 3 == 1, so that tau 1 beats it wherever both score, and is +inf
+    elsewhere, and every other tau is +inf.
     """
     plain = transduce_module.BOUNDS[bound_name]
-    phase = np.arange(rows) % 3
     variant = "printed" if bound_name == "serfling_printed" else "exact"
     # with more than one clusterer, each tau has its own complexity
     tau_of = {clustering_complexity(tau, c, k, variant): tau for tau in range(1, c + 1)}
 
     def bound(emp, complexity, m, u, delta):
-        tau = tau_of[complexity]
+        tau, phase = tau_of[complexity], np.rint(emp * m) % 3
         if tau == 1:
-            return np.where(phase == 1, plain(emp, complexity, m, u, delta), np.nan)
+            return np.where(phase == 2, plain(emp, complexity, m, u, delta), np.nan)
         if tau == 2:
             return np.full(emp.shape, np.nan)
         if tau == 3:
-            return np.where(phase == 2, plain(emp, complexity, m, u, delta), np.inf)
+            return np.where(phase == 1, plain(emp, complexity, m, u, delta) + 100.0, np.inf)
         return np.full(emp.shape, np.inf)
 
     monkeypatch.setitem(transduce_module.BOUNDS, bound_name, bound)
-    return phase
+
+
+def _phased_taus(partitions, target, masks):
+    """The tau each mask picks under ``_phased_bound``: 1 where tau 1's training errors
+    are 2 mod 3, else 3 where a tau-3 candidate's are 1 mod 3 (after two NaN bounds),
+    else 0, no winner."""
+    row, point = np.nonzero(masks)
+    positive = np.asarray(target)[point] == 1
+    phase = {tau: [_ref_votes(p, row, point, positive, len(masks))[1] % 3
+                   for p in partitions if p.tau == tau] for tau in (1, 3)}
+    return np.where(phase[1][0] == 2, 1, np.where(np.any(np.equal(phase[3], 1), axis=0), 3, 0))
 
 
 def _point_labels(selection, partitions):
@@ -626,7 +687,7 @@ def _point_labels(selection, partitions):
 
 
 def _assert_same_selection(got, want, partitions):
-    for field in ("candidate", "tau", "clusterer_id", "emp_risk", "bound"):
+    for field in ("candidate", "tau", "clusterer_id", "emp_risk", "train_errors", "bound"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), field
         assert a.tobytes() == b.tobytes(), field
@@ -697,28 +758,31 @@ class TestScoreTable:
                                    sweep)
 
     def test_nan_never_wins_and_no_winner_keeps_the_default(self, sweep, monkeypatch):
-        phase = _phased_bound(monkeypatch, "serfling_printed", 30)
+        _phased_bound(monkeypatch, "serfling_printed")
         rng = np.random.default_rng(6)
         target = np.where(rng.random(60) < 0.7, -1, 1)
         masks = _random_masks(rng, 30, 60, 15)
         got = label_and_select(sweep, target, masks, 0.05)
         _assert_same_selection(got, _ref_label_and_select(sweep, target, masks, 0.05,
                                                           "serfling_printed"), sweep)
-        assert (got.tau == np.array([0, 1, 3])[phase]).all()
+        tau = _phased_taus(sweep, target, masks)
+        assert (got.tau == tau).all() and set(tau.tolist()) == {0, 1, 3}
         labels = _point_labels(got, sweep)
-        assert (labels[phase == 0] == 1).all() and np.isinf(got.bound[phase == 0]).all()
-        assert (labels[phase == 1] == -1).any()
+        assert (labels[tau == 0] == 1).all() and np.isinf(got.bound[tau == 0]).all()
+        assert (labels[tau == 1] == -1).any()
 
     @pytest.mark.parametrize("bound_name", BOUND_NAMES)
     def test_chunk_boundaries(self, sweep, monkeypatch, bound_name):
-        phase = _phased_bound(monkeypatch, bound_name, 30)
+        _phased_bound(monkeypatch, bound_name)
         rng = np.random.default_rng(11)
         target = np.where(rng.random(60) < 0.5, -1, 1)
-        # 8 training ids of each sign: every tau 1 winner ties, and gets +1
+        # 8 training ids of each sign in every other mask: tau 1 has 8 errors
+        # there, wins, ties in its one cluster and labels it +1; 7 and 9 in the
+        # rest, where tau 1 has 7 errors and a NaN bound
         masks = np.zeros((30, 60), dtype=bool)
-        for row in masks:
-            for sign in (-1, 1):
-                row[rng.choice(np.flatnonzero(target == sign), size=8, replace=False)] = True
+        for r, row in enumerate(masks):
+            for sign, size in ((-1, 8 - r % 2), (1, 8 + r % 2)):
+                row[rng.choice(np.flatnonzero(target == sign), size=size, replace=False)] = True
         want = _ref_label_and_select(sweep, target, masks, 0.05, bound_name)
         chunk_rows, mask_chunks = [], transduce_module._mask_chunks
 
@@ -735,14 +799,70 @@ class TestScoreTable:
             chunk_rows.clear()
             selections.append(label_and_select(sweep, target, masks, 0.05, bound_name))
             _assert_same_selection(selections[-1], want, sweep)
-            assert chunk_rows == 2 * ([rows] * (30 // rows) + [30 % rows] * (30 % rows > 0))
+            assert chunk_rows == [rows] * (30 // rows) + [30 % rows] * (30 % rows > 0)
         for got in selections[1:]:
-            for field in ("candidate", "tau", "clusterer_id", "emp_risk", "bound",
+            for field in ("candidate", "tau", "clusterer_id", "emp_risk", "train_errors", "bound",
                           "cluster_labels"):
                 assert getattr(got, field).tobytes() == getattr(selections[0], field).tobytes()
-        assert (want.tau == np.array([0, 1, 3])[phase]).all()
-        assert (want.emp_risk[phase == 1] == 0.5).all()
-        assert (selections[0].cluster_labels[phase != 2] == 1).all()
+        tau = _phased_taus(sweep, target, masks)
+        assert (want.tau == tau).all() and set(tau.tolist()) == {0, 1, 3}
+        assert (tau[::2] == 1).all() and (want.emp_risk[tau == 1] == 0.5).all()
+        assert (selections[0].cluster_labels[tau != 3] == 1).all()
+
+    @pytest.mark.parametrize("bound_name", BOUND_NAMES)
+    @pytest.mark.parametrize("delta", [0.05, 0.5, 0.999])
+    def test_bound_tables_match_the_per_cell_bounds(self, bound_name, delta):
+        # each tau's table over j = 0..m against the bound computed, as before
+        # the tables, on a float64 row of exact float32 counts divided by m in place
+        rng = np.random.default_rng(7)
+        bound_of = transduce_module.BOUNDS[bound_name]
+        variant = "printed" if bound_name == "serfling_printed" else "exact"
+        for n, m in ((60, 2 if bound_name == "direct" else 1), (60, 8), (60, 30), (60, 59),
+                     (500, 250)):
+            for tau, c, k in ((1, 1, 1), (3, 7, 2), (7, 7, 3), (20, 20, 1)):
+                charge = clustering_complexity(tau, c, k, variant)
+                table = bound_of(np.arange(m + 1) / m, charge, m, n - m, delta)
+                counts = rng.permutation(np.repeat(np.arange(m + 1, dtype=np.float32), 2))
+                emp = np.empty((1, len(counts)))
+                emp[0] = counts
+                emp /= m
+                per_cell = bound_of(emp[0], charge, m, n - m, delta)
+                assert table[counts.astype(np.int64)].tobytes() == per_cell.tobytes()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_argmin_selection(self, monkeypatch, seed):
+        # random instances: 1-3 clusterers, a clusterer listed twice ties, 1-400
+        # masks in chunks of 1-199, every bound and delta, and on odd seeds a
+        # NaN bound at every fourth training error count
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 121))
+        centres = rng.uniform(-6.0, 6.0, size=(int(rng.integers(1, 5)), 2))
+        points = centres[rng.integers(0, len(centres), size=n)] + rng.normal(size=(n, 2))
+        algos = tuple(rng.choice(ALGOS, size=int(rng.integers(1, 4))))
+        sweep = ensemble_sweep(Dataset(points=points, ids=np.arange(n)), algos,
+                               int(rng.integers(1, 9)))
+        bound_name = BOUND_NAMES[seed % len(BOUND_NAMES)]
+        delta = (0.05, 0.5, 0.999)[seed % 3]
+        if seed % 2:
+            plain = transduce_module.BOUNDS[bound_name]
+
+            def with_nan(emp, complexity, m, u, delta):
+                return np.where(np.rint(emp * m) % 4 == 0, np.nan,
+                                plain(emp, complexity, m, u, delta))
+
+            monkeypatch.setitem(transduce_module.BOUNDS, bound_name, with_nan)
+        target = np.where(rng.random(n) < rng.uniform(0.1, 0.9), -1, 1)
+        rows = int(rng.choice([1, 2, rng.integers(3, 400), 400]))
+        m = int(rng.integers(2 if bound_name == "direct" else 1, n))
+        masks = _random_masks(rng, rows, n, m)
+        monkeypatch.setattr(transduce_module, "_SELECT_CELLS", n * int(rng.integers(1, 200)))
+        got = label_and_select(sweep, target, masks, delta, bound_name)
+        want = _argmin_label_and_select(sweep, target, masks, delta, bound_name)
+        for field in ("candidate", "tau", "clusterer_id", "emp_risk", "bound", "cluster_labels"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+        assert got.train_errors.dtype == np.int64
+        assert (got.train_errors == np.rint(got.emp_risk * m)).all()
 
     @pytest.mark.parametrize("below", [60, 61])
     def test_either_count_dtype(self, sweep, monkeypatch, below):

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from transbound.hypergeom import HypergeomSpec, deviation_tail
+from transbound.hypergeom import HypergeomSpec, _log_inverse, deviation_tail, epsilon_star
 from transbound import validation
-from transbound.pac_bayes import BoundInputs, det_bound, gibbs_raw
+from transbound.pac_bayes import BOUNDS, BoundInputs, det_bound, gibbs_raw
 from transbound.priors import clustering_complexity
 from transbound.validation import (
     ClusteringInstance,
@@ -468,11 +468,12 @@ class TestMcBoundValidity:
             transduce_module.Dataset(points=points, ids=np.arange(n)),
             ("kmeans", "agglomerative_single"), 6)
         plain = transduce_module.BOUNDS["serfling_printed"]
-        phase, one = np.arange(rows) % 3, clustering_complexity(1, 6, 2, "printed")
+        one = clustering_complexity(1, 6, 2, "printed")
 
-        def bound(emp, complexity, *rest):  # by row % 3: no winner, tau 1, any winner
+        def bound(emp, complexity, m, *rest):  # by training errors % 3: none, tau 1, any tau
+            phase = np.rint(emp * m) % 3
             return np.where((phase == 0) | ((phase == 1) & (complexity != one)), np.inf,
-                            plain(emp, complexity, *rest))
+                            plain(emp, complexity, m, *rest))
 
         monkeypatch.setitem(transduce_module.BOUNDS, "serfling_printed", bound)
         # 8 training ids of each sign in every other mask, 16 of any sign in the rest
@@ -490,8 +491,9 @@ class TestMcBoundValidity:
             train = p.assignment[masks[r]]
             pos = np.bincount(train[target[masks[r]] == 1], minlength=p.tau)
             ties += int(((pos > 0) & (2 * pos == np.bincount(train, minlength=p.tau))).sum())
-        assert ties > 0 and (chosen.tau == np.where(phase < 2, phase, chosen.tau)).all()
-        assert (chosen.tau[phase == 2] > 1).any()
+        phase = np.where(chosen.tau > 0, chosen.train_errors % 3, 0)
+        assert ties > 0 and ((phase == 2) | (chosen.tau < 2)).all()
+        assert set(chosen.tau[phase < 2].tolist()) == {0, 1} and (chosen.tau[phase == 2] > 1).any()
         want = ((labels != target) & ~masks).sum(axis=1)  # the label-matrix count
         got = validation._test_errors(partitions, target, masks, chosen)
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
@@ -525,10 +527,9 @@ class TestMcBoundValidity:
                             lambda n: used.append(transduce_module._count_dtype(n)) or used[-1])
         for below, dtype in ((40, np.float64), (41, np.float32)):
             monkeypatch.setattr(transduce_module, "_FLOAT32_COUNTS_BELOW", below)
-            r_m, r_u = validation._risks(inst, masks)
+            got = validation._train_counts(inst, masks)
             assert used.pop() == dtype and not used
-            assert np.array_equal(r_m, counts / 15)
-            assert np.array_equal(r_u, (inst.errors.sum(axis=1, keepdims=True) - counts) / 25)
+            assert got.dtype == np.int16 and np.array_equal(got, counts)
 
     def test_random_instance_needs_a_hypothesis(self):
         with pytest.raises(ValueError):
@@ -645,7 +646,7 @@ def counting(monkeypatch, name):
 
 
 class TestPerBatch:
-    """``_risks`` and ``_gibbs_terms`` run once per instance on the held batch of masks."""
+    """``_train_counts`` and ``_gibbs_terms`` run once per instance on the held batch of masks."""
 
     SAMPLER = SplitSampler(n_total=30, m=12, master_seed=3)
 
@@ -662,41 +663,43 @@ class TestPerBatch:
             validation._held = None
             fresh.append(run())
         validation._held = None
-        risks = counting(monkeypatch, "_count_dtype")  # once in each _risks computation
-        gibbs = counting(monkeypatch, "kl_divergence")  # once in each _gibbs_terms one
+        counts = counting(monkeypatch, "_count_dtype")  # once in each _train_counts computation
+        gibbs = counting(monkeypatch, "kl_divergence")  # once per chunk of a _gibbs_terms one
         assert [run() for run in runs] == fresh
-        assert len(risks) == len(gibbs) == 1
+        # 16 hypotheses: chunks of 8192 // 16 = 512 trials, four for 2000 trials
+        assert (len(counts), len(gibbs)) == (1, 4)
 
     def test_two_instances_on_one_batch_get_their_own(self):
         a, b = (small_instance(seed=seed, n=30, m=12, n_hyp=5) for seed in (1, 2))
         masks = validation._split_masks(self.SAMPLER, 200, 0)
-        for derive in (validation._risks, validation._gibbs_terms):
+        for derive in (validation._train_counts, validation._gibbs_terms):
             for inst in (a, b, a, b):
                 got, want = derive(inst, masks), derive(inst, masks.copy())
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                assert got.tobytes() == want.tobytes()
                 assert got is derive(inst, masks)
-                assert not any(array.flags.writeable for array in got)
-            assert not np.array_equal(derive(a, masks)[0], derive(b, masks)[0])
+                assert not got.flags.writeable
+            assert not np.array_equal(derive(a, masks), derive(b, masks))
 
     def test_writable_masks_are_never_memoized(self):
         inst = small_instance(seed=4, n=30, m=12, n_hyp=5)
         held = validation._split_masks(self.SAMPLER, 200, 0)
         masks = held.copy()
-        for derive in (validation._risks, validation._gibbs_terms):
+        for derive in (validation._train_counts, validation._gibbs_terms):
             before = derive(inst, masks)
             masks[:] = masks[::-1]  # the same rows in reverse order
             after = derive(inst, masks)
             masks[:] = held
-            assert all(np.array_equal(a, b[..., ::-1]) for a, b in zip(after, before))
+            assert np.array_equal(after, before[:, ::-1])
         read_only = held.copy()
         read_only.flags.writeable = False  # not the held batch either
-        assert validation._risks(inst, read_only) is not validation._risks(inst, read_only)
+        assert (validation._train_counts(inst, read_only)
+                is not validation._train_counts(inst, read_only))
         assert validation._derived == (held, {})
 
     def test_a_new_draw_frees_the_old_batch_and_what_was_derived(self, monkeypatch):
         inst = small_instance(seed=4, n=30, m=12, n_hyp=5)
         masks = validation._split_masks(self.SAMPLER, 200, 0)
-        derived = validation._risks(inst, masks) + validation._gibbs_terms(inst, masks)
+        derived = validation._train_counts(inst, masks), validation._gibbs_terms(inst, masks)
         old = [weakref.ref(array) for array in (masks,) + derived]
         del masks, derived
         draws = []
@@ -708,7 +711,7 @@ class TestPerBatch:
 
         monkeypatch.setattr(validation, "_floyd", checked)
         validation._split_masks(SplitSampler(n_total=30, m=12, master_seed=4), 200, 0)
-        assert draws == [[True] * 6]
+        assert draws == [[True] * 3]
 
     def test_instance_owns_read_only_copies(self):
         errors, prior = np.array([[0, 1, 1, 0], [1, 0, 0, 0]]), np.array([0.25, 0.75])
@@ -732,8 +735,17 @@ def loop_gibbs_posterior(instance, r_m):
     return q / q.sum(axis=0, keepdims=True)
 
 
+def loop_risks(instance, counts):
+    """Training and test risk per (hypothesis, trial), from float64 training error counts
+    or from the masks' int64 error count product."""
+    if counts.dtype == bool:
+        counts = (instance.errors @ counts.T.astype(np.int64)).astype(float)
+    n, m = instance.errors.shape[1], instance.m
+    return counts / m, (instance.errors.sum(axis=1, keepdims=True) - counts) / (n - m)
+
+
 def loop_gibbs_terms(instance, masks):
-    r_m, r_u = validation._risks(instance, masks)
+    r_m, r_u = loop_risks(instance, masks)
     q = loop_gibbs_posterior(instance, r_m)
     trials = masks.shape[0]
     kl, emp, test = np.empty(trials), np.empty(trials), np.empty(trials)
@@ -822,5 +834,103 @@ class TestGibbsAgainstLoop:
         # the count comparison can fail only where the reference sees violations
         assert sum(loop_violations(name, "direct") for name, _ in GIBBS_CASES) >= 10
         inst, masks, _ = gibbs_case("underflow")
-        q = loop_gibbs_posterior(inst, validation._risks(inst, masks)[0])
+        q = loop_gibbs_posterior(inst, loop_risks(inst, masks)[0])
         assert (q == 0.0).any()
+
+
+def per_cell_events(instance, counts, delta, scenario):
+    """Each hypothesis scenario's events per (hypothesis, trial), from float64 risks
+    per cell, as they were counted before the count tables: for ``vapnik_*`` the
+    deviation reaching eps* and equalling it, else the test risk above the bound."""
+    r_m, r_u = loop_risks(instance, counts)
+    n = instance.errors.shape[1]
+    m, u = instance.m, n - instance.m
+    if scenario.startswith("vapnik_"):
+        variant = scenario.removeprefix("vapnik_")
+        thresholds = np.array([epsilon_star(p, delta, m, u, variant).value
+                               for p in instance.prior.tolist()])
+        dev = r_u - r_m
+        if variant == "relative":
+            k = instance.errors.sum(axis=1, keepdims=True)
+            scale = np.where(k > 0, np.sqrt(n / np.maximum(k, 1)), 0.0)
+            dev = dev * scale
+        return [dev >= thresholds[:, None], dev == thresholds[:, None]]
+    return [np.array([r_u[j] > BOUNDS[scenario](r_m[j], _log_inverse(float(p)), m, u, delta)
+                      for j, p in enumerate(instance.prior)])]
+
+
+def table_instances():
+    """Sixteen random hypotheses on 20 points, m = 10 (boundary hits at delta 0.05); the
+    same with a perfect and an always-wrong hypothesis under a Dirichlet prior; and two
+    hypotheses with one error each and u = 1, where ``direct`` fails."""
+    plain = random_hypothesis_instance(n_total=20, m=10, n_hyp=16, seed=0)
+    errors = np.vstack([plain.errors, np.zeros(20, dtype=np.int64), np.ones(20, dtype=np.int64)])
+    prior = np.random.default_rng(1).dirichlet(np.full(18, 0.5)) + 1e-3
+    return (plain, FiniteHypothesisInstance(errors=errors, prior=prior / prior.sum(), m=10),
+            _single_error_instance(201, 2, 201))
+
+
+TABLE_SCENARIOS = ("vapnik_absolute", "vapnik_relative", "serfling", "direct")
+
+
+class TestCountTables:
+    """Every deterministic hypothesis scenario reads a table over the training errors."""
+
+    @pytest.mark.parametrize("delta", [0.05, 0.5, 0.999])
+    @pytest.mark.parametrize("scenario", TABLE_SCENARIOS)
+    def test_tables_match_the_per_cell_expression(self, scenario, delta):
+        for inst in table_instances():
+            every = np.tile(np.arange(inst.m + 1.0), (inst.errors.shape[0], 1))  # j = 0..m
+            tables = validation._fail_tables(inst, delta, scenario)
+            want = per_cell_events(inst, every, delta, scenario)
+            assert len(tables) == len(want)
+            for got, event in zip(tables, want):
+                assert (got.dtype, got.shape) == (bool, event.shape)
+                assert got.tobytes() == event.tobytes()
+
+    @pytest.mark.parametrize("scenario", TABLE_SCENARIOS)
+    def test_reports_match_the_per_cell_count(self, scenario):
+        for inst in table_instances():
+            n = inst.errors.shape[1]
+            masks = validation._split_masks(SplitSampler(n_total=n, m=inst.m, master_seed=0),
+                                            4000, 0)
+            for delta in (0.05, 0.5, 0.999):
+                events = [event.any(axis=0).sum() for event in
+                          per_cell_events(inst, masks, delta, scenario)] + [0]
+                rep = mc_bound_validity(scenario, inst, delta, 4000, 0)
+                assert (rep.violations, rep.boundary_hits) == tuple(events[:2])
+
+    def test_cases_reach_every_event(self):
+        # the comparisons above can fail only where the events occur
+        reps = {(scenario, inst, delta): mc_bound_validity(scenario, inst, delta, 4000, 0)
+                for scenario in TABLE_SCENARIOS for inst in table_instances()
+                for delta in (0.05, 0.5, 0.999)}
+        for scenario in TABLE_SCENARIOS:
+            assert any(rep.violations for key, rep in reps.items() if key[0] == scenario)
+            assert (any(rep.boundary_hits for key, rep in reps.items() if key[0] == scenario)
+                    == scenario.startswith("vapnik_"))
+
+    @pytest.mark.parametrize("m, dtype", [((1 << 15) - 1, np.int16), (1 << 15, np.int64)])
+    def test_counts_are_int16_below_m_2_15(self, m, dtype):
+        inst = random_hypothesis_instance(n_total=m + 2, m=m, n_hyp=3, seed=2)
+        masks = validation._split_masks(SplitSampler(n_total=m + 2, m=m, master_seed=1), 3, 0)
+        counts = validation._train_counts(inst, masks)
+        assert counts.dtype == dtype
+        assert np.array_equal(counts, inst.errors @ masks.T.astype(np.int64))
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 5, 600])
+    def test_gibbs_terms_in_chunks_equal_one_pass(self, monkeypatch, trials):
+        # chunks of 2, 3 and 45 trials with no last chunk of one trial, and
+        # one pass; the Gibbs terms of the whole batch as they were computed
+        # before the counts were chunked
+        inst = table_instances()[1]
+        masks = validation._split_masks(SplitSampler(n_total=20, m=10, master_seed=3), trials, 0)
+        r_m, r_u = loop_risks(inst, masks)
+        logits = -inst.m * r_m
+        q = np.exp(logits - logits.max(axis=0, keepdims=True))
+        q /= q.sum(axis=0, keepdims=True)
+        whole = np.array([validation.kl_divergence(q, inst.prior[:, None]),
+                          (q * r_m).sum(axis=0), (q * r_u).sum(axis=0)]).reshape(3, trials)
+        for cells in (1, 18 * 3, 18 * 45, 1 << 30):
+            monkeypatch.setattr(validation, "_GIBBS_CELLS", cells)
+            assert validation._gibbs_terms(inst, masks.copy()).tobytes() == whole.tobytes()
